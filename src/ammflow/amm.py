@@ -85,12 +85,6 @@ def format_amount(amount, asset: AssetId, mode: NumericMode) -> str:
     return str(amount)
 
 
-def amount_to_float(amount, asset: AssetId, mode: NumericMode) -> float:
-    if mode is NumericMode.INTEGER:
-        return amount / 10 ** asset.decimals
-    return float(amount)
-
-
 @dataclass(frozen=True)
 class PoolState:
     pool_id: str
@@ -156,6 +150,24 @@ def swap_exact_in(pool: PoolState, input_asset: AssetId,
         raise OutputExceedsReserve("swap would drain the pool")
     new_pool = pool.with_reserves(input_asset, r_in + amount_in, r_out - out)
     return out, new_pool
+
+
+def keeps_fee_adjusted_k(pool: PoolState, input_asset: AssetId, amount_in,
+                         k_before) -> bool:
+    """Whether paying amount_in of input_asset into pool keeps the
+    fee-adjusted reserve product at k_before or above.
+
+    Only the input net of the fee counts, as in the Uniswap V2 core
+    whitepaper, section 2.3; a flash-swap repayment must pass this check.
+    """
+    r_in = pool.reserve_of(input_asset)
+    r_out = pool.reserve_of(pool.other_asset(input_asset))
+    gamma_num = BPS_DENOM - pool.fee_bps
+    if pool.mode is NumericMode.INTEGER:
+        return (r_in * BPS_DENOM + int(amount_in) * gamma_num) * r_out \
+            >= k_before * BPS_DENOM
+    adj = r_in + amount_in * Fraction(gamma_num, BPS_DENOM)
+    return exact_sign(adj * r_out - k_before) >= 0
 
 
 def solve_input_for_output(pool: PoolState, output_asset: AssetId,

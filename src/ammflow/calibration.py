@@ -8,13 +8,10 @@ independent integer-mode replay of the whole bundle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .amm import AssetId, NumericMode, PoolState
-
-BPS_DENOM = 10_000
+from .amm import BPS_DENOM, AssetId, NumericMode, PoolState
 
 
 class CalibrationError(Exception):
@@ -98,13 +95,21 @@ class CalibratedPools:
                       "counter": self.pool1_reserves[1]},
             "pool2": {"asset": self.pool2_reserves[0],
                       "counter": self.pool2_reserves[1]},
-            "residuals": {k: float(v) for k, v in self.residuals.items()},
+            "residuals": dict(self.residuals),
             "iterations": self.iterations,
         }
 
 
-def _residuals(reserves: np.ndarray, obs: ObservationSet) -> np.ndarray:
-    """Relative residuals of the four pipeline equations.
+_LABELS = ("phase1_out", "phase1_recover", "phase2_volume", "phase2_out")
+
+
+def _blocks(reserves: list[float], obs: ObservationSet):
+    """Relative residuals of the four pipeline equations, split by pool.
+
+    phase1_out and phase2_out involve only pool 1's reserves, and
+    phase1_recover and phase2_volume only pool 2's.  Each block is
+    (residuals, jac) with jac the 2x2 Jacobian in log-reserve coordinates:
+    one row per equation, columns (log migrated, log counter).
 
     Phase-2 volume enters one equation whether it is read as a flash-swap
     borrow or as a plain swap output: both readings impose the same
@@ -113,47 +118,74 @@ def _residuals(reserves: np.ndarray, obs: ObservationSet) -> np.ndarray:
     r_a1, r_b1, r_a2, r_b2 = reserves
     g = 1.0 - obs.fee_bps / BPS_DENOM
     s1 = obs.a + obs.x
-    shortfall = obs.x - obs.x_prime
-    f1 = r_b1 * g * s1 / (r_a1 + g * s1) - obs.b
-    f2 = r_a2 * g * obs.b / (r_b2 + g * obs.b) - obs.x_prime
-    f3 = (r_b2 + obs.b) * g * obs.y / ((r_a2 - obs.x_prime) + g * obs.y) \
-        - obs.b_prime
-    f4 = (r_a1 + s1) * g * obs.b_prime / ((r_b1 - obs.b) + g * obs.b_prime) \
-        - (obs.y + obs.a_prime + shortfall)
-    return np.array([
-        f1 / obs.b,
-        f2 / obs.x_prime,
-        f3 / obs.b_prime,
-        f4 / (obs.y + obs.a_prime),
-    ])
+    delivered = obs.y + obs.a_prime
+    d1 = r_a1 + g * s1
+    out1 = r_b1 * g * s1 / d1
+    d4 = (r_b1 - obs.b) + g * obs.b_prime
+    out4 = (r_a1 + s1) * g * obs.b_prime / d4
+    d2 = r_b2 + g * obs.b
+    out2 = r_a2 * g * obs.b / d2
+    d3 = (r_a2 - obs.x_prime) + g * obs.y
+    out3 = (r_b2 + obs.b) * g * obs.y / d3
+    f1 = ((out1 - obs.b) / obs.b,
+          (out4 - (delivered + obs.x - obs.x_prime)) / delivered)
+    jac1 = ((-out1 * r_a1 / d1 / obs.b, out1 / obs.b),
+            (out4 * r_a1 / (r_a1 + s1) / delivered,
+             -out4 * r_b1 / d4 / delivered))
+    f2 = ((out2 - obs.x_prime) / obs.x_prime,
+          (out3 - obs.b_prime) / obs.b_prime)
+    jac2 = ((out2 / obs.x_prime, -out2 * r_b2 / d2 / obs.x_prime),
+            (-out3 * r_a2 / d3 / obs.b_prime,
+             out3 * r_b2 / (r_b2 + obs.b) / obs.b_prime))
+    return (f1, jac1), (f2, jac2)
 
 
-def _initial_guess(obs: ObservationSet) -> np.ndarray:
+def _evaluate(z: list[float], obs: ObservationSet):
+    """Blocks at log reserves z and their residual max-norm; the norm is
+    infinite where a residual is not finite, so a line search rejects z."""
+    blocks = _blocks([math.exp(v) for v in z], obs)
+    values = blocks[0][0] + blocks[1][0]
+    if not all(math.isfinite(v) for v in values):
+        return None, math.inf
+    return blocks, max(abs(v) for v in values)
+
+
+def _cramer_step(f, jac) -> tuple[float, float] | None:
+    """Newton step -jac^-1 f of one 2x2 block; None when jac is singular."""
+    (j00, j01), (j10, j11) = jac
+    det = j00 * j11 - j01 * j10
+    if det == 0.0:
+        return None
+    return ((j01 * f[1] - j11 * f[0]) / det,
+            (j10 * f[0] - j00 * f[1]) / det)
+
+
+def _initial_guess(obs: ObservationSet) -> list[float]:
     """Seed reserves from effective prices and the implied slippage."""
     g = 1.0 - obs.fee_bps / BPS_DENOM
     s1 = obs.a + obs.x
     p_eff1 = obs.b / (g * s1)            # counter per asset, biased low
     p_eff2 = obs.b * g / obs.x_prime     # biased high
-    p0 = float(np.sqrt(p_eff1 * p_eff2))
+    p0 = math.sqrt(p_eff1 * p_eff2)
     rho1 = min(obs.b / (s1 * g * p0), 0.999)
     r_a1 = g * s1 * rho1 / max(1.0 - rho1, 1e-6)
     r_b1 = p0 * r_a1
     rho2 = min(obs.x_prime * p0 / (obs.b * g), 0.999)
     r_b2 = g * obs.b * rho2 / max(1.0 - rho2, 1e-6)
     r_a2 = r_b2 / p0
-    guess = np.array([r_a1, r_b1, r_a2, r_b2])
     # the seed must at least dominate the observed outflows
-    guess[0] = max(guess[0], 2 * s1)
-    guess[1] = max(guess[1], 2 * obs.b)
-    guess[2] = max(guess[2], 2 * (obs.x_prime + obs.y))
-    guess[3] = max(guess[3], 2 * obs.b_prime)
-    return guess
+    return [max(r_a1, 2 * s1), max(r_b1, 2 * obs.b),
+            max(r_a2, 2 * (obs.x_prime + obs.y)),
+            max(r_b2, 2 * obs.b_prime)]
 
 
 def calibrate_reserves(obs: ObservationSet, *, tol: float = 1e-12,
                        consistency_tol: float = 1e-3,
                        max_iter: int = 200) -> CalibratedPools:
     """Damped Newton solve for the four pre-execution reserves.
+
+    The equations split by pool (see _blocks), so each step is two 2x2
+    solves.  A singular block or a failed line search ends the iteration.
 
     Raises NoConvergence when the iteration stalls far from a solution and
     InconsistentObservations when the residual floor stays above
@@ -164,51 +196,40 @@ def calibrate_reserves(obs: ObservationSet, *, tol: float = 1e-12,
             "delivered output not below principal input despite fees",
             CalibratedPools((0.0, 0.0), (0.0, 0.0)))
 
-    z = np.log(_initial_guess(obs))
-    fval = _residuals(np.exp(z), obs)
-    best_z, best_norm = z.copy(), float(np.max(np.abs(fval)))
+    z = [math.log(r) for r in _initial_guess(obs)]
+    blocks, norm = _evaluate(z, obs)
+    if blocks is None:
+        raise NoConvergence("residuals not finite at the seed")
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        norm = float(np.max(np.abs(fval)))
         if norm < tol:
             break
-        jac = np.zeros((4, 4))
-        h = 1e-7
-        for j in range(4):
-            zj = z.copy()
-            zj[j] += h
-            jac[:, j] = (_residuals(np.exp(zj), obs) - fval) / h
-        try:
-            step = np.linalg.solve(jac, -fval)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(jac, -fval, rcond=None)[0]
-        step = np.clip(step, -2.0, 2.0)
-        lam, improved = 1.0, False
+        steps = [_cramer_step(f, jac) for f, jac in blocks]
+        if None in steps:
+            break
+        step = [min(max(s, -2.0), 2.0) for s in steps[0] + steps[1]]
+        lam = 1.0
         for _ in range(30):
-            z_new = z + lam * step
-            f_new = _residuals(np.exp(z_new), obs)
-            if np.max(np.abs(f_new)) < norm:
-                z, fval = z_new, f_new
-                improved = True
+            z_new = [zi + lam * si for zi, si in zip(z, step)]
+            blocks_new, norm_new = _evaluate(z_new, obs)
+            if norm_new < norm:
+                z, blocks, norm = z_new, blocks_new, norm_new
                 break
             lam *= 0.5
-        if not improved:
+        else:
             break
-        if float(np.max(np.abs(fval))) < best_norm:
-            best_z, best_norm = z.copy(), float(np.max(np.abs(fval)))
 
-    reserves = np.exp(best_z)
-    res = _residuals(reserves, obs)
-    labels = ("phase1_out", "phase1_recover", "phase2_volume", "phase2_out")
+    reserves = [math.exp(v) for v in z]
+    (f1, f4), (f2, f3) = blocks[0][0], blocks[1][0]
     result = CalibratedPools(
-        pool1_reserves=(float(reserves[0]), float(reserves[1])),
-        pool2_reserves=(float(reserves[2]), float(reserves[3])),
-        residuals=dict(zip(labels, (float(v) for v in res))),
+        pool1_reserves=(reserves[0], reserves[1]),
+        pool2_reserves=(reserves[2], reserves[3]),
+        residuals=dict(zip(_LABELS, (f1, f2, f3, f4))),
         iterations=iterations)
     if result.max_residual >= consistency_tol:
-        if best_norm > 1.0:
+        if norm > 1.0:
             raise NoConvergence(
-                f"stalled at residual {best_norm:.3e} after "
+                f"stalled at residual {norm:.3e} after "
                 f"{iterations} iterations")
         raise InconsistentObservations(
             f"residual floor {result.max_residual:.3e} above "
@@ -216,31 +237,20 @@ def calibrate_reserves(obs: ObservationSet, *, tol: float = 1e-12,
     return result
 
 
-def _integer_pools(calibrated: CalibratedPools, obs: ObservationSet
-                   ) -> tuple[PoolState, PoolState, AssetId, AssetId]:
-    asset = AssetId("ASSET", obs.asset_decimals)
-    counter = AssetId("COUNTER", obs.counter_decimals)
-    sa = 10 ** obs.asset_decimals
-    sc = 10 ** obs.counter_decimals
-    pool1 = PoolState("pool1", asset, counter,
-                      round(calibrated.pool1_reserves[0] * sa),
-                      round(calibrated.pool1_reserves[1] * sc),
-                      obs.fee_bps, NumericMode.INTEGER)
-    pool2 = PoolState("pool2", asset, counter,
-                      round(calibrated.pool2_reserves[0] * sa),
-                      round(calibrated.pool2_reserves[1] * sc),
-                      obs.fee_bps, NumericMode.INTEGER)
-    return pool1, pool2, asset, counter
-
-
 def replay_and_validate(calibrated: CalibratedPools,
                         obs: ObservationSet) -> dict[str, float]:
     """Integer-mode full-bundle replay; per-quantity relative errors."""
     from .planner import plan_relocation
 
-    pool1, pool2, asset, _ = _integer_pools(calibrated, obs)
+    asset = AssetId("ASSET", obs.asset_decimals)
+    counter = AssetId("COUNTER", obs.counter_decimals)
     sa = 10 ** obs.asset_decimals
     sc = 10 ** obs.counter_decimals
+    pool1, pool2 = (
+        PoolState(pool_id, asset, counter, round(r_a * sa), round(r_b * sc),
+                  obs.fee_bps, NumericMode.INTEGER)
+        for pool_id, (r_a, r_b) in (("pool1", calibrated.pool1_reserves),
+                                    ("pool2", calibrated.pool2_reserves)))
     plan = plan_relocation(pool1, pool2, asset, "P", "B", "O",
                            round(obs.a * sa),
                            x_override=round(obs.x * sa),

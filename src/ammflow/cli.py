@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
@@ -177,14 +175,8 @@ def main():
 def simulate(configs, out):
     """Run scenarios (library names or YAML config paths)."""
     out_root = Path(out)
-    workers = max(1, int(os.environ.get("AMMFLOW_PARALLEL", "1")))
     try:
-        if workers > 1 and len(configs) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                names = list(pool.map(
-                    lambda s: _simulate_one(s, out_root), configs))
-        else:
-            names = [_simulate_one(s, out_root) for s in configs]
+        names = [_simulate_one(s, out_root) for s in configs]
     except ConfigError as exc:
         raise UsageFailure(f"config error: {exc}") from exc
     for name in names:

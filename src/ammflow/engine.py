@@ -11,10 +11,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
-from .amm import (AssetId, NumericMode, PoolState, BPS_DENOM, UnknownAsset,
-                  swap_exact_in)
+from .amm import (AssetId, NumericMode, PoolState, BPS_DENOM,
+                  keeps_fee_adjusted_k, swap_exact_in)
 from .numeric import ExactNumber, exact_sign
 
 ROLE_LABELS = ("Principal", "Executor", "Beneficiary", "Operator",
@@ -323,15 +323,6 @@ def _apply_fill(ex: _Execution, idx: int, act: FillLimitOrder) -> None:
         ex.move(order.maker, act.filler, order.maker_asset, making, idx)
 
 
-def fill_limit_order(world: WorldState, order: LimitOrderIntent, filler: str,
-                     fill_amount, *, route_via_settlement: bool = True
-                     ) -> tuple[WorldState, list[TransferEvent]]:
-    """Apply one order fill outside a bundle; returns (world', events)."""
-    ex = _Execution(world, filler, "fill", route_via_settlement)
-    _apply_fill(ex, 0, FillLimitOrder(order, filler, fill_amount))
-    return ex.world, ex.trace.events
-
-
 def _apply_action(ex: _Execution, idx: int, act: Action) -> None:
     world = ex.world
     if isinstance(act, Transfer):
@@ -398,16 +389,7 @@ def _apply_action(ex: _Execution, idx: int, act: Action) -> None:
         r_repay = pool.reserve_of(act.asset) + act.amount
         r_other = pool.reserve_of(pool.other_asset(act.asset))
         k_before = ex.flash_swap_k.pop(act.pool)
-        gamma_num = BPS_DENOM - pool.fee_bps
-        if world.mode is NumericMode.INTEGER:
-            lhs = (pool.reserve_of(act.asset) * BPS_DENOM
-                   + int(act.amount) * gamma_num) * r_other
-            ok = lhs >= k_before * BPS_DENOM
-        else:
-            adj = pool.reserve_of(act.asset) \
-                + act.amount * Fraction(gamma_num, BPS_DENOM)
-            ok = exact_sign(adj * r_other - k_before) >= 0
-        if not ok:
+        if not keeps_fee_adjusted_k(pool, act.asset, act.amount, k_before):
             raise FlashSwapInvariantViolation(
                 f"flash swap repay on {act.pool} fails the fee-adjusted "
                 f"invariant")

@@ -193,13 +193,16 @@ def taint_haircut(graph: TransferGraph, tainted: set[str],
                   ) -> dict[str, float]:
     """Proportional dilution: each edge carries the sender's current taint
     fraction; flagged sources stay fully tainted; initial balances (known
-    or implicit) of other nodes are clean."""
+    or implicit) of other nodes are clean.  Float round-off is forgiven
+    relative to the largest edge amount, so the rule reads the same in
+    whole tokens and in smallest units."""
     held: dict[str, float] = {k: float(v)
                               for k, v in (initial_balances or {}).items()}
     dirty: dict[str, float] = {}
+    tol = 1e-12 * max((float(e.amount) for e in graph.edges), default=0.0)
     for e in sorted(graph.edges, key=lambda e: e.seq):
         src, dst, amt = e.src, e.dst, float(e.amount)
-        if held.get(src, 0.0) < amt - 1e-12:
+        if held.get(src, 0.0) < amt - tol:
             held[src] = amt  # implicit initial balance tops up
         if src in tainted:
             dirty[src] = held[src]
@@ -217,7 +220,7 @@ def taint_haircut(graph: TransferGraph, tainted: set[str],
             result[node] = 1.0
             continue
         h = held.get(node, 0.0)
-        result[node] = 0.0 if h <= 1e-12 \
+        result[node] = 0.0 if h <= tol \
             else min(1.0, dirty.get(node, 0.0) / h)
     return result
 

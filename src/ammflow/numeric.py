@@ -14,6 +14,7 @@ and never touches this class.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Union
@@ -166,38 +167,31 @@ class QuadExact:
         m = self._match(other)
         if m is None:
             return None
-        return _sign_of(make_exact(self.p - m[0], self.q - m[1], self.d))
+        return exact_sign(make_exact(self.p - m[0], self.q - m[1], self.d))
 
-    def __eq__(self, other):
+    def _compare(self, other, test):
+        """Apply test (an operator-module comparison) to cmp(self, other)
+        against zero; NotImplemented when other is outside the field."""
         try:
             c = self._cmp(other)
         except TypeError:
             return NotImplemented
-        return c == 0 if c is not None else NotImplemented
+        return NotImplemented if c is None else test(c, 0)
+
+    def __eq__(self, other):
+        return self._compare(other, operator.eq)
 
     def __lt__(self, other):
-        c = self._cmp(other)
-        if c is None:
-            return NotImplemented
-        return c < 0
+        return self._compare(other, operator.lt)
 
     def __le__(self, other):
-        c = self._cmp(other)
-        if c is None:
-            return NotImplemented
-        return c <= 0
+        return self._compare(other, operator.le)
 
     def __gt__(self, other):
-        c = self._cmp(other)
-        if c is None:
-            return NotImplemented
-        return c > 0
+        return self._compare(other, operator.gt)
 
     def __ge__(self, other):
-        c = self._cmp(other)
-        if c is None:
-            return NotImplemented
-        return c >= 0
+        return self._compare(other, operator.ge)
 
     def __hash__(self):
         return hash((self.p, self.q, self.d))
@@ -220,15 +214,11 @@ class QuadExact:
         return f"{self.p}+{self.q}*sqrt({self.d})"
 
 
-def _sign_of(value: ExactNumber) -> int:
+def exact_sign(value: ExactNumber) -> int:
+    """Sign of any exact number (int, Fraction or QuadExact)."""
     if isinstance(value, QuadExact):
         return value.sign()
     return 0 if value == 0 else (1 if value > 0 else -1)
-
-
-def exact_sign(value: ExactNumber) -> int:
-    """Sign of any exact number (int, Fraction or QuadExact)."""
-    return _sign_of(value)
 
 
 def exact_sqrt(value: ExactNumber) -> ExactNumber:

@@ -177,25 +177,13 @@ def max_extractable(pool1_after: PoolState, pool2_after: PoolState,
                     asset: AssetId) -> ExactNumber:
     """Maximum net profit (gross out minus y) of the reverse loop.
 
-    Integer mode runs a ternary search over y with a final local scan;
-    rational mode evaluates the closed-form optimum.  Equal-price fresh
-    pools admit no arbitrage and yield zero.
+    Integer mode takes the profit at argmax_extraction_int; rational mode
+    evaluates the closed-form optimum.  Equal-price fresh pools admit no
+    arbitrage and yield zero.
     """
     if pool1_after.mode is NumericMode.INTEGER:
-        lo, hi = 0, int(pool1_after.reserve_of(asset))
-        while hi - lo > 512:
-            m1 = lo + (hi - lo) // 3
-            m2 = hi - (hi - lo) // 3
-            if _net_profit_int(pool1_after, pool2_after, asset, m1) \
-                    < _net_profit_int(pool1_after, pool2_after, asset, m2):
-                lo = m1 + 1
-            else:
-                hi = m2 - 1
-        best = 0
-        for y in range(max(lo, 0), hi + 1):
-            best = max(best, _net_profit_int(pool1_after, pool2_after,
-                                             asset, y))
-        return best
+        y = argmax_extraction_int(pool1_after, pool2_after, asset)
+        return _net_profit_int(pool1_after, pool2_after, asset, y)
     k_top, a2, b0 = _extraction_coeffs(pool1_after, pool2_after, asset)
     # optimum of K*y/(B0 + A2*y) - y at A2*y* = sqrt(K*B0) - B0
     try:
@@ -271,7 +259,11 @@ def solve_extraction(pool1_after: PoolState, pool2_after: PoolState,
 
 def argmax_extraction_int(pool1_after: PoolState, pool2_after: PoolState,
                           asset: AssetId) -> int:
-    """Integer y attaining (within floor jitter) the reverse-loop optimum."""
+    """Integer y attaining (within floor jitter) the reverse-loop optimum.
+
+    A ternary search over y with a final local scan; zero when no y nets a
+    profit.
+    """
     lo, hi = 0, int(pool1_after.reserve_of(asset))
     while hi - lo > 512:
         m1 = lo + (hi - lo) // 3
@@ -329,19 +321,15 @@ def plan_relocation(pool1: PoolState, pool2: PoolState, asset: AssetId,
         # both pool moves exactly: b' = b and the loop nets exactly a
         y, b_prime = x_recovered, b
         _, out = extraction_result(pool1_after, pool2_after, asset, y)
+    elif mode is NumericMode.INTEGER and target is None:
+        # the profit-maximising repayment; zero when the loop nets nothing
+        y = argmax_extraction_int(pool1_after, pool2_after, asset)
+        b_prime, out = extraction_result(pool1_after, pool2_after, asset, y) \
+            if y > 0 else (0, 0)
     else:
-        if zero_fee and target is None:
-            raw_target = a
-        elif target is None:
-            raw_target = max_extractable(pool1_after, pool2_after, asset)
-        else:
-            raw_target = target + shortfall
-        if mode is NumericMode.INTEGER and target is None \
-                and exact_sign(raw_target) > 0:
-            y = argmax_extraction_int(pool1_after, pool2_after, asset)
-            b_prime, out = extraction_result(pool1_after, pool2_after,
-                                             asset, y)
-        elif exact_sign(raw_target) <= 0:
+        raw_target = max_extractable(pool1_after, pool2_after, asset) \
+            if target is None else target + shortfall
+        if exact_sign(raw_target) <= 0:
             y = b_prime = out = 0
         else:
             y, b_prime = solve_extraction(pool1_after, pool2_after, asset,

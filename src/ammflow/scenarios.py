@@ -8,19 +8,18 @@ traces.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import Optional
+import re
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import yaml
-
-from typing import Callable
 
 from .amm import AssetId, NumericMode, PoolState, parse_amount, \
     solve_input_for_output, swap_exact_in
 from .engine import (Action, Address, ExecutionTrace, FillLimitOrder,
                      FlashBorrow, FlashRepay, FlashSwapBorrow, FlashSwapRepay,
-                     LimitOrderIntent, Swap, Transfer, TransferFrom,
-                     WorldState, execute_bundle)
+                     LimitOrderIntent, Swap, Transfer, WorldState,
+                     execute_bundle)
 from .planner import (ExtractionStyle, FundingPolicy, RelocationPlan,
                       build_relocation_bundle, plan_relocation)
 
@@ -28,6 +27,8 @@ from .planner import (ExtractionStyle, FundingPolicy, RelocationPlan,
 class ConfigError(Exception):
     """Scenario configuration failed validation."""
 
+
+_SCENARIO_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
 
 RECIPES = ("RelocationZeroFee", "RelocationFeeCalibrated", "PEBLimitOrder",
            "PEBFlashSwapVariant", "BenignArbitrage", "BenignRouting")
@@ -367,8 +368,11 @@ def load_scenario_config(path: str) -> ScenarioRun:
     if data.get("schema_version") != 1:
         raise ConfigError("config requires schema_version: 1")
     name = data.get("scenario")
-    if not isinstance(name, str) or not name:
-        raise ConfigError("config requires a scenario name")
+    # the name becomes a directory under --out, so no path syntax
+    if not isinstance(name, str) or not _SCENARIO_NAME.fullmatch(name):
+        raise ConfigError("config requires a scenario name of letters, "
+                          f"digits, '_', '-' and '.' (not first), got "
+                          f"{name!r}")
     recipe = data.get("recipe")
     if recipe not in RECIPES:
         raise ConfigError(f"unknown recipe {recipe!r}; expected one of "
@@ -391,7 +395,11 @@ def load_scenario_config(path: str) -> ScenarioRun:
                 f"param {key} must be a decimal string, got {value!r}")
         return value
 
-    pools = {p.get("id"): p for p in data.get("pools") or []}
+    pool_list = data.get("pools") or []
+    if not isinstance(pool_list, list) \
+            or not all(isinstance(p, dict) for p in pool_list):
+        raise ConfigError("pools must be a list of mappings")
+    pools = {p.get("id"): p for p in pool_list}
 
     def pool_reserves(pool_id, default) -> tuple[str, str]:
         if pool_id not in pools:

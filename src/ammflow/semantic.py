@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .amm import AssetId, BPS_DENOM, NumericMode
+from .amm import BPS_DENOM, NumericMode
 from .engine import (ExecutionTrace, INFRA_LABELS, LimitOrderIntent,
                      WorldState, net_deltas)
 from .numeric import exact_sign

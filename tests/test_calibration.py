@@ -5,9 +5,9 @@ import pytest
 
 from ammflow.amm import AssetId, NumericMode, PoolState
 from ammflow.calibration import (CalibratedPools, InconsistentObservations,
-                                 ObservationSet, PUBLISHED_OBSERVATIONS,
-                                 calibrate_reserves, generate_observations,
-                                 replay_and_validate)
+                                 NoConvergence, ObservationSet,
+                                 PUBLISHED_OBSERVATIONS, calibrate_reserves,
+                                 generate_observations, replay_and_validate)
 
 WETH = AssetId("WETH", 18)
 USDT = AssetId("USDT", 6)
@@ -56,9 +56,43 @@ class TestCalibrateReserves:
         with pytest.raises(InconsistentObservations):
             calibrate_reserves(obs)
 
+    def test_overflowing_observations_rejected(self):
+        obs = dataclasses.replace(PUBLISHED_OBSERVATIONS, b=1e300,
+                                  b_prime=1e300)
+        with pytest.raises(NoConvergence):
+            calibrate_reserves(obs)
+
     def test_positive_observations_enforced(self):
         with pytest.raises(ValueError):
             dataclasses.replace(PUBLISHED_OBSERVATIONS, x=-1.0)
+
+
+# relocations whose observations stalled the earlier finite-difference
+# solve at a residual of 1e-4 with pool 1 at a third to a half of its size;
+# observations in whole tokens, truth as (pool-1 WETH, pool-2 WETH)
+STALL_CASES = [
+    (ObservationSet(a=4.143782889332225, x=43.02949278287352,
+                    b=110708.165272, x_prime=43.02949278287352,
+                    b_prime=110707.658207, y=43.28862344980409,
+                    a_prime=3.604495426189098),
+     (4914.45875567503, 634.0157215689744)),
+    (ObservationSet(a=15.919354137193778, x=65.28604578129834,
+                    b=129122.676083, x_prime=65.28604578129834,
+                    b_prime=129122.362013, y=65.67934475406577,
+                    a_prime=15.062377141517262),
+     (1625.8779087633902, 447.80784374272224)),
+]
+
+
+@pytest.mark.parametrize("obs, truth", STALL_CASES)
+def test_near_equal_price_pools_do_not_stall(obs, truth):
+    calibrated = calibrate_reserves(obs)
+    report = replay_and_validate(calibrated, obs)
+    for key, value in report.items():
+        if key.endswith("_rel_err"):
+            assert value <= 1e-3, key
+    assert abs(calibrated.pool1_reserves[0] - truth[0]) / truth[0] <= 1e-4
+    assert abs(calibrated.pool2_reserves[0] - truth[1]) / truth[1] <= 1e-4
 
 
 class TestReplaySensitivity:

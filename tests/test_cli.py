@@ -55,6 +55,20 @@ class TestSimulate:
         assert result.exit_code == 2
         assert "schema_version" in result.output
 
+    @pytest.mark.parametrize("body", [
+        "recipe: BenignRouting\nscenario: ../../escape\n",
+        "recipe: RelocationZeroFee\nscenario: x\npools: oops\n",
+    ])
+    def test_malformed_config_stays_inside_out(self, runner, tmp_path, body):
+        config = tmp_path / "bad.yaml"
+        config.write_text("schema_version: 1\n" + body, encoding="utf-8")
+        before = sorted(tmp_path.rglob("*"))
+        result = runner.invoke(main, ["simulate", str(config),
+                                      "--out", str(tmp_path / "out/a/b")])
+        assert result.exit_code == 2, result.output
+        assert "config error" in result.output
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_unknown_name_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["simulate", "does_not_exist",
                                       "--out", str(tmp_path / "runs")])

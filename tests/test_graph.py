@@ -7,7 +7,8 @@ from ammflow.graph import (BudgetExceeded, GraphEdge, TransferGraph,
                            attribute, build_graph, canonical_form,
                            default_quantization, taint_haircut, taint_poison,
                            to_dot, trace_canonical_form)
-from ammflow.scenarios import build_peb_scenario, build_relocation_scenario
+from ammflow.scenarios import (build_peb_scenario, build_relocation_scenario,
+                               library)
 from conftest import TOKA
 
 
@@ -130,6 +131,24 @@ class TestTaint:
         haircut_positive = {n for n, f in fractions.items() if f > 0}
         assert haircut_positive <= poison_positive
         assert haircut_positive != poison_positive
+
+
+    def test_haircut_ignores_amount_scale(self):
+        # O forwards exactly what it received; at 1e19 the float sum of its
+        # inflows overshoots the float outflow by far more than 1e-12
+        a1, a2 = 18437166598339548353, 6855543267441242937
+        units = [("P", "O", a1), ("X", "O", a2), ("O", "B", a1 + a2)]
+        tokens = [(s, d, Fraction(a, 10 ** 18)) for s, d, a in units]
+        fractions = taint_haircut(graph_of(*units), {"P"})
+        assert fractions["O"] == 0.0
+        assert fractions == taint_haircut(graph_of(*tokens), {"P"})
+
+    def test_calibrated_relocation_operator_nets_clean(self):
+        run = library()["relocation_fee_calibrated"]()
+        _, trace = run.execute()
+        weth = run.world.assets["WETH"]
+        fractions = taint_haircut(build_graph(trace, weth), {"P"})
+        assert fractions["O"] == 0.0
 
 
 class TestCanonicalForm:
