@@ -167,6 +167,8 @@ def _initial_guess(obs: ObservationSet) -> list[float]:
     p_eff1 = obs.b / (g * s1)            # counter per asset, biased low
     p_eff2 = obs.b * g / obs.x_prime     # biased high
     p0 = math.sqrt(p_eff1 * p_eff2)
+    if not 0 < p0 < math.inf:
+        raise NoConvergence(f"price seed {p0!r} is not positive and finite")
     rho1 = min(obs.b / (s1 * g * p0), 0.999)
     r_a1 = g * s1 * rho1 / max(1.0 - rho1, 1e-6)
     r_b1 = p0 * r_a1

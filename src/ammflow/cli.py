@@ -18,8 +18,8 @@ from .calibration import (InconsistentObservations, NoConvergence,
                           calibrate_reserves, replay_and_validate)
 from .engine import (Address, ExecutionTrace, WorldState, net_deltas,
                      trace_from_dict, trace_to_dict, trace_to_json)
-from .graph import (BudgetExceeded, GraphError, attribute, build_graph,
-                    taint_haircut, taint_poison, to_dot)
+from .graph import (attribute, build_graph, taint_haircut, taint_poison,
+                    to_dot)
 from .numeric import exact_sign
 from .scenarios import ConfigError, library, load_scenario_config
 from .semantic import loss_decomposition, recover_migrations
@@ -41,8 +41,9 @@ def _dump_json(path: Path, payload: dict) -> None:
 
 
 def _config_hash(source: str) -> str:
-    p = Path(source)
-    data = p.read_bytes() if p.is_file() else source.encode()
+    """Hash of what _build_run reads: a library name wins over a file."""
+    data = source.encode() if source in library() \
+        else Path(source).read_bytes()
     return hashlib.sha256(data).hexdigest()
 
 
@@ -115,11 +116,8 @@ def _analysis_payload(trace: ExecutionTrace, world: WorldState,
                 "haircut": taint_haircut(graph, {principal}),
             }
         if principal is not None and beneficiary is not None:
-            try:
-                payload["attribution"][sym] = \
-                    attribute(graph, principal, beneficiary).to_dict()
-            except (BudgetExceeded, GraphError) as exc:
-                payload["attribution"][sym] = {"error": str(exc)}
+            payload["attribution"][sym] = \
+                attribute(graph, principal, beneficiary).to_dict()
     return payload
 
 
@@ -192,20 +190,15 @@ def analyze(trace_path, principal, beneficiary):
     try:
         data = json.loads(Path(trace_path).read_text(encoding="utf-8"))
         trace = trace_from_dict(data)
-    except (json.JSONDecodeError, KeyError) as exc:
+    except (json.JSONDecodeError, KeyError, ValueError, TypeError,
+            AttributeError) as exc:
         raise UsageFailure(f"bad trace file: {exc}") from exc
     world = _infer_world(trace)
 
     recovered = []
-    failed = False
     for sym in sorted({ev.asset.symbol for ev in trace.events}):
         graph = build_graph(trace, world.assets[sym])
-        try:
-            result = attribute(graph, principal, beneficiary)
-        except (BudgetExceeded, GraphError) as exc:
-            click.echo(f"transfer-layer: {sym}: analysis failed ({exc})")
-            failed = True
-            continue
+        result = attribute(graph, principal, beneficiary)
         if result.recoverable:
             recovered.append((sym, result.p_to_b_min))
     if recovered:
@@ -216,8 +209,6 @@ def analyze(trace_path, principal, beneficiary):
 
     report = recover_migrations(trace, world, world)
     click.echo("semantic: " + report.summary().replace("\n", "\nsemantic: "))
-    if failed:
-        raise SystemExit(EXIT_INCONSISTENT)
 
 
 @main.command()

@@ -365,13 +365,17 @@ def _apply_action(ex: _Execution, idx: int, act: Action) -> None:
             raise EngineError(f"no flash debt {key}")
         ex.call(idx, "flash_repay", act.borrower, act.provider)
         ex.move(act.borrower, act.provider, act.asset, act.amount, idx)
-        ex.flash_debts[key] = debt - act.amount
+        # an over-repayment is a gift, not credit against a later borrow
+        left = debt - act.amount
+        ex.flash_debts[key] = left if exact_sign(left) > 0 else 0
     elif isinstance(act, FlashSwapBorrow):
         pool = world.pools[act.pool]
         reserve = pool.reserve_of(act.asset)
         if exact_sign(reserve - act.amount) <= 0:
             raise InsufficientBalance(
                 f"flash swap {act.amount} exceeds reserve {reserve}")
+        if act.pool in ex.flash_swap_k:
+            raise EngineError(f"flash swap already pending on {act.pool}")
         ex.call(idx, "flash_swap_borrow", act.borrower, act.pool)
         ex.flash_swap_k[act.pool] = pool.k
         world.pools[act.pool] = pool.with_reserves(

@@ -1,17 +1,18 @@
 """Transfer-layer observer: per-asset graphs, taint rules, attribution.
 
-Attribution operationalizes "uniquely recoverable" as uniqueness of
-parcel-level flow decompositions under time-ordered conservation: every
-edge's parcels are assigned to either principal-origin value or other
-value, an assignment is valid when no node forwards principal value it has
-not yet received, and the principal-to-beneficiary amount is scanned over
-the full set of valid assignments by exact enumeration.
+Attribution operationalizes "uniquely recoverable" as uniqueness of the
+principal-to-beneficiary amount over all ways to tag value as
+principal-origin or other under time-ordered conservation: no node may
+forward principal value it has not yet received, nor more other value than
+it holds.  Those prefix constraints are the arcs of a network flow on the
+time-expanded graph (Ford & Fulkerson 1958), so the least and the greatest
+amount are two exact min-cost flows in the graph's own number type.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .amm import AssetId
@@ -19,20 +20,12 @@ from .engine import ExecutionTrace
 from .numeric import QuadExact
 
 
-class GraphError(Exception):
-    pass
-
-
-class BudgetExceeded(GraphError):
-    """Exact enumeration too large; coarsen the quantization."""
-
-
 @dataclass(frozen=True)
 class GraphEdge:
     seq: int
     src: str
     dst: str
-    amount: object  # exact number or float after quantization
+    amount: object  # int, Fraction or QuadExact
 
 
 @dataclass
@@ -53,18 +46,11 @@ class TransferGraph:
 class AttributionResult:
     p_to_b_min: float
     p_to_b_max: float
-    decomposition_count: int
     recoverable: bool
-    parcel_size: float
+    exact: bool  # False when the amounts were read as floats
 
     def to_dict(self) -> dict:
-        return {
-            "p_to_b_min": self.p_to_b_min,
-            "p_to_b_max": self.p_to_b_max,
-            "decomposition_count": self.decomposition_count,
-            "recoverable": self.recoverable,
-            "parcel_size": self.parcel_size,
-        }
+        return asdict(self)
 
 
 def build_graph(trace: ExecutionTrace, asset: AssetId) -> TransferGraph:
@@ -74,15 +60,15 @@ def build_graph(trace: ExecutionTrace, asset: AssetId) -> TransferGraph:
     return TransferGraph(asset=asset, edges=edges)
 
 
-def _implicit_initials(parcels: list[tuple[str, str, int]]) -> dict[str, int]:
+def _implicit_initials(edges: list[tuple[str, str, object]]) -> dict:
     """Per node, the largest prefix deficit: outflow not covered by inflow.
 
     That deficit is the node's implicit initial balance; for intermediaries
     it counts as unattributed value.
     """
-    held: dict[str, int] = {}
-    initial: dict[str, int] = {}
-    for src, dst, n in parcels:
+    held: dict = {}
+    initial: dict = {}
+    for src, dst, n in edges:
         have = held.get(src, 0)
         if have < n:
             initial[src] = initial.get(src, 0) + (n - have)
@@ -92,90 +78,96 @@ def _implicit_initials(parcels: list[tuple[str, str, int]]) -> dict[str, int]:
     return initial
 
 
-def default_quantization(graph: TransferGraph,
-                         max_parcels_per_edge: int = 64) -> float:
-    """Parcel size: exact gcd when the amounts are rational and small
-    enough, otherwise a fraction of the largest edge amount."""
-    amounts = [e.amount for e in graph.edges]
-    if not amounts:
-        return 1.0
-    if all(not isinstance(a, QuadExact) for a in amounts):
-        fracs = [Fraction(a) for a in amounts]
-        num_gcd = math.gcd(*(f.numerator for f in fracs))
-        den_lcm = math.lcm(*(f.denominator for f in fracs))
-        q = Fraction(num_gcd, den_lcm)
-        if all(f / q <= max_parcels_per_edge for f in fracs):
-            return float(q)
-    return float(max(float(a) for a in amounts)) / max_parcels_per_edge
+def _one_field(amounts: list) -> bool:
+    """Whether the amounts are exact numbers that QuadExact can add."""
+    if not all(isinstance(a, (int, Fraction, QuadExact)) for a in amounts):
+        return False
+    quads = [a for a in amounts if isinstance(a, QuadExact)]
+    return all(quads[0]._match(a) is not None for a in quads[1:])
 
 
-def attribute(graph: TransferGraph, principal: str, beneficiary: str,
-              quantization: float | None = None,
-              budget: int = 1_000_000) -> AttributionResult:
-    """Min/max value routed principal->beneficiary over all valid
-    parcel-level flow decompositions; unique positive flow is recoverable.
+def attribute(graph: TransferGraph, principal: str,
+              beneficiary: str) -> AttributionResult:
+    """Least and greatest principal-origin value the beneficiary can have
+    received; a unique positive amount is recoverable.
+
+    Amounts that span more than one quadratic field are read as floats
+    (converted exactly to Fraction) and the result is marked inexact.
     """
-    if quantization is None:
-        quantization = default_quantization(graph)
-    q = float(quantization)
-    if q <= 0:
-        raise ValueError("quantization must be positive")
-    parcels = [(e.src, e.dst, round(float(e.amount) / q))
-               for e in graph.edges]
-    parcels = [p for p in parcels if p[2] > 0]
-    if not parcels:
-        return AttributionResult(0.0, 0.0, 1, False, q)
+    exact = _one_field([e.amount for e in graph.edges])
+    edges = [(e.src, e.dst, e.amount if exact else Fraction(float(e.amount)))
+             for e in graph.edges]
+    edges = [e for e in edges if e[2] > 0]
+    lo = _min_cost_flow(edges, principal, beneficiary, 1)
+    hi = -_min_cost_flow(edges, principal, beneficiary, -1)
+    return AttributionResult(float(lo), float(hi), lo == hi and lo > 0,
+                             exact)
 
-    initial = _implicit_initials(parcels)
-    # avail[node] = [principal-origin parcels, other parcels]
-    avail: dict[str, list[int]] = {}
-    for node, init in initial.items():
-        avail.setdefault(node, [0, 0])
-        if node == principal:
-            avail[node][0] += init
-        else:
-            avail[node][1] += init
 
-    state = {"count": 0, "ops": 0, "min": None, "max": None}
+def _min_cost_flow(edges: list[tuple[str, str, object]], principal: str,
+                   beneficiary: str, sign: int):
+    """Least sign * (principal value delivered to the beneficiary).
 
-    def dfs(i: int, delivered: int) -> None:
-        state["ops"] += 1
-        if state["ops"] > budget:
-            raise BudgetExceeded(
-                f"more than {budget} parcel routings; coarsen quantization")
-        if i == len(parcels):
-            state["count"] += 1
-            state["min"] = delivered if state["min"] is None \
-                else min(state["min"], delivered)
-            state["max"] = delivered if state["max"] is None \
-                else max(state["max"], delivered)
-            return
-        src, dst, n = parcels[i]
-        s = avail.setdefault(src, [0, 0])
-        d = avail.setdefault(dst, [0, 0])
-        lo = max(0, n - s[1])
-        hi = min(n, s[0])
-        if lo > hi:
-            return  # conservation violated on this branch
-        for p_cnt in range(lo, hi + 1):
-            o_cnt = n - p_cnt
-            s[0] -= p_cnt
-            s[1] -= o_cnt
-            d[0] += p_cnt
-            d[1] += o_cnt
-            dfs(i + 1, delivered + (p_cnt if dst == beneficiary else 0))
-            s[0] += p_cnt
-            s[1] += o_cnt
-            d[0] -= p_cnt
-            d[1] -= o_cnt
+    Every transfer gives its src and dst a new version (node, k); a
+    holdover arc from a node's previous version carries the principal value
+    it keeps, capped by its running total balance, and the transfer arc
+    carries the principal share of the amount, at cost `sign` when it pays
+    the beneficiary.  The principal's initial balance enters at its first
+    version and every last version drains to the sink (None).
 
-    dfs(0, 0)
-    if state["count"] == 0:
-        raise GraphError("no valid flow decomposition at this quantization")
-    p_min = state["min"] * q
-    p_max = state["max"] * q
-    recoverable = state["min"] == state["max"] and state["min"] > 0
-    return AttributionResult(p_min, p_max, state["count"], recoverable, q)
+    Successive shortest paths ordered by (cost, hops): within one cost
+    level this is Edmonds-Karp, so it ends for irrational capacities too.
+    """
+    held = defaultdict(int, _implicit_initials(edges))
+    supply = held[principal]
+    source = (principal, 0)
+    # [tail, head, capacity, (cost, hops)]; arc i ^ 1 is the residual of i
+    arcs: list[list] = []
+    cur: dict[str, tuple[str, int]] = {}
+
+    def arc(u, v, capacity, cost: int) -> None:
+        arcs.append([u, v, capacity, (cost, 1)])
+        arcs.append([v, u, 0, (-cost, -1)])
+
+    def advance(node: str) -> tuple[str, int]:
+        old = cur.get(node, (node, 0))
+        cur[node] = (node, old[1] + 1)
+        arc(old, cur[node], held[node], 0)
+        return old
+
+    for src, dst, n in edges:
+        held[src] -= n
+        u = advance(src)
+        held[dst] += n
+        advance(dst)
+        arc(u, cur[dst], n, sign if dst == beneficiary else 0)
+    for node, v in cur.items():
+        arc(v, None, held[node], 0)
+
+    total = 0
+    while supply > 0:
+        dist, via = {source: (0, 0)}, {}
+        for _ in range(len(arcs)):  # Bellman-Ford
+            changed = False
+            for i, (u, v, capacity, (cost, hops)) in enumerate(arcs):
+                if u not in dist or not capacity > 0:
+                    continue
+                d = (dist[u][0] + cost, dist[u][1] + hops)
+                if v not in dist or d < dist[v]:
+                    dist[v], via[v], changed = d, i, True
+            if not changed:
+                break
+        path, v = [], None
+        while v != source:
+            path.append(via[v])
+            v = arcs[via[v]][0]
+        push = min([supply] + [arcs[i][2] for i in path])
+        for i in path:
+            arcs[i][2] -= push
+            arcs[i ^ 1][2] += push
+        supply -= push
+        total += push * dist[None][0]
+    return total
 
 
 def taint_poison(graph: TransferGraph,

@@ -62,6 +62,11 @@ class TestCalibrateReserves:
         with pytest.raises(NoConvergence):
             calibrate_reserves(obs)
 
+    def test_underflowing_price_seed_rejected(self):
+        obs = dataclasses.replace(PUBLISHED_OBSERVATIONS, b=1e-300)
+        with pytest.raises(NoConvergence):
+            calibrate_reserves(obs)
+
     def test_positive_observations_enforced(self):
         with pytest.raises(ValueError):
             dataclasses.replace(PUBLISHED_OBSERVATIONS, x=-1.0)

@@ -69,6 +69,16 @@ class TestSimulate:
         assert "config error" in result.output
         assert sorted(tmp_path.rglob("*")) == before
 
+    def test_library_name_wins_in_config_hash(self, runner, tmp_path,
+                                              monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        first = simulate(runner, tmp_path / "a", "benign_routing")
+        (tmp_path / "benign_routing").write_text("junk", encoding="utf-8")
+        second = simulate(runner, tmp_path / "b", "benign_routing")
+        manifest = "benign_routing/manifest.json"
+        assert (first / manifest).read_bytes() == \
+            (second / manifest).read_bytes()
+
     def test_unknown_name_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["simulate", "does_not_exist",
                                       "--out", str(tmp_path / "runs")])
@@ -103,6 +113,24 @@ class TestAnalyze:
                                       "--beneficiary", "B"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("body", [
+        [],
+        {"bundle_id": "t", "initiator": "P", "assets": [], "events": []},
+        {"bundle_id": "t", "initiator": "P", "assets": {}, "events": "x"},
+        {"bundle_id": "t", "initiator": "P", "assets": {"T": 18},
+         "events": [{"seq": 1, "from": "P", "to": "B", "asset": "T",
+                     "amount": "abc", "action_index": 0}]},
+    ], ids=["root_is_a_list", "assets_not_a_mapping", "events_not_a_list",
+            "amount_not_a_number"])
+    def test_malformed_trace_exits_2(self, runner, tmp_path, body):
+        trace = tmp_path / "bad.json"
+        trace.write_text(json.dumps(body), encoding="utf-8")
+        result = runner.invoke(main, ["analyze", str(trace),
+                                      "--principal", "P",
+                                      "--beneficiary", "B"])
+        assert result.exit_code == 2, result.output
+        assert "bad trace file" in result.output
+
 
 class TestCalibrate:
     def test_default_observations(self, runner):
@@ -129,6 +157,17 @@ class TestCalibrate:
         result = runner.invoke(main, ["calibrate", "--observations",
                                       str(path)])
         assert result.exit_code == 1
+
+    def test_underflowing_observation_exits_1(self, runner, tmp_path):
+        from ammflow.calibration import PUBLISHED_OBSERVATIONS
+        data = PUBLISHED_OBSERVATIONS.to_dict()
+        data["b"] = 1e-300
+        path = tmp_path / "obs.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        result = runner.invoke(main, ["calibrate", "--observations",
+                                      str(path)])
+        assert result.exit_code == 1, result.output
+        assert "calibration failed" in result.output
 
     def test_bad_file_exits_2(self, runner, tmp_path):
         path = tmp_path / "obs.json"

@@ -7,12 +7,13 @@ import pytest
 
 from ammflow.amm import NumericMode, PoolState
 from ammflow.engine import (Address, EngineError, FillLimitOrder, FlashBorrow,
-                            FlashRepay, InsufficientAllowance,
-                            InsufficientBalance, LimitOrderIntent, Overfill,
-                            Swap, Transfer, TransferFrom, UnrepaidFlashDebt,
-                            WorldState, execute_bundle, net_deltas,
-                            trace_from_dict, trace_to_dict, trace_to_json)
-from conftest import TOKA, TOKB
+                            FlashRepay, FlashSwapBorrow, FlashSwapRepay,
+                            InsufficientAllowance, InsufficientBalance,
+                            LimitOrderIntent, Overfill, Swap, Transfer,
+                            TransferFrom, UnrepaidFlashDebt, WorldState,
+                            execute_bundle, net_deltas, trace_from_dict,
+                            trace_to_dict, trace_to_json)
+from conftest import TOKA, TOKB, make_pool
 
 GOLDEN = Path(__file__).parent / "data" / "relocation_sym_trace.json"
 
@@ -52,6 +53,32 @@ class TestExecuteBundle:
         with pytest.raises(UnrepaidFlashDebt):
             execute_bundle(world,
                            [FlashBorrow("F", "O", TOKA, Fraction(5))], "O")
+        assert snapshot(world) == before
+
+    def test_over_repayment_does_not_offset_a_later_borrow(self):
+        world = basic_world("F", "O")
+        world.set_balance("F", TOKA, Fraction(100))
+        world.set_balance("O", TOKA, Fraction(5))
+        before = snapshot(world)
+        with pytest.raises(UnrepaidFlashDebt):
+            execute_bundle(world, [
+                FlashBorrow("F", "O", TOKA, Fraction(10)),
+                FlashRepay("O", "F", TOKA, Fraction(15)),
+                FlashBorrow("F", "O", TOKA, Fraction(5))], "O")
+        assert snapshot(world) == before
+
+    def test_nested_flash_swap_on_one_pool_rejected(self):
+        # a second borrow would overwrite the pre-borrow k, letting the
+        # repay pass against the already-drained pool
+        world = basic_world("O")
+        world.add_pool(make_pool("pool1", Fraction(100), Fraction(100)))
+        world.set_balance("O", TOKA, Fraction(13))
+        before = snapshot(world)
+        with pytest.raises(EngineError):
+            execute_bundle(world, [
+                FlashSwapBorrow("pool1", "O", TOKB, Fraction(10)),
+                FlashSwapBorrow("pool1", "O", TOKB, Fraction(10)),
+                FlashSwapRepay("pool1", "O", TOKA, Fraction(13))], "O")
         assert snapshot(world) == before
 
     def test_transfer_from_needs_allowance(self):

@@ -19,17 +19,17 @@ GOLDEN = {
     "benign_routing":
         "f61ade17b5d407d6614282e57467c559c568a93d3bef8ad245c038dda0c21766",
     "peb_flash_swap":
-        "21c0ff55f13b577cf1806e7f6aabe401a78d39396e3ec2e079171714e6299d1c",
+        "064291e6f7a80ddfd8f02600560ae368086762d374598c57701bbd7c4f36a55d",
     "peb_limit_order":
-        "a6d56fe29cfc84f0c6adb38a951c4c7d58fd6be037ab5487ace1d7606880a6ea",
+        "a619b3e60622af1fd23831a23d5167934373ae88588509e20d0ef9069c9461ef",
     "relocation_asym_zero_fee":
-        "7fa7852e7288a1ce58dc70a8f9833f016b5676e3c202fcb8c2eeeb333d277d11",
+        "e537d9aac11315b390bf14e1cc85b7763400b88001c4ba9fa77f9e685a52b05d",
     "relocation_fee_calibrated":
-        "95413518674275dddb7206242abef52301a797566e77e4f37d1b38f5b0e08d87",
+        "6f9582357eb4666dba617bd5a72a2c1f208de71dd94b905d381935ff53a6b380",
     "relocation_operator_is_principal":
-        "89d75a1eb8335e2f0dfbfa6a1aaec79d0135574bcf5d784729d58c9441effe02",
+        "d79adff6e1e2344802a8f457ce2cef85b99f0ba9b6c8f90ce847a0282df76e37",
     "relocation_sym_zero_fee":
-        "f66b6d2c0722503934bb7674349d935a9d2506c61860f9ceec475ef8cec08fb4",
+        "383207e6c43bc63b3ae1e6e28abc66c2889aebad9fca56577d72bc1ea50f396f",
 }
 
 

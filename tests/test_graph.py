@@ -1,12 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ammflow.engine import ExecutionTrace, TransferEvent
-from ammflow.graph import (BudgetExceeded, GraphEdge, TransferGraph,
-                           attribute, build_graph, canonical_form,
-                           default_quantization, taint_haircut, taint_poison,
+from ammflow.graph import (GraphEdge, TransferGraph, attribute, build_graph,
+                           canonical_form, taint_haircut, taint_poison,
                            to_dot, trace_canonical_form)
+from ammflow.numeric import QuadExact
 from ammflow.scenarios import (build_peb_scenario, build_relocation_scenario,
                                library)
 from conftest import TOKA
@@ -16,6 +17,47 @@ def graph_of(*edges):
     return TransferGraph(asset=TOKA, edges=[
         GraphEdge(seq, src, dst, Fraction(amount))
         for seq, (src, dst, amount) in enumerate(edges, start=1)])
+
+
+def parcel_bounds(edges, principal, beneficiary):
+    """Reference oracle: enumerate every split of each integer amount into
+    principal-origin and other parcels that no node overdraws, and return
+    the least and greatest principal amount paid to the beneficiary."""
+    edges = [e for e in edges if e[2] > 0]
+    held, initial = {}, {}
+    for src, dst, n in edges:
+        have = held.get(src, 0)
+        if have < n:
+            initial[src] = initial.get(src, 0) + n - have
+            have = n
+        held[src] = have - n
+        held[dst] = held.get(dst, 0) + n
+    # avail[node] = [principal-origin parcels, other parcels]
+    avail = {node: [init, 0] if node == principal else [0, init]
+             for node, init in initial.items()}
+    found = []
+
+    def dfs(i, delivered):
+        if i == len(edges):
+            found.append(delivered)
+            return
+        src, dst, n = edges[i]
+        s = avail.setdefault(src, [0, 0])
+        d = avail.setdefault(dst, [0, 0])
+        for p_cnt in range(max(0, n - s[1]), min(n, s[0]) + 1):
+            o_cnt = n - p_cnt
+            s[0] -= p_cnt
+            s[1] -= o_cnt
+            d[0] += p_cnt
+            d[1] += o_cnt
+            dfs(i + 1, delivered + (p_cnt if dst == beneficiary else 0))
+            s[0] += p_cnt
+            s[1] += o_cnt
+            d[0] -= p_cnt
+            d[1] -= o_cnt
+
+    dfs(0, 0)
+    return min(found), max(found)
 
 
 def relocation_trace():
@@ -67,7 +109,7 @@ class TestAttribute:
         assert result.p_to_b_min == 0
         assert result.p_to_b_max == 10
         assert not result.recoverable
-        assert result.decomposition_count > 1
+        assert result.exact
 
     def test_relocation_trace_not_recoverable(self):
         graph = build_graph(relocation_trace(), TOKA)
@@ -75,20 +117,59 @@ class TestAttribute:
         assert result.p_to_b_min == 0
         assert not result.recoverable
 
-    def test_quantization_must_be_positive(self):
-        with pytest.raises(ValueError):
-            attribute(graph_of(("P", "B", 1)), "P", "B", quantization=0)
+    def test_relocation_max_is_the_principal_input(self):
+        run = build_relocation_scenario(name="g")
+        _, trace = run.execute()
+        result = attribute(build_graph(trace, TOKA), "P", "B")
+        assert (result.p_to_b_min, result.p_to_b_max) == (0, run.plan.a)
+        assert result.exact
 
-    def test_budget_exceeded(self):
+    def test_many_small_payments_are_exact(self):
         edges = [("P", "O", 32), ("F", "O", 32)]
         edges += [("O", "B", 2), ("O", "F", 2)] * 16
-        with pytest.raises(BudgetExceeded):
-            attribute(graph_of(*edges), "P", "B", quantization=1,
-                      budget=2000)
+        result = attribute(graph_of(*edges), "P", "B")
+        assert (result.p_to_b_min, result.p_to_b_max) == (0, 32)
+        assert result.exact and not result.recoverable
 
-    def test_gcd_quantization(self):
-        graph = graph_of(("P", "O", 10), ("O", "B", 15))
-        assert default_quantization(graph) == 5
+    def test_one_quadratic_field_stays_exact(self):
+        # sqrt(8) = 2 sqrt(2), so both amounts live in Q(sqrt 2)
+        amount = QuadExact(Fraction(0), Fraction(2), Fraction(2))
+        graph = TransferGraph(asset=TOKA, edges=[
+            GraphEdge(1, "P", "X", amount),
+            GraphEdge(2, "X", "B", QuadExact(Fraction(0), Fraction(1),
+                                            Fraction(8)))])
+        result = attribute(graph, "P", "B")
+        assert result.exact and result.recoverable
+        assert result.p_to_b_min == result.p_to_b_max == float(amount)
+
+    def test_two_quadratic_fields_fall_back_to_floats(self):
+        root2 = QuadExact(Fraction(0), Fraction(1), Fraction(2))
+        root3 = QuadExact(Fraction(0), Fraction(1), Fraction(3))
+        graph = TransferGraph(asset=TOKA, edges=[
+            GraphEdge(seq, src, dst, amount) for seq, (src, dst, amount)
+            in enumerate([("P", "O", root2), ("F", "O", root3),
+                          ("O", "B", root2), ("O", "F", root3)], start=1)])
+        result = attribute(graph, "P", "B")
+        assert not result.exact and not result.recoverable
+        assert (result.p_to_b_min, result.p_to_b_max) == (0, float(root2))
+
+    def test_non_positive_amounts_are_skipped(self):
+        result = attribute(graph_of(("P", "B", 0), ("P", "B", -3)),
+                           "P", "B")
+        assert (result.p_to_b_min, result.p_to_b_max) == (0, 0)
+        assert not result.recoverable
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from("PBXF"),
+                              st.sampled_from("PBXF"),
+                              st.integers(0, 5)),
+                    min_size=1, max_size=6))
+    @example([("X", "F", 2), ("P", "X", 5), ("X", "B", 5)])
+    def test_matches_parcel_enumeration(self, edges):
+        result = attribute(graph_of(*edges), "P", "B")
+        lo, hi = parcel_bounds(edges, "P", "B")
+        assert (result.p_to_b_min, result.p_to_b_max) == (lo, hi)
+        assert result.recoverable == (lo == hi > 0)
 
 
 class TestTaint:
