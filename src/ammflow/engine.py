@@ -382,8 +382,6 @@ def _apply_action(ex: _Execution, idx: int, act: Action) -> None:
             act.asset, reserve - act.amount,
             pool.reserve_of(pool.other_asset(act.asset)))
         ex.pay_from_pool(act.pool, act.borrower, act.asset, act.amount, idx)
-        key = (act.borrower, act.pool, act.asset.symbol)
-        ex.flash_debts[key] = ex.flash_debts.get(key, 0) + act.amount
     elif isinstance(act, FlashSwapRepay):
         pool = world.pools[act.pool]
         if act.pool not in ex.flash_swap_k:
@@ -399,10 +397,6 @@ def _apply_action(ex: _Execution, idx: int, act: Action) -> None:
                 f"invariant")
         world.pools[act.pool] = pool.with_reserves(act.asset, r_repay,
                                                    r_other)
-        # clear outstanding borrow(s) on this pool for the borrower
-        for key in list(ex.flash_debts):
-            if key[0] == act.borrower and key[1] == act.pool:
-                ex.flash_debts[key] = 0
     elif isinstance(act, FillLimitOrder):
         _apply_fill(ex, idx, act)
     else:

@@ -194,7 +194,8 @@ class QuadExact:
         return self._compare(other, operator.ge)
 
     def __hash__(self):
-        return hash((self.p, self.q, self.d))
+        # equal elements (2*sqrt(2), 1*sqrt(8)) share p, q^2*d and sign(q)
+        return hash((self.p, self.q * self.q * self.d, self.q > 0))
 
     def __bool__(self):
         return True  # q != 0 by construction, so never zero

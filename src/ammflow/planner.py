@@ -10,10 +10,12 @@ itself, and the extraction size so the delivered amount hits its target.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .amm import (BPS_DENOM, AssetId, NumericMode, PoolState, swap_exact_in)
+from .amm import (BPS_DENOM, AssetId, NumericMode, PoolState, ZeroInput,
+                  swap_exact_in)
 from .engine import (Action, FlashBorrow, FlashRepay, FlashSwapBorrow,
                      FlashSwapRepay, Swap, Transfer, TransferFrom)
 from .numeric import (ExactNumber, ExactSqrtError, exact_sign, exact_sqrt,
@@ -106,9 +108,9 @@ def solve_flash_amount(pool1: PoolState, pool2: PoolState, asset: AssetId,
     """Flash amount x whose phase-1 loop output repays x exactly.
 
     Rational mode solves the closed-form quadratic (with the fee factor
-    folded in); integer mode bisects for the largest x whose loop output
-    still covers the repayment, which sits within one smallest unit of the
-    continuous root.
+    folded in).  Integer mode bisects for an x whose floored loop output
+    covers x while the output at x + 1 does not cover x + 1; the floors
+    can leave that x far from the continuous root.
     """
     _check_pair(pool1, pool2, asset)
     if exact_sign(a) <= 0:
@@ -146,22 +148,22 @@ def solve_flash_amount(pool1: PoolState, pool2: PoolState, asset: AssetId,
 
 def _extraction_coeffs(pool1_after: PoolState, pool2_after: PoolState,
                        asset: AssetId):
-    """Coefficients of the phase-2 output relation in rational mode.
+    """Coefficients of the phase-2 output relation.
 
     With c1, c2 the post-dislocation reserves of pool 1 and c3, c4 those of
-    pool 2, the gross phase-2 output satisfies
-        out(y) = K * y / (B0 + A2 * y),   K = c1*c3*g^2,
-        A2 = c2*g + c3*g^2,  B0 = c2*c4.
+    pool 2, and g1, g2 the pools' fee factors, the gross phase-2 output
+    (before integer flooring) satisfies
+        out(y) = K * y / (B0 + A2 * y),   K = c1*c3*g1*g2,
+        A2 = c2*g2 + c3*g1*g2,  B0 = c2*c4.
     """
     counter = _check_pair(pool1_after, pool2_after, asset)
     c1 = pool1_after.reserve_of(asset)
     c2 = pool1_after.reserve_of(counter)
     c3 = pool2_after.reserve_of(counter)
     c4 = pool2_after.reserve_of(asset)
-    if pool1_after.fee_bps != pool2_after.fee_bps:
-        raise PlannerError("rational solver assumes equal pool fees")
-    g = Fraction(BPS_DENOM - pool1_after.fee_bps, BPS_DENOM)
-    return c1 * c3 * g * g, c2 * g + c3 * g * g, c2 * c4
+    g1 = Fraction(BPS_DENOM - pool1_after.fee_bps, BPS_DENOM)
+    g2 = Fraction(BPS_DENOM - pool2_after.fee_bps, BPS_DENOM)
+    return c1 * c3 * g1 * g2, c2 * g2 + c3 * g1 * g2, c2 * c4
 
 
 def extraction_result(pool1_after: PoolState, pool2_after: PoolState,
@@ -173,36 +175,54 @@ def extraction_result(pool1_after: PoolState, pool2_after: PoolState,
     return b_prime, out
 
 
+def _extraction_optimum(pool1_after: PoolState, pool2_after: PoolState,
+                        asset: AssetId) -> tuple[ExactNumber, ...]:
+    """(y, b', gross out) at the profit-maximising repayment; all zero when
+    the reverse loop nets nothing.
+
+    out(y) - y peaks at A2*y* = sqrt(K*B0) - B0.  Integer mode floors y*;
+    its floored profit there is within c1*g1/c2 + 2 units of the integer
+    maximum (one counter unit's worth of output plus two).
+    """
+    k_top, a2, b0 = _extraction_coeffs(pool1_after, pool2_after, asset)
+    if pool1_after.mode is NumericMode.INTEGER:
+        # scaled by BPS_DENOM^2 the coefficients are integers, so the
+        # integer square root gives the exact floor of y*
+        k_top, a2, b0 = (int(c * BPS_DENOM ** 2) for c in (k_top, a2, b0))
+        y = (math.isqrt(k_top * b0) - b0) // a2
+    else:
+        try:
+            root = exact_sqrt(k_top * b0)
+        except ExactSqrtError as exc:
+            raise PlannerError(
+                "extraction optimum leaves the exact field; use integer mode"
+            ) from exc
+        y = (root - b0) / a2
+    try:
+        b_prime, out = extraction_result(pool1_after, pool2_after, asset, y)
+    except ZeroInput:  # y <= 0, or b' floors to zero counter units
+        return 0, 0, 0
+    if exact_sign(out - y) <= 0:
+        return 0, 0, 0
+    return y, b_prime, out
+
+
 def max_extractable(pool1_after: PoolState, pool2_after: PoolState,
                     asset: AssetId) -> ExactNumber:
     """Maximum net profit (gross out minus y) of the reverse loop.
 
-    Integer mode takes the profit at argmax_extraction_int; rational mode
-    evaluates the closed-form optimum.  Equal-price fresh pools admit no
-    arbitrage and yield zero.
+    Evaluated at the closed-form optimum (floored in integer mode).
+    Equal-price fresh pools admit no arbitrage and yield zero.
     """
-    if pool1_after.mode is NumericMode.INTEGER:
-        y = argmax_extraction_int(pool1_after, pool2_after, asset)
-        return _net_profit_int(pool1_after, pool2_after, asset, y)
-    k_top, a2, b0 = _extraction_coeffs(pool1_after, pool2_after, asset)
-    # optimum of K*y/(B0 + A2*y) - y at A2*y* = sqrt(K*B0) - B0
-    try:
-        root = exact_sqrt(k_top * b0)
-    except ExactSqrtError as exc:
-        raise PlannerError(
-            "extraction optimum leaves the exact field; use integer mode"
-        ) from exc
-    y_star = (root - b0) / a2
-    if exact_sign(y_star) <= 0:
-        return Fraction(0)
-    _, out = extraction_result(pool1_after, pool2_after, asset, y_star)
-    return out - y_star
+    y, _, out = _extraction_optimum(pool1_after, pool2_after, asset)
+    return out - y
 
 
 def _net_profit_int(pool1_after, pool2_after, asset, y) -> int:
-    if y <= 0:
-        return 0
-    _, out = extraction_result(pool1_after, pool2_after, asset, y)
+    try:
+        _, out = extraction_result(pool1_after, pool2_after, asset, y)
+    except ZeroInput:  # y <= 0, or b' floors to zero: y buys nothing
+        return -y
     return out - y
 
 
@@ -240,45 +260,27 @@ def solve_extraction(pool1_after: PoolState, pool2_after: PoolState,
         b_prime, _ = swap_exact_in(pool2_after, asset, y)
         return y, b_prime
 
-    best = max_extractable(pool1_after, pool2_after, asset)
-    if best < target:
+    y_star, _, out = _extraction_optimum(pool1_after, pool2_after, asset)
+    if out - y_star < target:
         raise TargetExceedsMaxProfit(
-            f"target {target} above the reverse-loop optimum {best}")
-    # minimal y on the rising branch with profit >= target
-    lo, hi = 0, int(pool1_after.reserve_of(asset))
+            f"target {target} above the reverse-loop optimum {out - y_star}")
+    # minimal y on the rising branch [0, y*] with profit >= target
+    lo, hi = 0, y_star
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if _net_profit_int(pool1_after, pool2_after, asset, mid) >= target:
             hi = mid
         else:
             lo = mid
-    y = hi
-    b_prime, _ = extraction_result(pool1_after, pool2_after, asset, y)
-    return y, b_prime
+    b_prime, _ = extraction_result(pool1_after, pool2_after, asset, hi)
+    return hi, b_prime
 
 
 def argmax_extraction_int(pool1_after: PoolState, pool2_after: PoolState,
                           asset: AssetId) -> int:
-    """Integer y attaining (within floor jitter) the reverse-loop optimum.
-
-    A ternary search over y with a final local scan; zero when no y nets a
-    profit.
-    """
-    lo, hi = 0, int(pool1_after.reserve_of(asset))
-    while hi - lo > 512:
-        m1 = lo + (hi - lo) // 3
-        m2 = hi - (hi - lo) // 3
-        if _net_profit_int(pool1_after, pool2_after, asset, m1) \
-                < _net_profit_int(pool1_after, pool2_after, asset, m2):
-            lo = m1 + 1
-        else:
-            hi = m2 - 1
-    best_y, best = 0, 0
-    for y in range(max(lo, 0), hi + 1):
-        p = _net_profit_int(pool1_after, pool2_after, asset, y)
-        if p > best:
-            best_y, best = y, p
-    return best_y
+    """Integer y at the floored reverse-loop optimum; zero when no y nets a
+    profit."""
+    return _extraction_optimum(pool1_after, pool2_after, asset)[0]
 
 
 def plan_relocation(pool1: PoolState, pool2: PoolState, asset: AssetId,
@@ -321,14 +323,11 @@ def plan_relocation(pool1: PoolState, pool2: PoolState, asset: AssetId,
         # both pool moves exactly: b' = b and the loop nets exactly a
         y, b_prime = x_recovered, b
         _, out = extraction_result(pool1_after, pool2_after, asset, y)
-    elif mode is NumericMode.INTEGER and target is None:
+    elif target is None:
         # the profit-maximising repayment; zero when the loop nets nothing
-        y = argmax_extraction_int(pool1_after, pool2_after, asset)
-        b_prime, out = extraction_result(pool1_after, pool2_after, asset, y) \
-            if y > 0 else (0, 0)
+        y, b_prime, out = _extraction_optimum(pool1_after, pool2_after, asset)
     else:
-        raw_target = max_extractable(pool1_after, pool2_after, asset) \
-            if target is None else target + shortfall
+        raw_target = target + shortfall
         if exact_sign(raw_target) <= 0:
             y = b_prime = out = 0
         else:

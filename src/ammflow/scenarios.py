@@ -381,19 +381,19 @@ def load_scenario_config(path: str) -> ScenarioRun:
     if not isinstance(params, dict):
         raise ConfigError("params must be a mapping")
 
-    def mode_of(default="rational") -> NumericMode:
-        value = params.get("numeric_mode", default)
-        try:
-            return NumericMode(value)
-        except ValueError as exc:
-            raise ConfigError(f"unknown numeric_mode {value!r}") from exc
+    read = set()
+    kinds = {str: "a decimal string", bool: "true or false"}
 
-    def amount_param(key, default) -> str:
+    def param(key, default, kind=object):
+        read.add(key)
         value = params.get(key, default)
-        if not isinstance(value, str):
+        if not isinstance(value, kind):
             raise ConfigError(
-                f"param {key} must be a decimal string, got {value!r}")
+                f"param {key} must be {kinds[kind]}, got {value!r}")
         return value
+
+    def mode_of() -> NumericMode:
+        return NumericMode(param("numeric_mode", "rational"))
 
     pool_list = data.get("pools") or []
     if not isinstance(pool_list, list) \
@@ -409,39 +409,45 @@ def load_scenario_config(path: str) -> ScenarioRun:
 
     try:
         if recipe == "RelocationZeroFee":
-            return build_relocation_scenario(
+            run = build_relocation_scenario(
                 name=name, mode=mode_of(),
-                fee_bps=int(params.get("fee_bps", 0)),
+                fee_bps=int(param("fee_bps", 0)),
                 reserves1=pool_reserves("pool1", ("100", "100")),
                 reserves2=pool_reserves("pool2", ("100", "100")),
-                a=amount_param("a", "10"),
-                operator_is_principal=bool(
-                    params.get("operator_is_principal", False)),
+                a=param("a", "10", str),
+                operator_is_principal=param("operator_is_principal", False,
+                                            bool),
                 funding_policy=FundingPolicy(
-                    params.get("funding_policy",
-                               "shortfall_from_principal")),
+                    param("funding_policy", "shortfall_from_principal")),
                 extraction_style=ExtractionStyle(
-                    params.get("extraction_style", "flash_swap")))
-        if recipe == "RelocationFeeCalibrated":
-            return build_calibrated_relocation_scenario(name)
-        if recipe in ("PEBLimitOrder", "PEBFlashSwapVariant"):
-            return build_peb_scenario(
+                    param("extraction_style", "flash_swap")))
+        elif recipe == "RelocationFeeCalibrated":
+            run = build_calibrated_relocation_scenario(name)
+        elif recipe in ("PEBLimitOrder", "PEBFlashSwapVariant"):
+            run = build_peb_scenario(
                 name=name,
                 variant="flash_loan" if recipe == "PEBLimitOrder"
                 else "flash_swap",
-                making=amount_param("making", "1000"),
-                taking=amount_param("taking", "990"),
+                making=param("making", "1000", str),
+                taking=param("taking", "990", str),
                 pool_reserves=pool_reserves("pool",
                                             ("1000000", "1000000")),
-                fee_bps=int(params.get("fee_bps", 30)),
-                receiver=str(params.get("receiver", "B")),
-                route_via_settlement=bool(
-                    params.get("route_via_settlement", True)),
+                fee_bps=int(param("fee_bps", 30)),
+                receiver=str(param("receiver", "B")),
+                route_via_settlement=param("route_via_settlement", True,
+                                           bool),
                 mode=mode_of())
-        if recipe == "BenignArbitrage":
-            return build_benign_arbitrage(
+        elif recipe == "BenignArbitrage":
+            run = build_benign_arbitrage(
                 name=name, mode=mode_of(),
-                fee_bps=int(params.get("fee_bps", 0)))
-        return build_benign_routing(name=name, mode=mode_of())
-    except (ValueError, KeyError) as exc:
+                fee_bps=int(param("fee_bps", 0)))
+        else:
+            run = build_benign_routing(name=name, mode=mode_of())
+    except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"bad scenario parameters: {exc}") from exc
+    # a key no recipe argument read is a typo, not a default
+    unread = sorted(str(k) for k in params if k not in read)
+    if unread:
+        raise ConfigError(f"recipe {recipe} does not read params "
+                          f"{', '.join(unread)}")
+    return run

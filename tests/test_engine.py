@@ -81,6 +81,21 @@ class TestExecuteBundle:
                 FlashSwapRepay("pool1", "O", TOKA, Fraction(13))], "O")
         assert snapshot(world) == before
 
+    def test_flash_swap_repay_leaves_other_flash_loans_owed(self):
+        # the flash swap is closed by the pool's k check alone; repaying it
+        # must not clear a plain flash loan from the same pool
+        world = basic_world("E")
+        world.add_pool(make_pool("pool", Fraction(100), Fraction(100)))
+        world.set_balance("pool", TOKA, Fraction(50))
+        world.set_balance("E", TOKA, Fraction(20))
+        before = snapshot(world)
+        with pytest.raises(UnrepaidFlashDebt):
+            execute_bundle(world, [
+                FlashBorrow("pool", "E", TOKA, Fraction(50)),
+                FlashSwapBorrow("pool", "E", TOKB, Fraction(10)),
+                FlashSwapRepay("pool", "E", TOKA, Fraction(12))], "E")
+        assert snapshot(world) == before
+
     def test_transfer_from_needs_allowance(self):
         world = basic_world("P", "O")
         world.set_balance("P", TOKA, Fraction(10))

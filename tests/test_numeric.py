@@ -59,6 +59,14 @@ def test_cross_field_coercion_on_square_ratio():
         exact_sqrt(2) + exact_sqrt(3)  # genuinely different fields
 
 
+def test_hash_agrees_with_equality_across_radicands():
+    x = QuadExact(Fraction(0), Fraction(1), Fraction(8))
+    y = QuadExact(Fraction(0), Fraction(2), Fraction(2))
+    assert x == y
+    assert hash(x) == hash(y)
+    assert len({x, y}) == 1
+
+
 def test_exact_sqrt_denesting():
     r5 = exact_sqrt(5)
     value = (3 + r5) * (3 + r5)

@@ -2,16 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ammflow.amm import NumericMode, PoolState, swap_exact_in
+from ammflow.amm import BPS_DENOM, NumericMode, PoolState, swap_exact_in
 from ammflow.engine import (Address, WorldState, execute_bundle, net_deltas)
 from ammflow.numeric import exact_sign, make_exact
 from ammflow.planner import (ExtractionStyle, FundingPolicy, NoPositiveRoot,
                              PlannerError, TargetExceedsMaxProfit,
-                             build_relocation_bundle, dislocation_output,
-                             extraction_result, max_extractable,
-                             plan_relocation, solve_extraction,
-                             solve_flash_amount)
+                             argmax_extraction_int, build_relocation_bundle,
+                             dislocation_output, extraction_result,
+                             max_extractable, plan_relocation,
+                             solve_extraction, solve_flash_amount)
 from conftest import TOKA, TOKB, make_pool
 
 
@@ -107,6 +108,55 @@ class TestMaxExtractable:
     def test_equal_price_pools_admit_nothing(self, sym_pools):
         assert max_extractable(*sym_pools, TOKA) == 0
 
+    def test_rational_pools_with_unequal_fees(self):
+        pool1 = make_pool("pool1", Fraction(100), Fraction(100), 30)
+        pool2 = make_pool("pool2", Fraction(100), Fraction(120), 5)
+        best = max_extractable(pool1, pool2, TOKA)
+
+        def profit(y):
+            _, out = extraction_result(pool1, pool2, TOKA, y)
+            return out - y
+        grid = max(profit(Fraction(i, 100)) for i in range(1, 2000))
+        assert grid <= best < grid + Fraction(1, 1000)
+
+
+def int_profit(c1, c2, c3, c4, f1, f2, y):
+    """Floored phase-2 profit written out from the swap formula: y into
+    pool 2 (c4 asset, c3 counter), b' back through pool 1 (c1, c2)."""
+    g1, g2 = BPS_DENOM - f1, BPS_DENOM - f2
+    b_prime = y * g2 * c3 // (c4 * BPS_DENOM + y * g2)
+    return b_prime * g1 * c1 // (c2 * BPS_DENOM + b_prime * g1) - y
+
+
+def int_pools(c1, c2, c3, c4, f1=0, f2=0):
+    return (make_pool("pool1", c1, c2, f1, NumericMode.INTEGER),
+            make_pool("pool2", c4, c3, f2, NumericMode.INTEGER))
+
+
+class TestIntegerOptimum:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(20, 2000), min_size=4, max_size=4),
+           st.sampled_from([0, 5, 30, 100]), st.sampled_from([0, 5, 30, 100]))
+    def test_within_one_counter_unit_of_brute_force(self, reserves, f1, f2):
+        c1, c2, c3, c4 = reserves
+        pools = int_pools(c1, c2, c3, c4, f1, f2)
+        y = argmax_extraction_int(*pools, TOKA)
+        got = int_profit(c1, c2, c3, c4, f1, f2, y) if y > 0 else 0
+        assert got >= 0
+        assert max_extractable(*pools, TOKA) == got
+        # profit is below c1 - y, so no y >= c1 can be the maximum
+        best = max(int_profit(c1, c2, c3, c4, f1, f2, t)
+                   for t in range(c1 + 1))
+        slack = Fraction(c1 * (BPS_DENOM - f1), c2 * BPS_DENOM) + 2
+        assert best - got <= slack
+
+    @pytest.mark.parametrize("c3", [20, 21])
+    def test_borrow_flooring_to_zero_nets_nothing(self, c3):
+        # y* is positive but its b' floors to zero counter units
+        pools = int_pools(2000, 20, c3, 2000)
+        assert argmax_extraction_int(*pools, TOKA) == 0
+        assert max_extractable(*pools, TOKA) == 0
+
 
 class TestPlanAndBundle:
     def run_plan(self, pool1, pool2, a, **kwargs):
@@ -194,6 +244,19 @@ class TestPlanAndBundle:
                             funding_policy=FundingPolicy.EXACT_REPAY,
                             x_override=int(1.1 * solve_flash_amount(
                                 pool1, pool2, TOKA, a)))
+
+    def test_integer_target_is_delivered(self):
+        # 18-decimal asset against a 6-decimal counter near 3000, 30 bps
+        pool1 = PoolState("pool1", TOKA, TOKB, 1000 * 10**18,
+                          3_000_000 * 10**6, 30, NumericMode.INTEGER)
+        pool2 = PoolState("pool2", TOKA, TOKB, 300 * 10**18,
+                          903_000 * 10**6, 30, NumericMode.INTEGER)
+        a = 10 * 10**18
+        best = plan_relocation(pool1, pool2, TOKA, "P", "B", "O", a)
+        target = best.predicted_a_prime // 2
+        plan, _, _, trace = self.run_plan(pool1, pool2, a, target=target)
+        assert target <= plan.predicted_a_prime < best.predicted_a_prime
+        assert net_deltas(trace)[("B", "TOKA")] == plan.predicted_a_prime
 
     def test_fee_monotonicity_of_efficiency(self):
         etas = []

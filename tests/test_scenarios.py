@@ -158,6 +158,42 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="decimal string"):
             load_scenario_config(path)
 
+    @pytest.mark.parametrize("recipe,key", [
+        ("RelocationZeroFee", "operator_is_principal"),
+        ("PEBLimitOrder", "route_via_settlement")])
+    def test_flag_must_be_a_yaml_boolean(self, tmp_path, recipe, key):
+        path = self.write(tmp_path, f"""\
+            schema_version: 1
+            scenario: custom
+            recipe: {recipe}
+            params:
+              {key}: "false"
+            """)
+        with pytest.raises(ConfigError, match="true or false"):
+            load_scenario_config(path)
+
+    def test_unread_param_key_rejected(self, tmp_path):
+        path = self.write(tmp_path, """\
+            schema_version: 1
+            scenario: custom
+            recipe: PEBLimitOrder
+            params:
+              fee_bp: 30
+            """)
+        with pytest.raises(ConfigError, match="fee_bp"):
+            load_scenario_config(path)
+
+    def test_list_valued_fee_rejected(self, tmp_path):
+        path = self.write(tmp_path, """\
+            schema_version: 1
+            scenario: custom
+            recipe: RelocationZeroFee
+            params:
+              fee_bps: [1]
+            """)
+        with pytest.raises(ConfigError, match="bad scenario parameters"):
+            load_scenario_config(path)
+
     def test_invalid_yaml(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("{{nope", encoding="utf-8")
