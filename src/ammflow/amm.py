@@ -188,15 +188,11 @@ def solve_input_for_output(pool: PoolState, output_asset: AssetId,
         return r_in * amount_out / (r_out - amount_out) \
             * Fraction(BPS_DENOM, gamma_num)
     amount_out = int(amount_out)
-    amount_in = (r_in * amount_out * BPS_DENOM) // (
-        (r_out - amount_out) * gamma_num) + 1
-    # floor formula can overshoot by a unit; walk back to the true minimum
-    while amount_in > 1:
-        probe, _ = swap_exact_in(pool, input_asset, amount_in - 1)
-        if probe < amount_out:
-            break
-        amount_in -= 1
-    return amount_in
+    # the floored swap yields at least amount_out exactly when
+    # in * gamma * (r_out - out) >= out * r_in * BPS_DENOM: the least such
+    # in is a ceiling
+    return -(-(r_in * amount_out * BPS_DENOM)
+             // ((r_out - amount_out) * gamma_num))
 
 
 def spot_price(pool: PoolState, base_asset: AssetId) -> ExactNumber:

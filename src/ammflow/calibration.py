@@ -1,33 +1,25 @@
 """Recovery of pre-execution pool reserves from migration observations.
 
-The four swap equations of the relocation pipeline are solved for the four
-unknown reserves with a damped Newton iteration in log-reserve
-coordinates (which keeps every iterate positive), then validated by an
-independent integer-mode replay of the whole bundle.
+Each observed constant-product swap is linear in its pool's reserves, so
+the four swap equations of the relocation pipeline are two 2x2 linear
+systems, one per pool, solved exactly; the reserves are then validated by
+an independent integer-mode replay of the whole bundle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .amm import BPS_DENOM, AssetId, NumericMode, PoolState
 
 
-class CalibrationError(Exception):
-    pass
+class InconsistentObservations(Exception):
+    """No positive, finite pool state fits the observations."""
 
 
-class NoConvergence(CalibrationError):
-    pass
-
-
-class InconsistentObservations(CalibrationError):
-    """Residual floor above tolerance; best-found reserves attached."""
-
-    def __init__(self, message: str, best: "CalibratedPools"):
-        super().__init__(message)
-        self.best = best
+_QUANTITIES = ("a", "x", "b", "x_prime", "b_prime", "y", "a_prime")
 
 
 @dataclass(frozen=True)
@@ -46,8 +38,11 @@ class ObservationSet:
     counter_decimals: int = 6
 
     def __post_init__(self):
-        for name in ("a", "x", "b", "x_prime", "b_prime", "y", "a_prime"):
-            if getattr(self, name) <= 0:
+        for name in _QUANTITIES:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"observation {name} must be finite")
+            if value <= 0:
                 raise ValueError(f"observation {name} must be positive")
 
     def to_dict(self) -> dict:
@@ -83,7 +78,7 @@ class CalibratedPools:
     pool1_reserves: tuple[float, float]   # (migrated, counter)
     pool2_reserves: tuple[float, float]
     residuals: dict[str, float] = field(default_factory=dict)
-    iterations: int = 0
+    iterations: int = 0   # always 0: the solve has no iteration
 
     @property
     def max_residual(self) -> float:
@@ -96,147 +91,88 @@ class CalibratedPools:
             "pool2": {"asset": self.pool2_reserves[0],
                       "counter": self.pool2_reserves[1]},
             "residuals": dict(self.residuals),
-            "iterations": self.iterations,
         }
 
 
-_LABELS = ("phase1_out", "phase1_recover", "phase2_volume", "phase2_out")
+def _solve(rows, rhs, pool: str) -> tuple[Fraction, Fraction]:
+    """Exact Cramer solve of one pool's 2x2 linear system."""
+    (a11, a12), (a21, a22) = rows
+    det = a11 * a22 - a12 * a21
+    if det == 0:
+        raise InconsistentObservations(
+            f"{pool} equations have no unique solution")
+    return ((rhs[0] * a22 - a12 * rhs[1]) / det,
+            (a11 * rhs[1] - a21 * rhs[0]) / det)
 
 
-def _blocks(reserves: list[float], obs: ObservationSet):
-    """Relative residuals of the four pipeline equations, split by pool.
+def _reserve(value: Fraction, name: str) -> float:
+    try:
+        reserve = float(value)
+    except OverflowError:
+        raise InconsistentObservations(
+            f"{name} reserve overflows a float") from None
+    if not reserve > 0:
+        raise InconsistentObservations(
+            f"{name} reserve is not a positive float")
+    return reserve
+
+
+def _residuals(reserves, observed, g: Fraction) -> dict[str, float]:
+    """Relative residuals of the four pipeline swaps at the given
+    reserves, evaluated exactly and rounded once."""
+    r_a1, r_b1, r_a2, r_b2 = (Fraction(r) for r in reserves)
+    a, x, b, x_prime, b_prime, y, a_prime = observed
+    s1 = a + x
+    delivered = y + a_prime
+    out1 = r_b1 * g * s1 / (r_a1 + g * s1)
+    out2 = r_a2 * g * b / (r_b2 + g * b)
+    out3 = (r_b2 + b) * g * y / ((r_a2 - x_prime) + g * y)
+    out4 = (r_a1 + s1) * g * b_prime / ((r_b1 - b) + g * b_prime)
+    return {
+        "phase1_out": float((out1 - b) / b),
+        "phase1_recover": float((out2 - x_prime) / x_prime),
+        "phase2_volume": float((out3 - b_prime) / b_prime),
+        "phase2_out": float(
+            (out4 - (delivered + x - x_prime)) / delivered),
+    }
+
+
+def calibrate_reserves(obs: ObservationSet) -> CalibratedPools:
+    """The four pre-execution reserves, solved exactly.
 
     phase1_out and phase2_out involve only pool 1's reserves, and
-    phase1_recover and phase2_volume only pool 2's.  Each block is
-    (residuals, jac) with jac the 2x2 Jacobian in log-reserve coordinates:
-    one row per equation, columns (log migrated, log counter).
+    phase1_recover and phase2_volume only pool 2's; each is linear once
+    the swap's input and output are known.  The float observations are
+    read as the Fractions they equal.  Phase-2 volume enters one equation
+    whether it is read as a flash-swap borrow or as a plain swap output:
+    both readings impose the same reserve constraint.
 
-    Phase-2 volume enters one equation whether it is read as a flash-swap
-    borrow or as a plain swap output: both readings impose the same
-    reserve constraint, so a single system covers them.
-    """
-    r_a1, r_b1, r_a2, r_b2 = reserves
-    g = 1.0 - obs.fee_bps / BPS_DENOM
-    s1 = obs.a + obs.x
-    delivered = obs.y + obs.a_prime
-    d1 = r_a1 + g * s1
-    out1 = r_b1 * g * s1 / d1
-    d4 = (r_b1 - obs.b) + g * obs.b_prime
-    out4 = (r_a1 + s1) * g * obs.b_prime / d4
-    d2 = r_b2 + g * obs.b
-    out2 = r_a2 * g * obs.b / d2
-    d3 = (r_a2 - obs.x_prime) + g * obs.y
-    out3 = (r_b2 + obs.b) * g * obs.y / d3
-    f1 = ((out1 - obs.b) / obs.b,
-          (out4 - (delivered + obs.x - obs.x_prime)) / delivered)
-    jac1 = ((-out1 * r_a1 / d1 / obs.b, out1 / obs.b),
-            (out4 * r_a1 / (r_a1 + s1) / delivered,
-             -out4 * r_b1 / d4 / delivered))
-    f2 = ((out2 - obs.x_prime) / obs.x_prime,
-          (out3 - obs.b_prime) / obs.b_prime)
-    jac2 = ((out2 / obs.x_prime, -out2 * r_b2 / d2 / obs.x_prime),
-            (-out3 * r_a2 / d3 / obs.b_prime,
-             out3 * r_b2 / (r_b2 + obs.b) / obs.b_prime))
-    return (f1, jac1), (f2, jac2)
-
-
-def _evaluate(z: list[float], obs: ObservationSet):
-    """Blocks at log reserves z and their residual max-norm; the norm is
-    infinite where a residual is not finite, so a line search rejects z."""
-    blocks = _blocks([math.exp(v) for v in z], obs)
-    values = blocks[0][0] + blocks[1][0]
-    if not all(math.isfinite(v) for v in values):
-        return None, math.inf
-    return blocks, max(abs(v) for v in values)
-
-
-def _cramer_step(f, jac) -> tuple[float, float] | None:
-    """Newton step -jac^-1 f of one 2x2 block; None when jac is singular."""
-    (j00, j01), (j10, j11) = jac
-    det = j00 * j11 - j01 * j10
-    if det == 0.0:
-        return None
-    return ((j01 * f[1] - j11 * f[0]) / det,
-            (j10 * f[0] - j00 * f[1]) / det)
-
-
-def _initial_guess(obs: ObservationSet) -> list[float]:
-    """Seed reserves from effective prices and the implied slippage."""
-    g = 1.0 - obs.fee_bps / BPS_DENOM
-    s1 = obs.a + obs.x
-    p_eff1 = obs.b / (g * s1)            # counter per asset, biased low
-    p_eff2 = obs.b * g / obs.x_prime     # biased high
-    p0 = math.sqrt(p_eff1 * p_eff2)
-    if not 0 < p0 < math.inf:
-        raise NoConvergence(f"price seed {p0!r} is not positive and finite")
-    rho1 = min(obs.b / (s1 * g * p0), 0.999)
-    r_a1 = g * s1 * rho1 / max(1.0 - rho1, 1e-6)
-    r_b1 = p0 * r_a1
-    rho2 = min(obs.x_prime * p0 / (obs.b * g), 0.999)
-    r_b2 = g * obs.b * rho2 / max(1.0 - rho2, 1e-6)
-    r_a2 = r_b2 / p0
-    # the seed must at least dominate the observed outflows
-    return [max(r_a1, 2 * s1), max(r_b1, 2 * obs.b),
-            max(r_a2, 2 * (obs.x_prime + obs.y)),
-            max(r_b2, 2 * obs.b_prime)]
-
-
-def calibrate_reserves(obs: ObservationSet, *, tol: float = 1e-12,
-                       consistency_tol: float = 1e-3,
-                       max_iter: int = 200) -> CalibratedPools:
-    """Damped Newton solve for the four pre-execution reserves.
-
-    The equations split by pool (see _blocks), so each step is two 2x2
-    solves.  A singular block or a failed line search ends the iteration.
-
-    Raises NoConvergence when the iteration stalls far from a solution and
-    InconsistentObservations when the residual floor stays above
-    consistency_tol (best-found reserves attached to the exception).
+    Raises InconsistentObservations when the output is not below the
+    input despite fees, when a system is singular, or when a reserve is
+    not a positive, finite float.
     """
     if obs.fee_bps > 0 and obs.a_prime >= obs.a:
         raise InconsistentObservations(
-            "delivered output not below principal input despite fees",
-            CalibratedPools((0.0, 0.0), (0.0, 0.0)))
-
-    z = [math.log(r) for r in _initial_guess(obs)]
-    blocks, norm = _evaluate(z, obs)
-    if blocks is None:
-        raise NoConvergence("residuals not finite at the seed")
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        if norm < tol:
-            break
-        steps = [_cramer_step(f, jac) for f, jac in blocks]
-        if None in steps:
-            break
-        step = [min(max(s, -2.0), 2.0) for s in steps[0] + steps[1]]
-        lam = 1.0
-        for _ in range(30):
-            z_new = [zi + lam * si for zi, si in zip(z, step)]
-            blocks_new, norm_new = _evaluate(z_new, obs)
-            if norm_new < norm:
-                z, blocks, norm = z_new, blocks_new, norm_new
-                break
-            lam *= 0.5
-        else:
-            break
-
-    reserves = [math.exp(v) for v in z]
-    (f1, f4), (f2, f3) = blocks[0][0], blocks[1][0]
-    result = CalibratedPools(
+            "delivered output not below principal input despite fees")
+    observed = [Fraction(getattr(obs, k)) for k in _QUANTITIES]
+    a, x, b, x_prime, b_prime, y, a_prime = observed
+    g = 1 - Fraction(obs.fee_bps, BPS_DENOM)
+    s1 = a + x
+    d = y + a_prime + x - x_prime
+    pool1 = _solve(((-b, g * s1), (g * b_prime, -d)),
+                   (b * g * s1, d * (g * b_prime - b) - g * b_prime * s1),
+                   "pool 1")
+    pool2 = _solve(((g * b, -x_prime), (b_prime, -g * y)),
+                   (x_prime * g * b,
+                    g * y * b + b_prime * x_prime - b_prime * g * y),
+                   "pool 2")
+    reserves = [_reserve(value, name) for value, name in zip(
+        pool1 + pool2, ("pool 1 asset", "pool 1 counter",
+                        "pool 2 asset", "pool 2 counter"))]
+    return CalibratedPools(
         pool1_reserves=(reserves[0], reserves[1]),
         pool2_reserves=(reserves[2], reserves[3]),
-        residuals=dict(zip(_LABELS, (f1, f2, f3, f4))),
-        iterations=iterations)
-    if result.max_residual >= consistency_tol:
-        if norm > 1.0:
-            raise NoConvergence(
-                f"stalled at residual {norm:.3e} after "
-                f"{iterations} iterations")
-        raise InconsistentObservations(
-            f"residual floor {result.max_residual:.3e} above "
-            f"{consistency_tol:.1e}", result)
-    return result
+        residuals=_residuals(reserves, observed, g))
 
 
 def replay_and_validate(calibrated: CalibratedPools,

@@ -13,9 +13,9 @@ from pathlib import Path
 
 import click
 
-from .calibration import (InconsistentObservations, NoConvergence,
-                          ObservationSet, PUBLISHED_OBSERVATIONS,
-                          calibrate_reserves, replay_and_validate)
+from .calibration import (InconsistentObservations, ObservationSet,
+                          PUBLISHED_OBSERVATIONS, calibrate_reserves,
+                          replay_and_validate)
 from .engine import (Address, ExecutionTrace, WorldState, net_deltas,
                      trace_from_dict, trace_to_dict, trace_to_json)
 from .graph import (attribute, build_graph, taint_haircut, taint_poison,
@@ -228,7 +228,7 @@ def calibrate(observations):
         obs = PUBLISHED_OBSERVATIONS
     try:
         calibrated = calibrate_reserves(obs)
-    except (InconsistentObservations, NoConvergence) as exc:
+    except InconsistentObservations as exc:
         click.echo(f"calibration failed: {exc}")
         raise SystemExit(EXIT_INCONSISTENT)
     click.echo(json.dumps(calibrated.to_dict(), indent=2, sort_keys=True))

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Union
 
-from .amm import (AssetId, NumericMode, PoolState, BPS_DENOM,
-                  keeps_fee_adjusted_k, swap_exact_in)
+from .amm import (AssetId, NumericMode, PoolState, keeps_fee_adjusted_k,
+                  swap_exact_in)
 from .numeric import ExactNumber, exact_sign
 
 ROLE_LABELS = ("Principal", "Executor", "Beneficiary", "Operator",
@@ -154,7 +153,6 @@ class FlashBorrow:
     borrower: str
     asset: AssetId
     amount: ExactNumber
-    fee_bps: int = 0
 
 
 @dataclass(frozen=True)
@@ -350,14 +348,8 @@ def _apply_action(ex: _Execution, idx: int, act: Action) -> None:
     elif isinstance(act, FlashBorrow):
         ex.call(idx, "flash_borrow", act.borrower, act.provider)
         ex.move(act.provider, act.borrower, act.asset, act.amount, idx)
-        owed = act.amount
-        if act.fee_bps:
-            if world.mode is NumericMode.INTEGER:
-                owed = owed + -(-int(act.amount) * act.fee_bps // BPS_DENOM)
-            else:
-                owed = owed + act.amount * Fraction(act.fee_bps, BPS_DENOM)
         key = (act.borrower, act.provider, act.asset.symbol)
-        ex.flash_debts[key] = ex.flash_debts.get(key, 0) + owed
+        ex.flash_debts[key] = ex.flash_debts.get(key, 0) + act.amount
     elif isinstance(act, FlashRepay):
         key = (act.borrower, act.provider, act.asset.symbol)
         debt = ex.flash_debts.get(key, 0)

@@ -14,14 +14,15 @@ from typing import Callable, Optional
 
 import yaml
 
-from .amm import AssetId, NumericMode, PoolState, parse_amount, \
+from .amm import AmmError, AssetId, NumericMode, PoolState, parse_amount, \
     solve_input_for_output, swap_exact_in
 from .engine import (Action, Address, ExecutionTrace, FillLimitOrder,
                      FlashBorrow, FlashRepay, FlashSwapBorrow, FlashSwapRepay,
                      LimitOrderIntent, Swap, Transfer, WorldState,
                      execute_bundle)
-from .planner import (ExtractionStyle, FundingPolicy, RelocationPlan,
-                      build_relocation_bundle, plan_relocation)
+from .planner import (ExtractionStyle, FundingPolicy, PlannerError,
+                      RelocationPlan, build_relocation_bundle,
+                      plan_relocation)
 
 
 class ConfigError(Exception):
@@ -443,7 +444,8 @@ def load_scenario_config(path: str) -> ScenarioRun:
                 fee_bps=int(param("fee_bps", 0)))
         else:
             run = build_benign_routing(name=name, mode=mode_of())
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError, AmmError,
+            PlannerError) as exc:
         raise ConfigError(f"bad scenario parameters: {exc}") from exc
     # a key no recipe argument read is a typo, not a default
     unread = sorted(str(k) for k in params if k not in read)

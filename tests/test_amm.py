@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ammflow.amm import (AssetId, NumericMode, OutputNotLessThanReserve,
                          PoolState, UnknownAsset, ZeroInput, format_amount,
@@ -98,6 +99,23 @@ class TestSolveInputForOutput:
             if needed > 1:
                 less, _ = swap_exact_in(pool, TOKB, needed - 1)
                 assert less < want
+
+    @settings(max_examples=300, deadline=None)
+    @given(r_in=st.integers(1, 50), r_out=st.integers(2, 50),
+           fee_bps=st.sampled_from([0, 1, 5, 30, 100, 9999]),
+           data=st.data())
+    def test_integer_input_is_brute_force_minimum(self, r_in, r_out,
+                                                  fee_bps, data):
+        want = data.draw(st.integers(1, r_out - 1))
+        pool = PoolState("p", TOKA, TOKB, r_out, r_in, fee_bps,
+                         NumericMode.INTEGER)
+        needed = solve_input_for_output(pool, TOKA, want)
+        for amount_in in range(1, 2000):
+            covers = v2_amount_out(amount_in, r_in, r_out, fee_bps) >= want
+            assert covers == (amount_in >= needed), amount_in
+        # past the table, the output's monotonicity settles minimality
+        assert v2_amount_out(needed, r_in, r_out, fee_bps) >= want
+        assert v2_amount_out(needed - 1, r_in, r_out, fee_bps) < want
 
     def test_round_trip_exact_rational(self):
         rng = random.Random(17)

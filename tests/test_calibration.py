@@ -1,13 +1,17 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ammflow.amm import AssetId, NumericMode, PoolState
 from ammflow.calibration import (CalibratedPools, InconsistentObservations,
-                                 NoConvergence, ObservationSet,
-                                 PUBLISHED_OBSERVATIONS, calibrate_reserves,
-                                 generate_observations, replay_and_validate)
+                                 ObservationSet, PUBLISHED_OBSERVATIONS,
+                                 calibrate_reserves, generate_observations,
+                                 replay_and_validate)
+from ammflow.planner import solve_flash_amount
+from ammflow.scenarios import build_calibrated_relocation_scenario
 
 WETH = AssetId("WETH", 18)
 USDT = AssetId("USDT", 6)
@@ -59,17 +63,66 @@ class TestCalibrateReserves:
     def test_overflowing_observations_rejected(self):
         obs = dataclasses.replace(PUBLISHED_OBSERVATIONS, b=1e300,
                                   b_prime=1e300)
-        with pytest.raises(NoConvergence):
+        with pytest.raises(InconsistentObservations):
             calibrate_reserves(obs)
 
     def test_underflowing_price_seed_rejected(self):
         obs = dataclasses.replace(PUBLISHED_OBSERVATIONS, b=1e-300)
-        with pytest.raises(NoConvergence):
+        with pytest.raises(InconsistentObservations):
             calibrate_reserves(obs)
 
     def test_positive_observations_enforced(self):
         with pytest.raises(ValueError):
             dataclasses.replace(PUBLISHED_OBSERVATIONS, x=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_finite_observations_enforced(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(PUBLISHED_OBSERVATIONS, b=value)
+
+    def test_singular_pool_equations_rejected(self):
+        # pool 2's two swap equations are parallel lines: no state fits
+        with pytest.raises(InconsistentObservations, match="pool 2"):
+            calibrate_reserves(SINGULAR_OBSERVATIONS)
+
+    def test_reserve_beyond_float_range_rejected(self):
+        obs = dataclasses.replace(PUBLISHED_OBSERVATIONS, b=1.5946105e307,
+                                  b_prime=1.572626e307)
+        with pytest.raises(InconsistentObservations, match="overflows"):
+            calibrate_reserves(obs)
+
+    def test_published_plan_replays_b_exactly(self):
+        plan = build_calibrated_relocation_scenario().plan
+        assert plan.b == 159_461_050_000
+
+
+SINGULAR_OBSERVATIONS = ObservationSet(
+    a=10.0, x=5.0, b=6.0, x_prime=2.0, b_prime=3.0, y=1.0, a_prime=9.0,
+    fee_bps=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fee_bps=st.sampled_from([5, 30, 100]),
+       r_a1=st.integers(200, 5000), r_a2=st.integers(100, 2000),
+       price=st.integers(500, 5000), spread_bps=st.integers(-150, 150),
+       a=st.integers(1, 20), y_percent=st.integers(50, 100))
+def test_round_trip_recovers_truth_pools(fee_bps, r_a1, r_a2, price,
+                                         spread_bps, a, y_percent):
+    """Observations generated from rational truth pools whose prices
+    differ by at most 1.5% calibrate back to those pools."""
+    truth = (Fraction(r_a1), Fraction(r_a1 * price), Fraction(r_a2),
+             r_a2 * price * Fraction(10_000 + spread_bps, 10_000))
+    pool1 = PoolState("pool1", WETH, USDT, truth[0], truth[1], fee_bps,
+                      NumericMode.RATIONAL)
+    pool2 = PoolState("pool2", WETH, USDT, truth[2], truth[3], fee_bps,
+                      NumericMode.RATIONAL)
+    x = solve_flash_amount(pool1, pool2, WETH, a)
+    y = Fraction(float(x)) * Fraction(y_percent, 100)
+    obs = generate_observations(pool1, pool2, WETH, Fraction(a), y)
+    recovered = calibrate_reserves(obs)
+    for got, want in zip(recovered.pool1_reserves + recovered.pool2_reserves,
+                         truth):
+        assert abs(got - want) / want < 1e-9
 
 
 # relocations whose observations stalled the earlier finite-difference

@@ -69,6 +69,22 @@ class TestSimulate:
         assert "config error" in result.output
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("body", [
+        "recipe: RelocationZeroFee\nparams:\n  fee_bps: 30\n",
+        "recipe: RelocationZeroFee\nparams:\n  a: \"-5\"\n",
+        "recipe: PEBLimitOrder\nparams:\n  taking: \"2000000\"\n",
+    ], ids=["fee_outside_exact_field", "negative_principal",
+            "taking_drains_pool"])
+    def test_recipe_failure_exits_2(self, runner, tmp_path, body):
+        config = tmp_path / "bad.yaml"
+        config.write_text("schema_version: 1\nscenario: x\n" + body,
+                          encoding="utf-8")
+        result = runner.invoke(main, ["simulate", str(config),
+                                      "--out", str(tmp_path / "runs")])
+        assert result.exit_code == 2, result.output
+        assert "bad scenario parameters" in result.output
+        assert not (tmp_path / "runs").exists()
+
     def test_library_name_wins_in_config_hash(self, runner, tmp_path,
                                               monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -168,6 +184,39 @@ class TestCalibrate:
                                       str(path)])
         assert result.exit_code == 1, result.output
         assert "calibration failed" in result.output
+
+    def test_singular_observations_exit_1(self, runner, tmp_path):
+        path = tmp_path / "obs.json"
+        path.write_text(json.dumps(
+            {"a": 10, "x": 5, "b": 6, "x_prime": 2, "b_prime": 3, "y": 1,
+             "a_prime": 9, "fee_bps": 0}), encoding="utf-8")
+        result = runner.invoke(main, ["calibrate", "--observations",
+                                      str(path)])
+        assert result.exit_code == 1, result.output
+        assert "calibration failed" in result.output
+
+    def test_overflowing_reserve_exits_1(self, runner, tmp_path):
+        from ammflow.calibration import PUBLISHED_OBSERVATIONS
+        data = PUBLISHED_OBSERVATIONS.to_dict()
+        data.update(b=1.5946105e307, b_prime=1.572626e307)
+        path = tmp_path / "obs.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        result = runner.invoke(main, ["calibrate", "--observations",
+                                      str(path)])
+        assert result.exit_code == 1, result.output
+        assert "calibration failed" in result.output
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_observation_exits_2(self, runner, tmp_path, value):
+        from ammflow.calibration import PUBLISHED_OBSERVATIONS
+        text = json.dumps(PUBLISHED_OBSERVATIONS.to_dict())
+        path = tmp_path / "obs.json"
+        path.write_text(text.replace('"b": 159461.05', f'"b": {value}'),
+                        encoding="utf-8")
+        result = runner.invoke(main, ["calibrate", "--observations",
+                                      str(path)])
+        assert result.exit_code == 2, result.output
+        assert "bad observations file" in result.output
 
     def test_bad_file_exits_2(self, runner, tmp_path):
         path = tmp_path / "obs.json"

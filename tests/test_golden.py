@@ -25,7 +25,7 @@ GOLDEN = {
     "relocation_asym_zero_fee":
         "e537d9aac11315b390bf14e1cc85b7763400b88001c4ba9fa77f9e685a52b05d",
     "relocation_fee_calibrated":
-        "6f9582357eb4666dba617bd5a72a2c1f208de71dd94b905d381935ff53a6b380",
+        "c292c44007183fed3e6ebcc4498d1194793d129acfcbe7b885ef2caa0f68aa85",
     "relocation_operator_is_principal":
         "d79adff6e1e2344802a8f457ce2cef85b99f0ba9b6c8f90ce847a0282df76e37",
     "relocation_sym_zero_fee":
