@@ -44,6 +44,11 @@ class ObservationSet:
                 raise ValueError(f"observation {name} must be finite")
             if value <= 0:
                 raise ValueError(f"observation {name} must be positive")
+        for name in ("asset_decimals", "counter_decimals"):
+            if not 0 <= getattr(self, name) <= 38:
+                raise ValueError(f"{name} must be in [0, 38]")
+        if not 0 <= self.fee_bps < BPS_DENOM:
+            raise ValueError(f"fee_bps must be in [0, {BPS_DENOM})")
 
     def to_dict(self) -> dict:
         return {

@@ -84,7 +84,7 @@ def _simulate_one(source: str, out_root: Path) -> str:
     report_dict = report.to_dict()
     if run.plan is not None:
         report_dict["loss_decomposition"] = loss_decomposition(
-            trace, run.plan, run.fee_bps)
+            trace, run.plan, world_before)
         _dump_json(out_dir / "plan.json", run.plan.to_dict())
         outputs.append("plan.json")
     _dump_json(out_dir / "migration_report.json", report_dict)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .amm import (BPS_DENOM, AssetId, NumericMode, PoolState, ZeroInput,
-                  swap_exact_in)
+                  solve_input_for_output, swap_exact_in)
 from .engine import (Action, FlashBorrow, FlashRepay, FlashSwapBorrow,
                      FlashSwapRepay, Swap, Transfer, TransferFrom)
 from .numeric import (ExactNumber, ExactSqrtError, exact_sign, exact_sqrt,
@@ -107,10 +107,11 @@ def solve_flash_amount(pool1: PoolState, pool2: PoolState, asset: AssetId,
                        a) -> ExactNumber:
     """Flash amount x whose phase-1 loop output repays x exactly.
 
-    Rational mode solves the closed-form quadratic (with the fee factor
-    folded in).  Integer mode bisects for an x whose floored loop output
-    covers x while the output at x + 1 does not cover x + 1; the floors
-    can leave that x far from the continuous root.
+    Rational mode returns the positive root of the loop's quadratic, with
+    each pool's own fee factor folded in, so the loop output equals x.
+    Integer mode bisects for an x whose floored loop output covers x while
+    the output at x + 1 does not cover x + 1; the floors can leave that x
+    far from the continuous root.
     """
     _check_pair(pool1, pool2, asset)
     if exact_sign(a) <= 0:
@@ -121,18 +122,14 @@ def solve_flash_amount(pool1: PoolState, pool2: PoolState, asset: AssetId,
     r_b2 = pool2.reserve_of(pool2.other_asset(asset))
 
     if pool1.mode is NumericMode.RATIONAL:
-        if pool1.fee_bps != pool2.fee_bps:
-            raise PlannerError("rational solver assumes equal pool fees")
-        gamma = Fraction(BPS_DENOM - pool1.fee_bps, BPS_DENOM)
-        w = gamma * gamma * r_b1
-        qa = r_b2 * gamma + w
-        qb = r_b2 * r_a1 + r_b2 * gamma * a + w * a - w * r_a2
+        g1 = Fraction(BPS_DENOM - pool1.fee_bps, BPS_DENOM)
+        g2 = Fraction(BPS_DENOM - pool2.fee_bps, BPS_DENOM)
+        w = g1 * g2 * r_b1
+        qa = r_b2 * g1 + w
+        qb = r_b2 * r_a1 + r_b2 * g1 * a + w * a - w * r_a2
         qc = -w * r_a2 * a
-        roots = solve_quadratic(qa, qb, qc)
-        for root in roots:
-            if exact_sign(root) > 0:
-                return root
-        raise NoPositiveRoot("no positive flash amount solves the loop")
+        # qc < 0, so the larger root is the only positive one
+        return solve_quadratic(qa, qb, qc)[1]
 
     lo, hi = 1, int(r_a2)  # output < r_a2, so f(hi) < 0
     if dislocation_output(pool1, pool2, asset, a, lo) < lo:
@@ -231,7 +228,9 @@ def solve_extraction(pool1_after: PoolState, pool2_after: PoolState,
                      ) -> tuple[ExactNumber, ExactNumber]:
     """Repayment y and borrow b' so the phase-2 loop nets the target.
 
-    Returns the smaller of the two admissible y roots.  Raises
+    Rational mode returns the smaller root of out(y) - y = target, where
+    the loop nets the target exactly.  Integer mode returns the least y
+    whose floored profit reaches the target.  Raises
     TargetExceedsMaxProfit when the reverse loop cannot net the target.
     """
     if exact_sign(target) == 0:
@@ -240,13 +239,12 @@ def solve_extraction(pool1_after: PoolState, pool2_after: PoolState,
     if exact_sign(target) < 0:
         raise PlannerError("extraction target must be non-negative")
 
+    k_top, a2, b0 = _extraction_coeffs(pool1_after, pool2_after, asset)
     if pool1_after.mode is NumericMode.RATIONAL:
-        k_top, a2, b0 = _extraction_coeffs(pool1_after, pool2_after, asset)
         # out(y) - y = target  =>  A2*y^2 + (t*A2 + B0 - K)*y + t*B0 = 0
-        qb = target * a2 + b0 - k_top
-        qc = target * b0
         try:
-            roots = solve_quadratic(a2, qb, qc)
+            y = solve_quadratic(a2, target * a2 + b0 - k_top,
+                                target * b0)[0]
         except ValueError as exc:
             raise TargetExceedsMaxProfit(
                 f"target {target} above the reverse-loop optimum") from exc
@@ -254,7 +252,6 @@ def solve_extraction(pool1_after: PoolState, pool2_after: PoolState,
             raise PlannerError(
                 "extraction root leaves the exact field; use integer mode"
             ) from exc
-        y = roots[0]
         if exact_sign(y) <= 0:
             raise TargetExceedsMaxProfit("no positive extraction root")
         b_prime, _ = swap_exact_in(pool2_after, asset, y)
@@ -264,16 +261,21 @@ def solve_extraction(pool1_after: PoolState, pool2_after: PoolState,
     if out - y_star < target:
         raise TargetExceedsMaxProfit(
             f"target {target} above the reverse-loop optimum {out - y_star}")
-    # minimal y on the rising branch [0, y*] with profit >= target
-    lo, hi = 0, y_star
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _net_profit_int(pool1_after, pool2_after, asset, mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    b_prime, _ = extraction_result(pool1_after, pool2_after, asset, hi)
-    return hi, b_prime
+    # the same quadratic scaled by BPS_DENOM^2 to integers; start at the
+    # exact ceiling of its smaller root: the floored profit never exceeds
+    # the continuous one, so no smaller y reaches the target
+    k_top, a2, b0 = (int(c * BPS_DENOM ** 2) for c in (k_top, a2, b0))
+    qb = target * a2 + b0 - k_top
+    y = -((qb + math.isqrt(qb * qb - 4 * a2 * target * b0)) // (2 * a2))
+    counter = pool1_after.other_asset(asset)
+    while _net_profit_int(pool1_after, pool2_after, asset, y) < target:
+        # a larger y qualifies only if its floored output reaches
+        # target + y + 1: step to the least y that delivers that much
+        y = solve_input_for_output(
+            pool2_after, counter,
+            solve_input_for_output(pool1_after, asset, target + y + 1))
+    b_prime, _ = swap_exact_in(pool2_after, asset, y)
+    return y, b_prime
 
 
 def argmax_extraction_int(pool1_after: PoolState, pool2_after: PoolState,
@@ -316,8 +318,6 @@ def plan_relocation(pool1: PoolState, pool2: PoolState, asset: AssetId,
         y = y_override
         b_prime, out = extraction_result(pool1_after, pool2_after, asset, y) \
             if exact_sign(y) > 0 else (0, 0)
-    elif target is not None and exact_sign(target) == 0:
-        y = b_prime = out = 0
     elif zero_fee and target is None and mode is NumericMode.RATIONAL:
         # fee-free phase 2 with y equal to the phase-1 withdrawal undoes
         # both pool moves exactly: b' = b and the loop nets exactly a

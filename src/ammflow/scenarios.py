@@ -45,7 +45,6 @@ class ScenarioRun:
     beneficiary: str | None = None
     intents: tuple[LimitOrderIntent, ...] = ()
     plan: Optional[RelocationPlan] = None
-    fee_bps: int = 0
     route_via_settlement: bool = True
     is_relocation: bool = False
 
@@ -109,7 +108,7 @@ def build_relocation_scenario(
     bundle = build_relocation_bundle(plan, pool1, pool2)
     return ScenarioRun(name=name, world=world, bundle=bundle, initiator=o_id,
                        principal=p_id, beneficiary=b_id, plan=plan,
-                       fee_bps=fee_bps, is_relocation=True)
+                       is_relocation=True)
 
 
 def build_calibrated_relocation_scenario(name: str = "relocation_fee_calibrated"
@@ -204,7 +203,6 @@ def build_peb_scenario(*, name: str = "peb",
         ]
     return ScenarioRun(name=name, world=world, bundle=bundle, initiator=e_id,
                        principal=p_id, beneficiary=b_id, intents=(order,),
-                       fee_bps=fee_bps,
                        route_via_settlement=route_via_settlement)
 
 
@@ -274,7 +272,6 @@ def build_benign_twin(run: ScenarioRun,
                                         else "_twin"),
                        world=world, bundle=bundle,
                        initiator=mapping[run.initiator],
-                       fee_bps=run.fee_bps,
                        route_via_settlement=run.route_via_settlement)
 
 
@@ -303,7 +300,7 @@ def build_benign_arbitrage(*, name: str = "benign_arbitrage",
         Swap("trader", "pool2", tok_b, out_b, "trader"),
     ]
     return ScenarioRun(name=name, world=world, bundle=bundle,
-                       initiator="trader", fee_bps=fee_bps)
+                       initiator="trader")
 
 
 def build_benign_routing(*, name: str = "benign_routing",

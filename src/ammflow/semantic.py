@@ -17,14 +17,6 @@ from .numeric import exact_sign
 from .planner import RelocationPlan
 
 
-class SemanticError(Exception):
-    pass
-
-
-class AmbiguousPairing(SemanticError):
-    """Several loser/gainer pairings fit the deltas; refusing to guess."""
-
-
 @dataclass(frozen=True)
 class Migration:
     principal: str
@@ -77,15 +69,15 @@ class MigrationReport:
 
 def recover_migrations(trace: ExecutionTrace, world_before: WorldState,
                        world_after: WorldState,
-                       intents: tuple[LimitOrderIntent, ...] = (),
-                       *, strict: bool = False) -> MigrationReport:
+                       intents: tuple[LimitOrderIntent, ...] = ()
+                       ) -> MigrationReport:
     """Pair strict losers with strict gainers enforced in the same bundle.
 
     The initiator is the executor/operator; principals are identified from
     allowance pulls and decoded intent makers; infrastructure addresses
     (pools, flash providers, settlement contracts) are excluded from
-    pairing.  With strict=True an unresolvable pairing raises
-    AmbiguousPairing instead of being reported in `unresolved`.
+    pairing.  An asset with several losers or gainers is reported in
+    `unresolved` rather than guessed.
     """
     deltas = net_deltas(trace)
     labels = {aid: addr.label for aid, addr in world_before.addresses.items()}
@@ -138,14 +130,11 @@ def recover_migrations(trace: ExecutionTrace, world_before: WorldState,
             roles.setdefault(p, "Principal")
             roles.setdefault(b, "Beneficiary")
         elif losers and gainers:
-            detail = {
+            unresolved.append({
                 "asset": sym,
                 "losers": [[a, str(d)] for a, d in losers],
                 "gainers": [[a, str(d)] for a, d in gainers],
-            }
-            if strict:
-                raise AmbiguousPairing(f"asset {sym}: {detail}")
-            unresolved.append(detail)
+            })
 
     efficiency = None
     if migrations:
@@ -167,14 +156,16 @@ def recover_migrations(trace: ExecutionTrace, world_before: WorldState,
 
 
 def loss_decomposition(trace: ExecutionTrace, plan: RelocationPlan,
-                       fee_bps: int) -> dict[str, float]:
+                       world: WorldState) -> dict[str, float]:
     """Split the relocation loss a - a' into protocol fees and slippage.
 
-    Per-swap fees are input * fee, valued in the migrated asset through
-    that swap's own execution price; the remainder of the loss is
-    slippage/imbalance between the two phases.
+    Per-swap fees are input * fee, at the fee of the pool swapped into
+    (read from `world`), valued in the migrated asset through that swap's
+    own execution price; the remainder of the loss is slippage/imbalance
+    between the two phases.
     """
-    fee = Fraction(fee_bps, BPS_DENOM)
+    fee1, fee2 = (Fraction(world.pools[pool_id].fee_bps, BPS_DENOM)
+                  for pool_id in (plan.pool1, plan.pool2))
     scale = 10 ** plan.asset.decimals \
         if plan.mode is NumericMode.INTEGER else 1
     deltas = net_deltas(trace)
@@ -182,15 +173,15 @@ def loss_decomposition(trace: ExecutionTrace, plan: RelocationPlan,
     total_loss = float(plan.a - gained)
     fees = 0.0
     # phase 1: input a+x of the migrated asset, then b of the counter asset
-    fees += float((plan.a + plan.x) * fee)
+    fees += float((plan.a + plan.x) * fee1)
     if exact_sign(plan.b) > 0 and exact_sign(plan.x_recovered) > 0:
         price2 = float(plan.x_recovered) / float(plan.b)
-        fees += float(plan.b * fee) * price2
+        fees += float(plan.b * fee2) * price2
     # phase 2: repayment y of the migrated asset, then b' of the counter
     if exact_sign(plan.y) > 0:
-        fees += float(plan.y * fee)
+        fees += float(plan.y * fee2)
         price4 = float(plan.extraction_out) / float(plan.b_prime)
-        fees += float(plan.b_prime * fee) * price4
+        fees += float(plan.b_prime * fee1) * price4
     return {
         "protocol_fees": fees / scale,
         "slippage_imbalance": (total_loss - fees) / scale,

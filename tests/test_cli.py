@@ -218,6 +218,21 @@ class TestCalibrate:
         assert result.exit_code == 2, result.output
         assert "bad observations file" in result.output
 
+    @pytest.mark.parametrize("field, value", [
+        ("asset_decimals", 50), ("counter_decimals", -1),
+        ("fee_bps", -5), ("fee_bps", 20000)])
+    def test_out_of_range_field_exits_2(self, runner, tmp_path, field,
+                                        value):
+        from ammflow.calibration import PUBLISHED_OBSERVATIONS
+        data = PUBLISHED_OBSERVATIONS.to_dict()
+        data[field] = value
+        path = tmp_path / "obs.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        result = runner.invoke(main, ["calibrate", "--observations",
+                                      str(path)])
+        assert result.exit_code == 2, result.output
+        assert "bad observations file" in result.output
+
     def test_bad_file_exits_2(self, runner, tmp_path):
         path = tmp_path / "obs.json"
         path.write_text("not json", encoding="utf-8")

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ammflow.amm import BPS_DENOM, NumericMode, PoolState, swap_exact_in
 from ammflow.engine import (Address, WorldState, execute_bundle, net_deltas)
@@ -55,6 +55,19 @@ class TestSolveFlashAmount:
     def test_rejects_non_positive_principal(self, sym_pools):
         with pytest.raises(PlannerError):
             solve_flash_amount(*sym_pools, TOKA, Fraction(0))
+
+    def test_unequal_fees_loop_repays_exactly(self):
+        rng = random.Random(7)
+        for _ in range(30):
+            f1, f2 = rng.sample([0, 5, 30, 100], 2)
+            pool1 = make_pool("pool1", Fraction(rng.randint(50, 5000)),
+                              Fraction(rng.randint(50, 5000)), f1)
+            pool2 = make_pool("pool2", Fraction(rng.randint(50, 5000)),
+                              Fraction(rng.randint(50, 5000)), f2)
+            a = Fraction(rng.randint(1, int(pool1.reserve0) // 10))
+            x = solve_flash_amount(pool1, pool2, TOKA, a)
+            assert exact_sign(x) > 0
+            assert dislocation_output(pool1, pool2, TOKA, a, x) == x
 
     def test_integer_mode_within_one_unit(self):
         pool1 = PoolState("pool1", TOKA, TOKB, 100 * 10**18, 100 * 10**18,
@@ -158,6 +171,25 @@ class TestIntegerOptimum:
         assert max_extractable(*pools, TOKA) == 0
 
 
+class TestIntegerTarget:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(20, 2000), min_size=4, max_size=4),
+           st.sampled_from([0, 5, 30, 100]), st.sampled_from([0, 5, 30, 100]),
+           st.data())
+    def test_least_y_reaching_target(self, reserves, f1, f2, data):
+        c1, c2, c3, c4 = reserves
+        pools = int_pools(c1, c2, c3, c4, f1, f2)
+        best = max_extractable(*pools, TOKA)
+        assume(best >= 1)
+        target = data.draw(st.integers(1, best))
+        y, b_prime = solve_extraction(*pools, TOKA, target)
+        # profit is below c1 - y, so the least qualifying y is below c1
+        least = next(t for t in range(1, c1)
+                     if int_profit(c1, c2, c3, c4, f1, f2, t) >= target)
+        assert y == least
+        assert b_prime == extraction_result(*pools, TOKA, y)[0]
+
+
 class TestPlanAndBundle:
     def run_plan(self, pool1, pool2, a, **kwargs):
         plan = plan_relocation(pool1, pool2, TOKA, "P", "B", "O", a,
@@ -232,6 +264,24 @@ class TestPlanAndBundle:
         assert ("B", "TOKA") not in net_deltas(trace)
         # pools stay dislocated: phase 2 never ran
         assert after.pools["pool1"].reserve0 != Fraction(100)
+
+    def test_zero_target_still_covers_flash_shortfall(self):
+        # integer 30 bps pools (WETH against a 6-decimal counter near 1403)
+        # with an oversized flash amount: the loop leaves a shortfall that
+        # the extraction must repay even though nothing is to be delivered
+        pool1 = PoolState("pool1", TOKA, TOKB, 4111914272603397778143,
+                          5769397031883, 30, NumericMode.INTEGER)
+        pool2 = PoolState("pool2", TOKA, TOKB, 233832401659235910865,
+                          328043612484, 30, NumericMode.INTEGER)
+        a = 15549377870619113110
+        x = solve_flash_amount(pool1, pool2, TOKA, a)
+        plan, _, _, trace = self.run_plan(pool1, pool2, a, target=0,
+                                          x_override=x + x // 10)
+        assert plan.shortfall > 0
+        assert plan.y > 0
+        deltas = net_deltas(trace)
+        assert deltas.get(("flash", "TOKA"), 0) == 0
+        assert deltas.get(("B", "TOKA"), 0) == plan.predicted_a_prime >= 0
 
     def test_exact_repay_policy_rejects_shortfall(self):
         pool1 = PoolState("pool1", TOKA, TOKB, 1000 * 10**18, 1000 * 10**18,

@@ -4,12 +4,12 @@ import pytest
 
 from ammflow.engine import (Address, ExecutionTrace, Transfer, TransferEvent,
                             WorldState, execute_bundle, net_deltas)
-from ammflow.amm import NumericMode
+from ammflow.amm import NumericMode, PoolState
+from ammflow.planner import build_relocation_bundle, plan_relocation
 from ammflow.scenarios import (build_calibrated_relocation_scenario,
                                build_peb_scenario,
                                build_relocation_scenario)
-from ammflow.semantic import (AmbiguousPairing, loss_decomposition,
-                              recover_migrations)
+from ammflow.semantic import loss_decomposition, recover_migrations
 from conftest import TOKA, TOKB
 
 
@@ -78,8 +78,6 @@ class TestRecoverMigrations:
         bundle = [Transfer("p1", "g1", TOKA, Fraction(10)),
                   Transfer("p2", "g2", TOKA, Fraction(10))]
         after, trace = execute_bundle(world, bundle, "op")
-        with pytest.raises(AmbiguousPairing):
-            recover_migrations(trace, world, after, strict=True)
         report = recover_migrations(trace, world, after)
         assert not report.migrations
         assert report.unresolved
@@ -96,7 +94,7 @@ class TestLossDecomposition:
     def test_zero_fee_losses_vanish(self):
         run = build_relocation_scenario(name="s")
         _, trace = run.execute()
-        losses = loss_decomposition(trace, run.plan, 0)
+        losses = loss_decomposition(trace, run.plan, run.world)
         assert losses["protocol_fees"] == 0
         assert losses["slippage_imbalance"] == 0
         assert losses["total_loss"] == 0
@@ -104,7 +102,7 @@ class TestLossDecomposition:
     def test_calibrated_totals(self):
         run = build_calibrated_relocation_scenario()
         _, trace = run.execute()
-        losses = loss_decomposition(trace, run.plan, 30)
+        losses = loss_decomposition(trace, run.plan, run.world)
         assert losses["total_loss"] == pytest.approx(0.6459, abs=1e-3)
         assert losses["protocol_fees"] + losses["slippage_imbalance"] == \
             pytest.approx(losses["total_loss"])
@@ -118,27 +116,43 @@ class TestLossDecomposition:
         assert 0.010 <= ratio <= 0.014
 
     def test_fee_doubling_roughly_doubles_fees(self):
-        from ammflow.planner import plan_relocation, build_relocation_bundle
-        from ammflow.amm import PoolState
         fees = {}
         for fee_bps in (30, 60):
-            pool1 = PoolState("pool1", TOKA, TOKB, 1000 * 10**18,
-                              1000 * 10**18, fee_bps, NumericMode.INTEGER)
-            pool2 = PoolState("pool2", TOKA, TOKB, 1000 * 10**18,
-                              1000 * 10**18, fee_bps, NumericMode.INTEGER)
-            plan = plan_relocation(pool1, pool2, TOKA, "P", "B", "O",
-                                   10 * 10**18)
-            world = WorldState(mode=NumericMode.INTEGER)
-            for aid, label in (("P", "Principal"), ("B", "Beneficiary"),
-                               ("O", "Operator"), ("flash", "FlashProvider")):
-                world.add_address(Address(aid, label))
-            world.add_pool(pool1)
-            world.add_pool(pool2)
-            world.set_balance("P", TOKA, 10 * 10**18)
-            world.set_balance("flash", TOKA, 2000 * 10**18)
-            world.approve("P", "O", TOKA, 10 * 10**18)
-            bundle = build_relocation_bundle(plan, pool1, pool2)
-            _, trace = execute_bundle(world, bundle, "O")
+            plan, world, trace = integer_relocation(fee_bps, fee_bps)
             fees[fee_bps] = loss_decomposition(trace, plan,
-                                               fee_bps)["protocol_fees"]
+                                               world)["protocol_fees"]
         assert 1.7 <= fees[60] / fees[30] <= 2.3
+
+    def test_each_swap_pays_its_own_pool_fee(self):
+        plan, world, trace = integer_relocation(30, 0)
+        fee = Fraction(30, 10_000)
+        # only the two swaps into pool 1 pay: a + x in phase 1, b' in
+        # phase 2 (valued through its own execution price)
+        expected = (float((plan.a + plan.x) * fee)
+                    + float(plan.b_prime * fee)
+                    * float(plan.extraction_out) / float(plan.b_prime)
+                    ) / 10**18
+        losses = loss_decomposition(trace, plan, world)
+        assert losses["protocol_fees"] == pytest.approx(expected, rel=1e-12)
+
+
+def integer_relocation(fee1, fee2):
+    """Plan and execute a 10-unit integer relocation over two 1000/1000
+    pools charging the given fees."""
+    pool1 = PoolState("pool1", TOKA, TOKB, 1000 * 10**18, 1000 * 10**18,
+                      fee1, NumericMode.INTEGER)
+    pool2 = PoolState("pool2", TOKA, TOKB, 1000 * 10**18, 1000 * 10**18,
+                      fee2, NumericMode.INTEGER)
+    plan = plan_relocation(pool1, pool2, TOKA, "P", "B", "O", 10 * 10**18)
+    world = WorldState(mode=NumericMode.INTEGER)
+    for aid, label in (("P", "Principal"), ("B", "Beneficiary"),
+                       ("O", "Operator"), ("flash", "FlashProvider")):
+        world.add_address(Address(aid, label))
+    world.add_pool(pool1)
+    world.add_pool(pool2)
+    world.set_balance("P", TOKA, 10 * 10**18)
+    world.set_balance("flash", TOKA, 2000 * 10**18)
+    world.approve("P", "O", TOKA, 10 * 10**18)
+    bundle = build_relocation_bundle(plan, pool1, pool2)
+    _, trace = execute_bundle(world, bundle, "O")
+    return plan, world, trace
