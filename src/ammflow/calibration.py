@@ -61,13 +61,17 @@ class ObservationSet:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ObservationSet":
+        ints = {name: data.get(name, default) for name, default in
+                (("fee_bps", 30), ("asset_decimals", 18),
+                 ("counter_decimals", 6))}
+        for name, value in ints.items():
+            # bool is a subclass of int, but true is not an integer input
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         return cls(a=float(data["a"]), x=float(data["x"]),
                    b=float(data["b"]), x_prime=float(data["x_prime"]),
                    b_prime=float(data["b_prime"]), y=float(data["y"]),
-                   a_prime=float(data["a_prime"]),
-                   fee_bps=int(data.get("fee_bps", 30)),
-                   asset_decimals=int(data.get("asset_decimals", 18)),
-                   counter_decimals=int(data.get("counter_decimals", 6)))
+                   a_prime=float(data["a_prime"]), **ints)
 
 
 # published 10-unit migration observations (migrated asset vs 6-decimal

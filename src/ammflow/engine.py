@@ -14,7 +14,7 @@ from typing import Union
 
 from .amm import (AssetId, NumericMode, PoolState, keeps_fee_adjusted_k,
                   swap_exact_in)
-from .numeric import ExactNumber, exact_sign
+from .numeric import ExactNumber, exact_sign, parse_exact
 
 ROLE_LABELS = ("Principal", "Executor", "Beneficiary", "Operator",
                "PoolContract", "FlashProvider", "SettlementContract",
@@ -462,9 +462,10 @@ def trace_to_json(trace: ExecutionTrace, mode: NumericMode) -> str:
 
 
 def trace_from_dict(data: dict) -> ExecutionTrace:
-    """Rebuild a trace from its JSON form (amounts parsed exactly)."""
-    from .numeric import parse_exact
+    """Rebuild a trace from its JSON form (amounts parsed exactly).
 
+    The events must be in time order, with strictly increasing int seq.
+    """
     assets = {sym: AssetId(sym, dec) for sym, dec in data["assets"].items()}
     trace = ExecutionTrace(bundle_id=data["bundle_id"],
                            initiator=data["initiator"])
@@ -472,6 +473,10 @@ def trace_from_dict(data: dict) -> ExecutionTrace:
         trace.events.append(TransferEvent(
             ev["seq"], ev["from"], ev["to"], assets[ev["asset"]],
             parse_exact(ev["amount"]), ev["action_index"]))
+    seqs = [ev.seq for ev in trace.events]
+    if any(type(s) is not int for s in seqs) \
+            or any(a >= b for a, b in zip(seqs, seqs[1:])):
+        raise ValueError("event seq values must be strictly increasing ints")
     for c in data.get("calls", []):
         trace.calls.append(CallRecord(c["action_index"], c["kind"],
                                       c["caller"], c["callee"]))

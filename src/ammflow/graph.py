@@ -30,6 +30,9 @@ class GraphEdge:
 
 @dataclass
 class TransferGraph:
+    """The transfers of one asset, in time order (strictly increasing seq);
+    every observer walks the edges in list order."""
+
     asset: AssetId
     edges: list[GraphEdge] = field(default_factory=list)
 
@@ -78,26 +81,26 @@ def _implicit_initials(edges: list[tuple[str, str, object]]) -> dict:
     return initial
 
 
-def _one_field(amounts: list) -> bool:
-    """Whether the amounts are exact numbers that QuadExact can add."""
-    if not all(isinstance(a, (int, Fraction, QuadExact)) for a in amounts):
-        return False
+def _edges(graph: TransferGraph) -> tuple[list[tuple], bool]:
+    """The positive edges as (src, dst, amount) in time order, and whether
+    the amounts are the graph's own exact numbers.  Amounts that span more
+    than one quadratic field are read as floats, converted exactly to
+    Fraction."""
+    amounts = [e.amount for e in graph.edges]
     quads = [a for a in amounts if isinstance(a, QuadExact)]
-    return all(quads[0]._match(a) is not None for a in quads[1:])
+    exact = all(isinstance(a, (int, Fraction, QuadExact)) for a in amounts) \
+        and all(quads[0]._match(a) is not None for a in quads[1:])
+    edges = [(e.src, e.dst, e.amount if exact else Fraction(float(e.amount)))
+             for e in graph.edges]
+    return [e for e in edges if e[2] > 0], exact
 
 
 def attribute(graph: TransferGraph, principal: str,
               beneficiary: str) -> AttributionResult:
     """Least and greatest principal-origin value the beneficiary can have
-    received; a unique positive amount is recoverable.
-
-    Amounts that span more than one quadratic field are read as floats
-    (converted exactly to Fraction) and the result is marked inexact.
-    """
-    exact = _one_field([e.amount for e in graph.edges])
-    edges = [(e.src, e.dst, e.amount if exact else Fraction(float(e.amount)))
-             for e in graph.edges]
-    edges = [e for e in edges if e[2] > 0]
+    received; a unique positive amount is recoverable.  The result is
+    marked inexact when `_edges` read the amounts as floats."""
+    edges, exact = _edges(graph)
     lo = _min_cost_flow(edges, principal, beneficiary, 1)
     hi = -_min_cost_flow(edges, principal, beneficiary, -1)
     return AttributionResult(float(lo), float(hi), lo == hi and lo > 0,
@@ -174,47 +177,37 @@ def taint_poison(graph: TransferGraph,
                  tainted: set[str]) -> dict[str, bool]:
     """Binary forward closure over time-ordered edges."""
     marked = set(tainted)
-    for e in sorted(graph.edges, key=lambda e: e.seq):
+    for e in graph.edges:
         if e.src in marked:
             marked.add(e.dst)
     return {node: node in marked for node in graph.nodes}
 
 
-def taint_haircut(graph: TransferGraph, tainted: set[str],
-                  initial_balances: dict[str, float] | None = None
-                  ) -> dict[str, float]:
+def taint_haircut(graph: TransferGraph,
+                  tainted: set[str]) -> dict[str, float]:
     """Proportional dilution: each edge carries the sender's current taint
-    fraction; flagged sources stay fully tainted; initial balances (known
-    or implicit) of other nodes are clean.  Float round-off is forgiven
-    relative to the largest edge amount, so the rule reads the same in
-    whole tokens and in smallest units."""
-    held: dict[str, float] = {k: float(v)
-                              for k, v in (initial_balances or {}).items()}
-    dirty: dict[str, float] = {}
-    tol = 1e-12 * max((float(e.amount) for e in graph.edges), default=0.0)
-    for e in sorted(graph.edges, key=lambda e: e.seq):
-        src, dst, amt = e.src, e.dst, float(e.amount)
-        if held.get(src, 0.0) < amt - tol:
-            held[src] = amt  # implicit initial balance tops up
+    fraction and flagged sources stay fully tainted.  A sender that pays
+    more than it holds is topped up to the amount paid with clean value,
+    its implicit initial balance.  The sums are exact in the graph's own
+    numbers, so dirty <= held by construction and each fraction is
+    rounded to float once."""
+    held: dict = defaultdict(int)
+    # a Fraction zero keeps each quotient below exact (int / int is a float)
+    dirty: dict = defaultdict(Fraction)
+    for src, dst, amount in _edges(graph)[0]:
+        if held[src] < amount:
+            held[src] = amount
         if src in tainted:
-            dirty[src] = held[src]
-        h = held[src]
-        frac = 0.0 if h <= 0 else min(1.0, dirty.get(src, 0.0) / h)
-        moved_dirty = amt * frac
-        held[src] = h - amt
-        dirty[src] = max(0.0, dirty.get(src, 0.0) - moved_dirty)
-        held[dst] = held.get(dst, 0.0) + amt
-        dirty[dst] = dirty.get(dst, 0.0) + (
-            amt if dst in tainted else moved_dirty)
-    result: dict[str, float] = {}
-    for node in graph.nodes:
-        if node in tainted:
-            result[node] = 1.0
-            continue
-        h = held.get(node, 0.0)
-        result[node] = 0.0 if h <= tol \
-            else min(1.0, dirty.get(node, 0.0) / h)
-    return result
+            moved = amount
+        else:
+            moved = amount * dirty[src] / held[src] if dirty[src] else 0
+            dirty[src] -= moved
+        held[src] -= amount
+        held[dst] += amount
+        dirty[dst] += moved
+    return {node: 1.0 if node in tainted
+            else float(dirty[node] / held[node]) if held[node] else 0.0
+            for node in graph.nodes}
 
 
 def canonical_form(graph: TransferGraph) -> str:
@@ -225,14 +218,12 @@ def canonical_form(graph: TransferGraph) -> str:
     k-th edge to the k-th edge; relabeling nodes by first appearance is
     therefore a complete canonical form.
     """
-    return _encode(sorted(graph.edges, key=lambda e: e.seq),
-                   lambda e: (str(e.amount),))
+    return _encode(graph.edges, lambda e: (str(e.amount),))
 
 
 def trace_canonical_form(trace: ExecutionTrace) -> str:
     """Canonical form of the full multi-asset event sequence of a trace."""
-    return _encode(sorted(trace.events, key=lambda e: e.seq),
-                   lambda e: (e.asset.symbol, str(e.amount)))
+    return _encode(trace.events, lambda e: (e.asset.symbol, str(e.amount)))
 
 
 def _encode(edges, extra) -> str:
@@ -256,7 +247,7 @@ def to_dot(graph: TransferGraph,
         tag = labels.get(node)
         text = f"{node}\\n[{tag}]" if tag else node
         lines.append(f'  "{node}" [label="{text}"];')
-    for e in sorted(graph.edges, key=lambda e: e.seq):
+    for e in graph.edges:
         lines.append(
             f'  "{e.src}" -> "{e.dst}" '
             f'[label="{e.seq}:{float(e.amount):.6g} {graph.asset.symbol}"];')

@@ -18,8 +18,8 @@ from .amm import AmmError, AssetId, NumericMode, PoolState, parse_amount, \
     solve_input_for_output, swap_exact_in
 from .engine import (Action, Address, ExecutionTrace, FillLimitOrder,
                      FlashBorrow, FlashRepay, FlashSwapBorrow, FlashSwapRepay,
-                     LimitOrderIntent, Swap, Transfer, WorldState,
-                     execute_bundle)
+                     INFRA_LABELS, LimitOrderIntent, Swap, Transfer,
+                     WorldState, execute_bundle)
 from .planner import (ExtractionStyle, FundingPolicy, PlannerError,
                       RelocationPlan, build_relocation_bundle,
                       plan_relocation)
@@ -246,9 +246,7 @@ def build_benign_twin(run: ScenarioRun,
     for aid, addr in run.world.addresses.items():
         if aid in run.world.pools:
             continue
-        label = addr.label if addr.label in ("PoolContract", "FlashProvider",
-                                             "SettlementContract") \
-            else "Unlabeled"
+        label = addr.label if addr.label in INFRA_LABELS else "Unlabeled"
         world.add_address(Address(mapping.get(aid, aid), label))
     for pool in run.world.pools.values():
         world.add_pool(pool)
@@ -380,14 +378,17 @@ def load_scenario_config(path: str) -> ScenarioRun:
         raise ConfigError("params must be a mapping")
 
     read = set()
-    kinds = {str: "a decimal string", bool: "true or false"}
+    kinds = {str: "a decimal string", bool: "true or false",
+             int: "an integer"}
 
     def param(key, default, kind=object):
         read.add(key)
         value = params.get(key, default)
-        if not isinstance(value, kind):
-            raise ConfigError(
-                f"param {key} must be {kinds[kind]}, got {value!r}")
+        # bool is a subclass of int, but true is not an integer input
+        if not isinstance(value, kind) \
+                or kind is int and isinstance(value, bool):
+            raise TypeError(f"param {key} must be {kinds[kind]}, "
+                            f"got {value!r}")
         return value
 
     def mode_of() -> NumericMode:
@@ -409,7 +410,7 @@ def load_scenario_config(path: str) -> ScenarioRun:
         if recipe == "RelocationZeroFee":
             run = build_relocation_scenario(
                 name=name, mode=mode_of(),
-                fee_bps=int(param("fee_bps", 0)),
+                fee_bps=param("fee_bps", 0, int),
                 reserves1=pool_reserves("pool1", ("100", "100")),
                 reserves2=pool_reserves("pool2", ("100", "100")),
                 a=param("a", "10", str),
@@ -430,7 +431,7 @@ def load_scenario_config(path: str) -> ScenarioRun:
                 taking=param("taking", "990", str),
                 pool_reserves=pool_reserves("pool",
                                             ("1000000", "1000000")),
-                fee_bps=int(param("fee_bps", 30)),
+                fee_bps=param("fee_bps", 30, int),
                 receiver=str(param("receiver", "B")),
                 route_via_settlement=param("route_via_settlement", True,
                                            bool),
@@ -438,7 +439,7 @@ def load_scenario_config(path: str) -> ScenarioRun:
         elif recipe == "BenignArbitrage":
             run = build_benign_arbitrage(
                 name=name, mode=mode_of(),
-                fee_bps=int(param("fee_bps", 0)))
+                fee_bps=param("fee_bps", 0, int))
         else:
             run = build_benign_routing(name=name, mode=mode_of())
     except (TypeError, ValueError, KeyError, AmmError,

@@ -159,31 +159,24 @@ def loss_decomposition(trace: ExecutionTrace, plan: RelocationPlan,
                        world: WorldState) -> dict[str, float]:
     """Split the relocation loss a - a' into protocol fees and slippage.
 
-    Per-swap fees are input * fee, at the fee of the pool swapped into
-    (read from `world`), valued in the migrated asset through that swap's
-    own execution price; the remainder of the loss is slippage/imbalance
-    between the two phases.
+    Each swap pays input * fee at the fee of the pool swapped into (read
+    from `world`).  A counter-asset fee, valued in the migrated asset at
+    its swap's own execution price, is that fee times the swap's output:
+    so pool 1 charges fee1 * (a + x + extraction_out) and pool 2 charges
+    fee2 * (x_recovered + y).  The remainder of the loss is
+    slippage/imbalance between the two phases.  Everything is exact until
+    the one conversion to float, in whole tokens.
     """
     fee1, fee2 = (Fraction(world.pools[pool_id].fee_bps, BPS_DENOM)
                   for pool_id in (plan.pool1, plan.pool2))
-    scale = 10 ** plan.asset.decimals \
-        if plan.mode is NumericMode.INTEGER else 1
-    deltas = net_deltas(trace)
-    gained = deltas.get((plan.beneficiary, plan.asset.symbol), 0)
-    total_loss = float(plan.a - gained)
-    fees = 0.0
-    # phase 1: input a+x of the migrated asset, then b of the counter asset
-    fees += float((plan.a + plan.x) * fee1)
-    if exact_sign(plan.b) > 0 and exact_sign(plan.x_recovered) > 0:
-        price2 = float(plan.x_recovered) / float(plan.b)
-        fees += float(plan.b * fee2) * price2
-    # phase 2: repayment y of the migrated asset, then b' of the counter
-    if exact_sign(plan.y) > 0:
-        fees += float(plan.y * fee2)
-        price4 = float(plan.extraction_out) / float(plan.b_prime)
-        fees += float(plan.b_prime * fee1) * price4
+    scale = Fraction(10 ** plan.asset.decimals
+                     if plan.mode is NumericMode.INTEGER else 1)
+    gained = net_deltas(trace).get((plan.beneficiary, plan.asset.symbol), 0)
+    total = plan.a - gained
+    fees = fee1 * (plan.a + plan.x + plan.extraction_out) \
+        + fee2 * (plan.x_recovered + plan.y)
     return {
-        "protocol_fees": fees / scale,
-        "slippage_imbalance": (total_loss - fees) / scale,
-        "total_loss": total_loss / scale,
+        "protocol_fees": float(fees / scale),
+        "slippage_imbalance": float((total - fees) / scale),
+        "total_loss": float(total / scale),
     }

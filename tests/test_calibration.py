@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from ammflow.amm import AssetId, NumericMode, PoolState
 from ammflow.calibration import (CalibratedPools, InconsistentObservations,
@@ -118,7 +118,14 @@ def test_round_trip_recovers_truth_pools(fee_bps, r_a1, r_a2, price,
                       NumericMode.RATIONAL)
     x = solve_flash_amount(pool1, pool2, WETH, a)
     y = Fraction(float(x)) * Fraction(y_percent, 100)
-    obs = generate_observations(pool1, pool2, WETH, Fraction(a), y)
+    try:
+        obs = generate_observations(pool1, pool2, WETH, Fraction(a), y)
+    except ValueError as err:
+        # the extraction's fees ate more than the principal: a trace never
+        # shows a non-positive a_prime, so there is nothing to calibrate
+        if "a_prime must be positive" not in str(err):
+            raise
+        reject()
     recovered = calibrate_reserves(obs)
     for got, want in zip(recovered.pool1_reserves + recovered.pool2_reserves,
                          truth):

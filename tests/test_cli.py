@@ -12,6 +12,14 @@ def runner():
     return CliRunner()
 
 
+def trace_of(*events):
+    """A trace file body with one 5 TOKA transfer per (seq, from, to)."""
+    return {"bundle_id": "t", "initiator": "P", "assets": {"TOKA": 18},
+            "events": [{"seq": seq, "from": src, "to": dst, "asset": "TOKA",
+                        "amount": "5", "action_index": 0}
+                       for seq, src, dst in events]}
+
+
 def simulate(runner, tmp_path, *names):
     out = tmp_path / "runs"
     result = runner.invoke(main, ["simulate", *names, "--out", str(out)])
@@ -73,8 +81,10 @@ class TestSimulate:
         "recipe: RelocationZeroFee\nparams:\n  fee_bps: 30\n",
         "recipe: RelocationZeroFee\nparams:\n  a: \"-5\"\n",
         "recipe: PEBLimitOrder\nparams:\n  taking: \"2000000\"\n",
+        "recipe: BenignArbitrage\nparams:\n  fee_bps: 30.9\n",
+        "recipe: BenignArbitrage\nparams:\n  fee_bps: true\n",
     ], ids=["fee_outside_exact_field", "negative_principal",
-            "taking_drains_pool"])
+            "taking_drains_pool", "fee_not_an_integer", "fee_is_a_boolean"])
     def test_recipe_failure_exits_2(self, runner, tmp_path, body):
         config = tmp_path / "bad.yaml"
         config.write_text("schema_version: 1\nscenario: x\n" + body,
@@ -136,8 +146,12 @@ class TestAnalyze:
         {"bundle_id": "t", "initiator": "P", "assets": {"T": 18},
          "events": [{"seq": 1, "from": "P", "to": "B", "asset": "T",
                      "amount": "abc", "action_index": 0}]},
+        trace_of((2, "X", "P"), (1, "P", "B")),
+        trace_of((1, "P", "B"), (1, "X", "P")),
+        trace_of(("1", "P", "B"), ("2", "X", "P")),
     ], ids=["root_is_a_list", "assets_not_a_mapping", "events_not_a_list",
-            "amount_not_a_number"])
+            "amount_not_a_number", "seq_reversed", "seq_duplicate",
+            "seq_a_string"])
     def test_malformed_trace_exits_2(self, runner, tmp_path, body):
         trace = tmp_path / "bad.json"
         trace.write_text(json.dumps(body), encoding="utf-8")
@@ -146,6 +160,18 @@ class TestAnalyze:
                                       "--beneficiary", "B"])
         assert result.exit_code == 2, result.output
         assert "bad trace file" in result.output
+
+    def test_events_in_seq_order(self, runner, tmp_path):
+        # walked in the file order of the seq_reversed case above, the same
+        # two events would read NOT RECOVERABLE
+        trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps(trace_of((1, "P", "B"), (2, "X", "P"))),
+                         encoding="utf-8")
+        result = runner.invoke(main, ["analyze", str(trace),
+                                      "--principal", "P",
+                                      "--beneficiary", "B"])
+        assert result.exit_code == 0, result.output
+        assert "transfer-layer: RECOVERABLE 5 TOKA" in result.output
 
 
 class TestCalibrate:
@@ -220,7 +246,9 @@ class TestCalibrate:
 
     @pytest.mark.parametrize("field, value", [
         ("asset_decimals", 50), ("counter_decimals", -1),
-        ("fee_bps", -5), ("fee_bps", 20000)])
+        ("fee_bps", -5), ("fee_bps", 20000), ("fee_bps", 30.9),
+        ("fee_bps", True), ("asset_decimals", 18.0),
+        ("counter_decimals", "6")])
     def test_out_of_range_field_exits_2(self, runner, tmp_path, field,
                                         value):
         from ammflow.calibration import PUBLISHED_OBSERVATIONS

@@ -23,9 +23,9 @@ GOLDEN = {
     "peb_limit_order":
         "a619b3e60622af1fd23831a23d5167934373ae88588509e20d0ef9069c9461ef",
     "relocation_asym_zero_fee":
-        "e537d9aac11315b390bf14e1cc85b7763400b88001c4ba9fa77f9e685a52b05d",
+        "882f2015636034bea56063b3bb61909b76798c36c3b5591ef779e9a3075d15a4",
     "relocation_fee_calibrated":
-        "c292c44007183fed3e6ebcc4498d1194793d129acfcbe7b885ef2caa0f68aa85",
+        "7d810ca72f405b8cad423237abc28b3e1cfed5d7191a7b20a82c2c341779636b",
     "relocation_operator_is_principal":
         "d79adff6e1e2344802a8f457ce2cef85b99f0ba9b6c8f90ce847a0282df76e37",
     "relocation_sym_zero_fee":

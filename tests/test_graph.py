@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ammflow.engine import ExecutionTrace, TransferEvent
@@ -193,10 +192,8 @@ class TestTaint:
             assert marks[node]
 
     def test_haircut_proportional_mix(self):
-        graph = graph_of(("P", "X", 10))
-        fractions = taint_haircut(graph, {"P"},
-                                  initial_balances={"X": 10})
-        assert fractions["X"] == pytest.approx(0.5)
+        graph = graph_of(("Q", "X", 10), ("P", "X", 10))
+        assert taint_haircut(graph, {"P"})["X"] == 0.5
 
     def test_haircut_no_sources(self):
         graph = graph_of(("P", "X", 10))
@@ -214,15 +211,43 @@ class TestTaint:
         assert haircut_positive != poison_positive
 
 
-    def test_haircut_ignores_amount_scale(self):
-        # O forwards exactly what it received; at 1e19 the float sum of its
-        # inflows overshoots the float outflow by far more than 1e-12
-        a1, a2 = 18437166598339548353, 6855543267441242937
-        units = [("P", "O", a1), ("X", "O", a2), ("O", "B", a1 + a2)]
-        tokens = [(s, d, Fraction(a, 10 ** 18)) for s, d, a in units]
-        fractions = taint_haircut(graph_of(*units), {"P"})
-        assert fractions["O"] == 0.0
-        assert fractions == taint_haircut(graph_of(*tokens), {"P"})
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from("PBXFO"),
+                              st.sampled_from("PBXFO"),
+                              st.integers(0, 10 ** 20)),
+                    min_size=1, max_size=8),
+           st.sets(st.sampled_from("PBXFO"), max_size=2))
+    # O forwards exactly what it received; at 1e19 a float sum of its
+    # inflows would overshoot the float outflow by far more than 1e-12
+    @example([("P", "O", 18437166598339548353),
+              ("X", "O", 6855543267441242937),
+              ("O", "B", 18437166598339548353 + 6855543267441242937)], {"P"})
+    def test_haircut_ignores_amount_scale(self, edges, tainted):
+        def haircut(scale):
+            return taint_haircut(TransferGraph(asset=TOKA, edges=[
+                GraphEdge(seq, src, dst, scale(amount))
+                for seq, (src, dst, amount) in enumerate(edges, start=1)]),
+                tainted)
+
+        fractions = haircut(int)
+        assert fractions == haircut(lambda a: Fraction(a, 10 ** 18))
+        assert all(0.0 <= f <= 1.0 for f in fractions.values())
+        assert all(fractions[n] == 1.0 for n in tainted if n in fractions)
+
+    def test_zero_fee_flash_provider_stays_clean(self):
+        # a fee-free loop returns the flash capital untouched; an operator
+        # that is the principal repays from a flagged source, so it is out
+        runs = [make() for make in library().values()]
+        relocations = [run for run in runs if run.is_relocation
+                       and run.plan.operator != run.plan.principal
+                       and all(pool.fee_bps == 0
+                               for pool in run.world.pools.values())]
+        assert len(relocations) >= 2
+        for run in relocations:
+            _, trace = run.execute()
+            graph = build_graph(trace, run.plan.asset)
+            fractions = taint_haircut(graph, {run.plan.principal})
+            assert fractions[run.plan.flash_provider] == 0.0, run.name
 
     def test_calibrated_relocation_operator_nets_clean(self):
         run = library()["relocation_fee_calibrated"]()

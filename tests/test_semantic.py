@@ -127,13 +127,11 @@ class TestLossDecomposition:
         plan, world, trace = integer_relocation(30, 0)
         fee = Fraction(30, 10_000)
         # only the two swaps into pool 1 pay: a + x in phase 1, b' in
-        # phase 2 (valued through its own execution price)
-        expected = (float((plan.a + plan.x) * fee)
-                    + float(plan.b_prime * fee)
-                    * float(plan.extraction_out) / float(plan.b_prime)
-                    ) / 10**18
+        # phase 2, whose fee valued at its own execution price
+        # extraction_out / b' is fee * extraction_out
+        expected = (plan.a + plan.x + plan.extraction_out) * fee / 10**18
         losses = loss_decomposition(trace, plan, world)
-        assert losses["protocol_fees"] == pytest.approx(expected, rel=1e-12)
+        assert losses["protocol_fees"] == float(expected)
 
 
 def integer_relocation(fee1, fee2):
