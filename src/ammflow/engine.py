@@ -461,23 +461,36 @@ def trace_to_json(trace: ExecutionTrace, mode: NumericMode) -> str:
     return json.dumps(trace_to_dict(trace, mode), indent=2) + "\n"
 
 
+def _text(record: dict, key: str) -> str:
+    value = record[key]
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, got {value!r}")
+    return value
+
+
 def trace_from_dict(data: dict) -> ExecutionTrace:
     """Rebuild a trace from its JSON form (amounts parsed exactly).
 
     The events must be in time order, with strictly increasing int seq.
+    Addresses, ids and call fields must be strings and amounts
+    non-negative; zero is legal, since integer swaps can floor an output
+    to 0.
     """
     assets = {sym: AssetId(sym, dec) for sym, dec in data["assets"].items()}
-    trace = ExecutionTrace(bundle_id=data["bundle_id"],
-                           initiator=data["initiator"])
+    trace = ExecutionTrace(bundle_id=_text(data, "bundle_id"),
+                           initiator=_text(data, "initiator"))
     for ev in data["events"]:
+        amount = parse_exact(ev["amount"])
+        if exact_sign(amount) < 0:
+            raise ValueError(f"negative amount {ev['amount']}")
         trace.events.append(TransferEvent(
-            ev["seq"], ev["from"], ev["to"], assets[ev["asset"]],
-            parse_exact(ev["amount"]), ev["action_index"]))
+            ev["seq"], _text(ev, "from"), _text(ev, "to"),
+            assets[ev["asset"]], amount, ev["action_index"]))
     seqs = [ev.seq for ev in trace.events]
     if any(type(s) is not int for s in seqs) \
             or any(a >= b for a, b in zip(seqs, seqs[1:])):
         raise ValueError("event seq values must be strictly increasing ints")
     for c in data.get("calls", []):
-        trace.calls.append(CallRecord(c["action_index"], c["kind"],
-                                      c["caller"], c["callee"]))
+        trace.calls.append(CallRecord(c["action_index"], _text(c, "kind"),
+                                      _text(c, "caller"), _text(c, "callee")))
     return trace

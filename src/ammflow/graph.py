@@ -175,11 +175,11 @@ def _min_cost_flow(edges: list[tuple[str, str, object]], principal: str,
 
 def taint_poison(graph: TransferGraph,
                  tainted: set[str]) -> dict[str, bool]:
-    """Binary forward closure over time-ordered edges."""
+    """Binary forward closure over the time-ordered positive edges."""
     marked = set(tainted)
-    for e in graph.edges:
-        if e.src in marked:
-            marked.add(e.dst)
+    for src, dst, _ in _edges(graph)[0]:
+        if src in marked:
+            marked.add(dst)
     return {node: node in marked for node in graph.nodes}
 
 

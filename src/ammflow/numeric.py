@@ -39,20 +39,11 @@ def rational_sqrt(value: Rational) -> Fraction | None:
     return None
 
 
-def _as_parts(value) -> tuple[Fraction, Fraction, Fraction]:
-    """Coerce a number to (p, q, d) parts meaning p + q*sqrt(d)."""
-    if isinstance(value, QuadExact):
-        return value.p, value.q, value.d
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value), Fraction(0), Fraction(0)
-    raise TypeError(f"cannot coerce {type(value).__name__} to exact number")
-
-
 def make_exact(p: Rational, q: Rational = 0, d: Rational = 0) -> ExactNumber:
-    """Build p + q*sqrt(d), demoting to Fraction when the radical vanishes."""
-    p = Fraction(p)
-    q = Fraction(q)
-    d = Fraction(d)
+    """Build p + q*sqrt(d), demoting to Fraction when the radical vanishes;
+    d arrives from outside any field, so it gets the perfect-square test."""
+    p, q, d = (v if isinstance(v, Fraction) else Fraction(v)
+               for v in (p, q, d))
     if q == 0 or d == 0:
         return p
     if d < 0:
@@ -64,7 +55,14 @@ def make_exact(p: Rational, q: Rational = 0, d: Rational = 0) -> ExactNumber:
 
 
 class QuadExact:
-    """Exact element p + q*sqrt(d) of a real quadratic field (q != 0)."""
+    """Exact element p + q*sqrt(d) of a real quadratic field.
+
+    Invariant: p and q are Fractions with q != 0, and d is a positive
+    Fraction that is not a perfect square.  Every constructor call keeps
+    it, so arithmetic inside the field builds results without testing d
+    again, and elements derived from one another share the same d object,
+    which serves as the field's identity.
+    """
 
     __slots__ = ("p", "q", "d")
 
@@ -75,15 +73,23 @@ class QuadExact:
 
     # -- coercion -------------------------------------------------------
 
-    def _match(self, other) -> tuple[Fraction, Fraction] | None:
+    def _in_field(self, p: Fraction, q: Fraction) -> ExactNumber:
+        """p + q*sqrt(self.d); d is already known to be a non-square."""
+        return p if q == 0 else QuadExact(p, q, self.d)
+
+    def _match(self, other) -> tuple[Rational, Rational] | None:
         """Express other in this element's field; None if impossible."""
-        p, q, d = _as_parts(other)
-        if q == 0 or d == self.d:
-            return p, q
+        if isinstance(other, (int, Fraction)):
+            return other, 0
+        if not isinstance(other, QuadExact):
+            raise TypeError(
+                f"cannot coerce {type(other).__name__} to exact number")
+        if other.d is self.d or other.d == self.d:
+            return other.p, other.q
         # sqrt(d) = r * sqrt(self.d) when d/self.d is a perfect square
-        ratio = rational_sqrt(d / self.d)
+        ratio = rational_sqrt(other.d / self.d)
         if ratio is not None:
-            return p, q * ratio
+            return other.p, other.q * ratio
         return None
 
     # -- arithmetic -----------------------------------------------------
@@ -92,7 +98,7 @@ class QuadExact:
         m = self._match(other)
         if m is None:
             return NotImplemented
-        return make_exact(self.p + m[0], self.q + m[1], self.d)
+        return self._in_field(self.p + m[0], self.q + m[1])
 
     __radd__ = __add__
 
@@ -103,21 +109,23 @@ class QuadExact:
         m = self._match(other)
         if m is None:
             return NotImplemented
-        return make_exact(self.p - m[0], self.q - m[1], self.d)
+        return self._in_field(self.p - m[0], self.q - m[1])
 
     def __rsub__(self, other):
         m = self._match(other)
         if m is None:
             return NotImplemented
-        return make_exact(m[0] - self.p, m[1] - self.q, self.d)
+        return self._in_field(m[0] - self.p, m[1] - self.q)
 
     def __mul__(self, other):
         m = self._match(other)
         if m is None:
             return NotImplemented
         p2, q2 = m
-        return make_exact(self.p * p2 + self.q * q2 * self.d,
-                          self.p * q2 + self.q * p2, self.d)
+        if q2 == 0:
+            return self._in_field(self.p * p2, self.q * p2)
+        return self._in_field(self.p * p2 + self.q * q2 * self.d,
+                              self.p * q2 + self.q * p2)
 
     __rmul__ = __mul__
 
@@ -125,7 +133,7 @@ class QuadExact:
         norm = self.p * self.p - self.q * self.q * self.d
         if norm == 0:
             raise ZeroDivisionError("division by zero field element")
-        return make_exact(self.p / norm, -self.q / norm, self.d)
+        return QuadExact(self.p / norm, -self.q / norm, self.d)
 
     def __truediv__(self, other):
         m = self._match(other)
@@ -135,14 +143,14 @@ class QuadExact:
         if q2 == 0:
             if p2 == 0:
                 raise ZeroDivisionError("division by zero")
-            return make_exact(self.p / p2, self.q / p2, self.d)
+            return QuadExact(self.p / p2, self.q / p2, self.d)
         return self * QuadExact(p2, q2, self.d)._inverse()
 
     def __rtruediv__(self, other):
         m = self._match(other)
         if m is None:
             return NotImplemented
-        return make_exact(m[0], m[1], self.d) * self._inverse()
+        return self._in_field(m[0], m[1]) * self._inverse()
 
     # -- ordering -------------------------------------------------------
 
@@ -167,7 +175,7 @@ class QuadExact:
         m = self._match(other)
         if m is None:
             return None
-        return exact_sign(make_exact(self.p - m[0], self.q - m[1], self.d))
+        return exact_sign(self._in_field(self.p - m[0], self.q - m[1]))
 
     def _compare(self, other, test):
         """Apply test (an operator-module comparison) to cmp(self, other)

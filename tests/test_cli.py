@@ -20,6 +20,18 @@ def trace_of(*events):
                        for seq, src, dst in events]}
 
 
+def one_event(where, key, value):
+    """A one-event trace, with one call, whose field `key` of the root, the
+    event or the call is set to value."""
+    body = trace_of((1, "P", "B"))
+    body["calls"] = [{"action_index": 0, "kind": "transfer", "caller": "P",
+                      "callee": "B"}]
+    record = {"root": body, "event": body["events"][0],
+              "call": body["calls"][0]}[where]
+    record[key] = value
+    return body
+
+
 def simulate(runner, tmp_path, *names):
     out = tmp_path / "runs"
     result = runner.invoke(main, ["simulate", *names, "--out", str(out)])
@@ -149,9 +161,21 @@ class TestAnalyze:
         trace_of((2, "X", "P"), (1, "P", "B")),
         trace_of((1, "P", "B"), (1, "X", "P")),
         trace_of(("1", "P", "B"), ("2", "X", "P")),
+        one_event("root", "bundle_id", 7),
+        one_event("root", "initiator", ["P"]),
+        one_event("event", "from", 5),
+        one_event("event", "to", None),
+        one_event("event", "amount", "-3"),
+        one_event("event", "amount", "1+-1*sqrt(2)"),
+        one_event("call", "kind", 1),
+        one_event("call", "caller", ["P"]),
+        one_event("call", "callee", ["B"]),
     ], ids=["root_is_a_list", "assets_not_a_mapping", "events_not_a_list",
             "amount_not_a_number", "seq_reversed", "seq_duplicate",
-            "seq_a_string"])
+            "seq_a_string", "bundle_id_an_int", "initiator_a_list",
+            "from_an_int", "to_null", "amount_negative",
+            "amount_negative_radical", "kind_an_int", "caller_a_list",
+            "callee_a_list"])
     def test_malformed_trace_exits_2(self, runner, tmp_path, body):
         trace = tmp_path / "bad.json"
         trace.write_text(json.dumps(body), encoding="utf-8")
@@ -160,6 +184,17 @@ class TestAnalyze:
                                       "--beneficiary", "B"])
         assert result.exit_code == 2, result.output
         assert "bad trace file" in result.output
+
+    def test_zero_amount_is_legal(self, runner, tmp_path):
+        # integer swaps can floor an output to 0
+        trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps(one_event("event", "amount", "0")),
+                         encoding="utf-8")
+        result = runner.invoke(main, ["analyze", str(trace),
+                                      "--principal", "P",
+                                      "--beneficiary", "B"])
+        assert result.exit_code == 0, result.output
+        assert "transfer-layer: NOT RECOVERABLE" in result.output
 
     def test_events_in_seq_order(self, runner, tmp_path):
         # walked in the file order of the seq_reversed case above, the same

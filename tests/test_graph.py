@@ -185,6 +185,14 @@ class TestTaint:
         marks = taint_poison(graph, {"P"})
         assert marks["X"] and not marks["Y"]
 
+    def test_poison_skips_non_positive_amounts(self):
+        # as in attribute and taint_haircut, a zero or negative edge moves
+        # no value, so it carries no taint
+        graph = graph_of(("P", "X", 0), ("X", "B", -3))
+        assert taint_poison(graph, {"P"}) == \
+            {"P": True, "X": False, "B": False}
+        assert taint_haircut(graph, {"P"})["B"] == 0.0
+
     def test_poison_overattributes_on_relocation(self):
         graph = build_graph(relocation_trace(), TOKA)
         marks = taint_poison(graph, {"P"})

@@ -1,14 +1,19 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from ammflow import numeric
+from ammflow.engine import execute_bundle
 from ammflow.numeric import (ExactSqrtError, QuadExact, exact_sign,
                              exact_sqrt, make_exact, parse_exact,
                              rational_sqrt, solve_quadratic)
+from ammflow.scenarios import build_relocation_scenario
 
 NON_SQUARES = [2, 3, 5, 6, 7, 10, 2100]
+FOREIGN = 11  # d / 11 is a perfect square for no d in NON_SQUARES
 
 
 def test_rational_sqrt():
@@ -121,3 +126,99 @@ def test_ring_axioms_spot_checks(p1, q1, p2, q2, d):
     assert x * (y + 1) == x * y + x
     if exact_sign(y) != 0:
         assert (x / y) * y == x
+
+
+# x = a + b*sqrt(d) against y = c + e*sqrt(d): the schoolbook (p, q) parts
+TEXTBOOK = {
+    "__add__": lambda a, b, c, e, d: (a + c, b + e),
+    "__radd__": lambda a, b, c, e, d: (c + a, e + b),
+    "__sub__": lambda a, b, c, e, d: (a - c, b - e),
+    "__rsub__": lambda a, b, c, e, d: (c - a, e - b),
+    "__mul__": lambda a, b, c, e, d: (a * c + b * e * d, a * e + b * c),
+    "__rmul__": lambda a, b, c, e, d: (c * a + e * b * d, c * b + e * a),
+    "__truediv__": lambda a, b, c, e, d: (
+        (a * c - b * e * d) / (c * c - e * e * d),
+        (b * c - a * e) / (c * c - e * e * d)),
+    "__rtruediv__": lambda a, b, c, e, d: (
+        (c * a - e * b * d) / (a * a - b * b * d),
+        (e * a - c * b) / (a * a - b * b * d)),
+}
+COMPARISONS = {"__eq__": operator.eq, "__lt__": operator.lt,
+               "__le__": operator.le, "__gt__": operator.gt,
+               "__ge__": operator.ge}
+FRACTIONS = st.fractions(-30, 30, max_denominator=12)
+
+
+@st.composite
+def operands(draw, x):
+    """An operand for x and its (c, e) parts over x's sqrt(d): an int, a
+    Fraction, an element of x's field sharing its d object or holding an
+    equal d, or one of Q(sqrt(k^2 d)), the same field."""
+    kind = draw(st.sampled_from(["int", "fraction", "shared_d", "equal_d",
+                                 "scaled_d"]))
+    if kind == "int":
+        n = draw(st.integers(-30, 30))
+        return n, n, 0
+    c = draw(FRACTIONS)
+    if kind == "fraction":
+        return c, c, 0
+    e = draw(FRACTIONS.filter(bool))
+    if kind == "shared_d":
+        return QuadExact(c, e, x.d), c, e
+    if kind == "equal_d":
+        return make_exact(c, e, int(x.d)), c, e
+    k = draw(st.integers(2, 5))
+    return make_exact(c, e, k * k * x.d), c, e * k
+
+
+@settings(max_examples=300, deadline=None)
+@given(FRACTIONS, FRACTIONS.filter(bool), st.sampled_from(NON_SQUARES),
+       st.data())
+def test_field_ops_match_textbook_formulas(a, b, d, data):
+    x = make_exact(a, b, d)
+    other, c, e = data.draw(operands(x))
+    for name, formula in TEXTBOOK.items():
+        try:
+            expected = make_exact(*formula(a, b, c, e, d), d)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                getattr(x, name)(other)
+            continue
+        got = getattr(x, name)(other)
+        assert got == expected, name
+        assert type(got) is type(expected), name
+        assert str(got) == str(expected), name
+        assert hash(got) == hash(expected), name
+    diff = exact_sign(make_exact(a - c, b - e, d))
+    for name, test in COMPARISONS.items():
+        assert getattr(x, name)(other) is test(diff, 0), name
+    foreign = make_exact(c, e or 1, FOREIGN)
+    for name in [*TEXTBOOK, *COMPARISONS]:
+        assert getattr(x, name)(foreign) is NotImplemented, name
+
+
+@pytest.fixture
+def sqrt_calls(monkeypatch):
+    """Arguments of every numeric.rational_sqrt call from here on."""
+    calls = []
+    real = numeric.rational_sqrt
+    monkeypatch.setattr(numeric, "rational_sqrt",
+                        lambda value: calls.append(value) or real(value))
+    return calls
+
+
+def test_in_field_arithmetic_skips_the_square_test(sqrt_calls):
+    x = QuadExact(Fraction(-5), Fraction(1, 2), Fraction(2100))
+    y = QuadExact(Fraction(3), Fraction(-2), Fraction(2100))  # an equal d
+    for other in (y, 7, Fraction(-2, 3), x):
+        for name in [*TEXTBOOK, *COMPARISONS]:
+            getattr(x, name)(other)
+    assert sqrt_calls == []
+
+
+def test_relocation_tests_one_radicand(sqrt_calls):
+    # the discriminant of the flash-amount quadratic; every later quantity
+    # is computed inside its field
+    run = build_relocation_scenario()
+    execute_bundle(run.world, run.bundle, run.initiator)
+    assert sqrt_calls == [84000000]
