@@ -7,11 +7,11 @@ byte-identical.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import sys
 from pathlib import Path
-
-import click
 
 from .calibration import (InconsistentObservations, ObservationSet,
                           PUBLISHED_OBSERVATIONS, calibrate_reserves,
@@ -29,10 +29,8 @@ EXIT_INCONSISTENT = 1
 EXIT_USAGE = 2
 
 
-class UsageFailure(click.ClickException):
+class UsageFailure(Exception):
     """Configuration or input-file problem; exits with code 2."""
-
-    exit_code = EXIT_USAGE
 
 
 def _dump_json(path: Path, payload: dict) -> None:
@@ -160,36 +158,32 @@ def _infer_world(trace: ExecutionTrace) -> WorldState:
     return world
 
 
-@click.group()
-def main():
-    """Deterministic AMM bundle simulator and transfer-forensics toolkit."""
+def _input_file(path: str, role: str) -> Path:
+    """An input path that must name an existing file."""
+    file = Path(path)
+    if not file.is_file():
+        raise UsageFailure(f"{role} {path} is not an existing file")
+    return file
 
 
-@main.command()
-@click.argument("configs", nargs=-1, required=True)
-@click.option("--out", default="runs", show_default=True,
-              type=click.Path(file_okay=False),
-              help="Output root; each scenario writes its own subdirectory.")
 def simulate(configs, out):
     """Run scenarios (library names or YAML config paths)."""
     out_root = Path(out)
+    if out_root.exists() and not out_root.is_dir():
+        raise UsageFailure(f"--out {out} is not a directory")
     try:
         names = [_simulate_one(s, out_root) for s in configs]
     except ConfigError as exc:
         raise UsageFailure(f"config error: {exc}") from exc
     for name in names:
-        click.echo(f"simulated {name} -> {out_root / name}")
+        print(f"simulated {name} -> {out_root / name}")
 
 
-@main.command()
-@click.argument("trace_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--principal", required=True)
-@click.option("--beneficiary", required=True)
 def analyze(trace_path, principal, beneficiary):
     """Transfer-layer vs semantic verdicts, side by side."""
+    path = _input_file(trace_path, "trace file")
     try:
-        data = json.loads(Path(trace_path).read_text(encoding="utf-8"))
-        trace = trace_from_dict(data)
+        trace = trace_from_dict(json.loads(path.read_text(encoding="utf-8")))
     except (json.JSONDecodeError, KeyError, ValueError, TypeError,
             AttributeError) as exc:
         raise UsageFailure(f"bad trace file: {exc}") from exc
@@ -203,24 +197,21 @@ def analyze(trace_path, principal, beneficiary):
             recovered.append((sym, result.p_to_b_min))
     if recovered:
         for sym, amount in recovered:
-            click.echo(f"transfer-layer: RECOVERABLE {amount:.6g} {sym}")
+            print(f"transfer-layer: RECOVERABLE {amount:.6g} {sym}")
     else:
-        click.echo("transfer-layer: NOT RECOVERABLE")
+        print("transfer-layer: NOT RECOVERABLE")
 
     report = recover_migrations(trace, world, world)
-    click.echo("semantic: " + report.summary().replace("\n", "\nsemantic: "))
+    print("semantic: " + report.summary().replace("\n", "\nsemantic: "))
 
 
-@main.command()
-@click.option("--observations", type=click.Path(exists=True, dir_okay=False),
-              help="Observation JSON; defaults to the published "
-                   "10-unit migration figures.")
 def calibrate(observations):
     """Recover pre-execution pool reserves from pipeline observations."""
     if observations:
+        path = _input_file(observations, "observations file")
         try:
             obs = ObservationSet.from_dict(
-                json.loads(Path(observations).read_text(encoding="utf-8")))
+                json.loads(path.read_text(encoding="utf-8")))
         except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
             raise UsageFailure(f"bad observations file: {exc}") \
                 from exc
@@ -229,40 +220,52 @@ def calibrate(observations):
     try:
         calibrated = calibrate_reserves(obs)
     except InconsistentObservations as exc:
-        click.echo(f"calibration failed: {exc}")
-        raise SystemExit(EXIT_INCONSISTENT)
-    click.echo(json.dumps(calibrated.to_dict(), indent=2, sort_keys=True))
-    click.echo("")
-    click.echo(f"{'equation':<16}{'relative residual':>20}")
+        print(f"calibration failed: {exc}")
+        return EXIT_INCONSISTENT
+    print(json.dumps(calibrated.to_dict(), indent=2, sort_keys=True))
+    print()
+    print(f"{'equation':<16}{'relative residual':>20}")
     for name, value in sorted(calibrated.residuals.items()):
-        click.echo(f"{name:<16}{value:>20.3e}")
+        print(f"{name:<16}{value:>20.3e}")
     validation = replay_and_validate(calibrated, obs)
-    click.echo("")
-    click.echo(f"{'replayed quantity':<20}{'relative error':>18}")
+    print()
+    print(f"{'replayed quantity':<20}{'relative error':>18}")
     for key in sorted(validation):
         if key.endswith("_rel_err"):
-            click.echo(f"{key[:-8]:<20}{validation[key]:>18.3e}")
+            print(f"{key[:-8]:<20}{validation[key]:>18.3e}")
 
 
-@main.command()
-@click.argument("run_dir", type=click.Path(exists=True, file_okay=False))
+def _read_run_file(path: Path) -> dict:
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise UsageFailure(f"bad run file {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise UsageFailure(f"bad run file {path}: not a JSON object")
+    return data
+
+
 def report(run_dir):
     """Aggregate simulated runs into one JSON report plus a text summary."""
     root = Path(run_dir)
+    if not root.is_dir():
+        raise UsageFailure(f"run dir {run_dir} is not an existing directory")
+    # every run file is read and checked before anything is written
     runs = {}
     for manifest_path in sorted(root.glob("*/manifest.json")):
         scenario_dir = manifest_path.parent
-        entry = {"manifest": json.loads(manifest_path.read_text())}
+        entry = {"manifest": _read_run_file(manifest_path)}
         for name in ("migration_report", "analysis"):
             path = scenario_dir / f"{name}.json"
             if path.is_file():
-                entry[name] = json.loads(path.read_text())
+                entry[name] = _read_run_file(path)
+        migrations = entry.get("migration_report", {}).get("migrations", [])
+        if not isinstance(migrations, list):
+            raise UsageFailure(f"bad run file {scenario_dir}/migration_report"
+                               ".json: migrations is not a list")
         runs[scenario_dir.name] = entry
     if not runs:
         raise UsageFailure(f"no simulation runs under {run_dir}")
-
-    aggregate = {"runs": runs}
-    _dump_json(root / "report.json", aggregate)
 
     lines = [f"{'scenario':<36}{'efficiency':>12}{'migrations':>12}"]
     for name, entry in runs.items():
@@ -272,17 +275,17 @@ def report(run_dir):
         lines.append(f"{name:<36}{eff_text:>12}"
                      f"{len(mig.get('migrations', [])):>12}")
     text = "\n".join(lines) + "\n"
+    _dump_json(root / "report.json", {"runs": runs})
     (root / "report.txt").write_text(text, encoding="utf-8")
-    click.echo(text, nl=False)
+    print(text, end="")
 
 
-@main.command()
 def selftest():
     """Fast end-to-end consistency checks of the shipped scenarios."""
     failures = []
 
     def check(name: str, ok: bool) -> None:
-        click.echo(f"{'PASS' if ok else 'FAIL'} {name}")
+        print(f"{'PASS' if ok else 'FAIL'} {name}")
         if not ok:
             failures.append(name)
 
@@ -325,8 +328,61 @@ def selftest():
           == trace_to_dict(trace_again, rerun.world.mode))
 
     if failures:
-        raise SystemExit(EXIT_INCONSISTENT)
-    click.echo("selftest: all checks passed")
+        return EXIT_INCONSISTENT
+    print("selftest: all checks passed")
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="ammflow",
+        description="Deterministic AMM bundle simulator and "
+                    "transfer-forensics toolkit.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(run):
+        sub = commands.add_parser(run.__name__, help=run.__doc__,
+                                  description=run.__doc__)
+        sub.set_defaults(run=run)
+        return sub
+
+    sim = command(simulate)
+    sim.add_argument("configs", nargs="+", metavar="CONFIGS")
+    sim.add_argument("--out", default="runs", metavar="DIRECTORY",
+                     help="Output root; each scenario writes its own "
+                          "subdirectory. (default: %(default)s)")
+    ana = command(analyze)
+    ana.add_argument("trace_path", metavar="TRACE_PATH")
+    ana.add_argument("--principal", required=True)
+    ana.add_argument("--beneficiary", required=True)
+    command(calibrate).add_argument(
+        "--observations", metavar="FILE",
+        help="Observation JSON; defaults to the published 10-unit "
+             "migration figures.")
+    command(report).add_argument("run_dir", metavar="RUN_DIR")
+    command(selftest)
+    return parser
+
+
+def main(argv=None, standalone_mode=True):
+    """Run the ``ammflow`` command line on argv (default: sys.argv[1:]).
+
+    Returns the exit status when standalone_mode is false; otherwise
+    raises SystemExit with it.
+    """
+    try:
+        args = vars(_parser().parse_args(argv))
+    except SystemExit as exc:  # argparse has printed the help or the error
+        status = exc.code
+    else:
+        run = args.pop("run")
+        try:
+            status = run(**args) or EXIT_OK
+        except UsageFailure as exc:
+            print(f"Error: {exc}", file=sys.stderr)
+            status = EXIT_USAGE
+    if standalone_mode:
+        raise SystemExit(status)
+    return status
 
 
 if __name__ == "__main__":

@@ -468,13 +468,20 @@ def _text(record: dict, key: str) -> str:
     return value
 
 
+def _index(record: dict) -> int:
+    value = record["action_index"]
+    if type(value) is not int:
+        raise ValueError(f"action_index must be an int, got {value!r}")
+    return value
+
+
 def trace_from_dict(data: dict) -> ExecutionTrace:
     """Rebuild a trace from its JSON form (amounts parsed exactly).
 
     The events must be in time order, with strictly increasing int seq.
-    Addresses, ids and call fields must be strings and amounts
-    non-negative; zero is legal, since integer swaps can floor an output
-    to 0.
+    Addresses, ids and call fields must be strings, action indices ints
+    (not bools) and amounts non-negative; zero is legal, since integer
+    swaps can floor an output to 0.
     """
     assets = {sym: AssetId(sym, dec) for sym, dec in data["assets"].items()}
     trace = ExecutionTrace(bundle_id=_text(data, "bundle_id"),
@@ -485,12 +492,12 @@ def trace_from_dict(data: dict) -> ExecutionTrace:
             raise ValueError(f"negative amount {ev['amount']}")
         trace.events.append(TransferEvent(
             ev["seq"], _text(ev, "from"), _text(ev, "to"),
-            assets[ev["asset"]], amount, ev["action_index"]))
+            assets[ev["asset"]], amount, _index(ev)))
     seqs = [ev.seq for ev in trace.events]
     if any(type(s) is not int for s in seqs) \
             or any(a >= b for a, b in zip(seqs, seqs[1:])):
         raise ValueError("event seq values must be strictly increasing ints")
     for c in data.get("calls", []):
-        trace.calls.append(CallRecord(c["action_index"], _text(c, "kind"),
+        trace.calls.append(CallRecord(_index(c), _text(c, "kind"),
                                       _text(c, "caller"), _text(c, "callee")))
     return trace

@@ -12,8 +12,6 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import yaml
-
 from .amm import AmmError, AssetId, NumericMode, PoolState, parse_amount, \
     solve_input_for_output, swap_exact_in
 from .engine import (Action, Address, ExecutionTrace, FillLimitOrder,
@@ -354,6 +352,8 @@ def relocation_scenario_names() -> list[str]:
 
 def load_scenario_config(path: str) -> ScenarioRun:
     """Build a scenario from a versioned YAML config file."""
+    import yaml  # imported here: only config files need it
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)

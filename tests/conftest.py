@@ -1,8 +1,12 @@
+import io
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
 from ammflow.amm import AssetId, NumericMode, PoolState
+from ammflow.cli import main
 
 TOKA = AssetId("TOKA", 18)
 TOKB = AssetId("TOKB", 18)
@@ -21,6 +25,28 @@ def sym_pool():
 @pytest.fixture
 def sym_pools(sym_pool):
     return sym_pool, make_pool("pool2", Fraction(100), Fraction(100))
+
+
+@dataclass
+class CliResult:
+    exit_code: int
+    stdout: str
+    stderr: str
+
+
+@pytest.fixture
+def cli():
+    """Runs `ammflow <argv>` in this process: cli(argv) -> CliResult.
+
+    An exception the command line does not turn into an exit status
+    propagates, so a traceback fails the test.
+    """
+    def invoke(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv, standalone_mode=False)
+        return CliResult(code, out.getvalue(), err.getvalue())
+    return invoke
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,15 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from ammflow.cli import main
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def trace_of(*events):
@@ -32,16 +29,16 @@ def one_event(where, key, value):
     return body
 
 
-def simulate(runner, tmp_path, *names):
+def simulate(cli, tmp_path, *names):
     out = tmp_path / "runs"
-    result = runner.invoke(main, ["simulate", *names, "--out", str(out)])
-    assert result.exit_code == 0, result.output
+    result = cli(["simulate", *names, "--out", str(out)])
+    assert result.exit_code == 0, result.stderr
     return out
 
 
 class TestSimulate:
-    def test_library_scenario_writes_run_dir(self, runner, tmp_path):
-        out = simulate(runner, tmp_path, "relocation_sym_zero_fee")
+    def test_library_scenario_writes_run_dir(self, cli, tmp_path):
+        out = simulate(cli, tmp_path, "relocation_sym_zero_fee")
         run_dir = out / "relocation_sym_zero_fee"
         for name in ("trace.json", "manifest.json", "migration_report.json",
                      "analysis.json", "plan.json", "transfers_TOKA.dot"):
@@ -51,42 +48,42 @@ class TestSimulate:
         assert manifest["numeric_mode"] == "rational"
         assert sorted(manifest["outputs"]) == manifest["outputs"]
 
-    def test_config_file(self, runner, tmp_path):
+    def test_config_file(self, cli, tmp_path):
         config = tmp_path / "s.yaml"
         config.write_text(
             "schema_version: 1\n"
             "scenario: from_config\n"
             "recipe: BenignRouting\n", encoding="utf-8")
-        out = simulate(runner, tmp_path, str(config))
+        out = simulate(cli, tmp_path, str(config))
         assert (out / "from_config" / "trace.json").is_file()
 
-    def test_peb_trace_initiator_is_executor(self, runner, tmp_path):
-        out = simulate(runner, tmp_path, "peb_limit_order")
+    def test_peb_trace_initiator_is_executor(self, cli, tmp_path):
+        out = simulate(cli, tmp_path, "peb_limit_order")
         trace = json.loads(
             (out / "peb_limit_order" / "trace.json").read_text())
         assert trace["initiator"] == "E"
 
-    def test_malformed_config_exits_2(self, runner, tmp_path):
+    def test_malformed_config_exits_2(self, cli, tmp_path):
         config = tmp_path / "bad.yaml"
         config.write_text("schema_version: 99\nscenario: x\nrecipe: y\n",
                           encoding="utf-8")
-        result = runner.invoke(main, ["simulate", str(config),
-                                      "--out", str(tmp_path / "runs")])
+        result = cli(["simulate", str(config),
+                      "--out", str(tmp_path / "runs")])
         assert result.exit_code == 2
-        assert "schema_version" in result.output
+        assert "schema_version" in result.stderr
 
     @pytest.mark.parametrize("body", [
         "recipe: BenignRouting\nscenario: ../../escape\n",
         "recipe: RelocationZeroFee\nscenario: x\npools: oops\n",
     ])
-    def test_malformed_config_stays_inside_out(self, runner, tmp_path, body):
+    def test_malformed_config_stays_inside_out(self, cli, tmp_path, body):
         config = tmp_path / "bad.yaml"
         config.write_text("schema_version: 1\n" + body, encoding="utf-8")
         before = sorted(tmp_path.rglob("*"))
-        result = runner.invoke(main, ["simulate", str(config),
-                                      "--out", str(tmp_path / "out/a/b")])
-        assert result.exit_code == 2, result.output
-        assert "config error" in result.output
+        result = cli(["simulate", str(config),
+                      "--out", str(tmp_path / "out/a/b")])
+        assert result.exit_code == 2, result.stderr
+        assert "config error" in result.stderr
         assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("body", [
@@ -97,58 +94,58 @@ class TestSimulate:
         "recipe: BenignArbitrage\nparams:\n  fee_bps: true\n",
     ], ids=["fee_outside_exact_field", "negative_principal",
             "taking_drains_pool", "fee_not_an_integer", "fee_is_a_boolean"])
-    def test_recipe_failure_exits_2(self, runner, tmp_path, body):
+    def test_recipe_failure_exits_2(self, cli, tmp_path, body):
         config = tmp_path / "bad.yaml"
         config.write_text("schema_version: 1\nscenario: x\n" + body,
                           encoding="utf-8")
-        result = runner.invoke(main, ["simulate", str(config),
-                                      "--out", str(tmp_path / "runs")])
-        assert result.exit_code == 2, result.output
-        assert "bad scenario parameters" in result.output
+        result = cli(["simulate", str(config),
+                      "--out", str(tmp_path / "runs")])
+        assert result.exit_code == 2, result.stderr
+        assert "bad scenario parameters" in result.stderr
         assert not (tmp_path / "runs").exists()
 
-    def test_library_name_wins_in_config_hash(self, runner, tmp_path,
+    def test_library_name_wins_in_config_hash(self, cli, tmp_path,
                                               monkeypatch):
         monkeypatch.chdir(tmp_path)
-        first = simulate(runner, tmp_path / "a", "benign_routing")
+        first = simulate(cli, tmp_path / "a", "benign_routing")
         (tmp_path / "benign_routing").write_text("junk", encoding="utf-8")
-        second = simulate(runner, tmp_path / "b", "benign_routing")
+        second = simulate(cli, tmp_path / "b", "benign_routing")
         manifest = "benign_routing/manifest.json"
         assert (first / manifest).read_bytes() == \
             (second / manifest).read_bytes()
 
-    def test_unknown_name_exits_2(self, runner, tmp_path):
-        result = runner.invoke(main, ["simulate", "does_not_exist",
-                                      "--out", str(tmp_path / "runs")])
+    def test_unknown_name_exits_2(self, cli, tmp_path):
+        result = cli(["simulate", "does_not_exist",
+                      "--out", str(tmp_path / "runs")])
         assert result.exit_code == 2
 
 
 class TestAnalyze:
-    def test_relocation_side_by_side(self, runner, tmp_path):
-        out = simulate(runner, tmp_path, "relocation_sym_zero_fee")
+    def test_relocation_side_by_side(self, cli, tmp_path):
+        out = simulate(cli, tmp_path, "relocation_sym_zero_fee")
         trace = out / "relocation_sym_zero_fee" / "trace.json"
-        result = runner.invoke(main, ["analyze", str(trace),
-                                      "--principal", "P",
-                                      "--beneficiary", "B"])
-        assert result.exit_code == 0, result.output
-        assert "transfer-layer: NOT RECOVERABLE" in result.output
-        assert "MIGRATION P -> B 10 TOKA" in result.output
+        result = cli(["analyze", str(trace),
+                      "--principal", "P",
+                      "--beneficiary", "B"])
+        assert result.exit_code == 0, result.stderr
+        assert "transfer-layer: NOT RECOVERABLE" in result.stdout
+        assert "MIGRATION P -> B 10 TOKA" in result.stdout
 
-    def test_direct_transfer_both_recoverable(self, runner, tmp_path):
-        out = simulate(runner, tmp_path, "benign_routing")
+    def test_direct_transfer_both_recoverable(self, cli, tmp_path):
+        out = simulate(cli, tmp_path, "benign_routing")
         trace = out / "benign_routing" / "trace.json"
-        result = runner.invoke(main, ["analyze", str(trace),
-                                      "--principal", "alice",
-                                      "--beneficiary", "carol"])
-        assert result.exit_code == 0, result.output
-        assert "transfer-layer: RECOVERABLE 25 TOKA" in result.output
-        assert "MIGRATION alice -> carol 25 TOKA" in result.output
+        result = cli(["analyze", str(trace),
+                      "--principal", "alice",
+                      "--beneficiary", "carol"])
+        assert result.exit_code == 0, result.stderr
+        assert "transfer-layer: RECOVERABLE 25 TOKA" in result.stdout
+        assert "MIGRATION alice -> carol 25 TOKA" in result.stdout
 
-    def test_missing_file_exits_2(self, runner, tmp_path):
-        result = runner.invoke(main, ["analyze",
-                                      str(tmp_path / "missing.json"),
-                                      "--principal", "P",
-                                      "--beneficiary", "B"])
+    def test_missing_file_exits_2(self, cli, tmp_path):
+        result = cli(["analyze",
+                      str(tmp_path / "missing.json"),
+                      "--principal", "P",
+                      "--beneficiary", "B"])
         assert result.exit_code == 2
 
     @pytest.mark.parametrize("body", [
@@ -170,170 +167,239 @@ class TestAnalyze:
         one_event("call", "kind", 1),
         one_event("call", "caller", ["P"]),
         one_event("call", "callee", ["B"]),
+        one_event("event", "action_index", "x"),
+        one_event("call", "action_index", True),
     ], ids=["root_is_a_list", "assets_not_a_mapping", "events_not_a_list",
             "amount_not_a_number", "seq_reversed", "seq_duplicate",
             "seq_a_string", "bundle_id_an_int", "initiator_a_list",
             "from_an_int", "to_null", "amount_negative",
             "amount_negative_radical", "kind_an_int", "caller_a_list",
-            "callee_a_list"])
-    def test_malformed_trace_exits_2(self, runner, tmp_path, body):
+            "callee_a_list", "event_action_index_a_string",
+            "call_action_index_a_bool"])
+    def test_malformed_trace_exits_2(self, cli, tmp_path, body):
         trace = tmp_path / "bad.json"
         trace.write_text(json.dumps(body), encoding="utf-8")
-        result = runner.invoke(main, ["analyze", str(trace),
-                                      "--principal", "P",
-                                      "--beneficiary", "B"])
-        assert result.exit_code == 2, result.output
-        assert "bad trace file" in result.output
+        result = cli(["analyze", str(trace),
+                      "--principal", "P",
+                      "--beneficiary", "B"])
+        assert result.exit_code == 2, result.stderr
+        assert "bad trace file" in result.stderr
 
-    def test_zero_amount_is_legal(self, runner, tmp_path):
+    def test_zero_amount_is_legal(self, cli, tmp_path):
         # integer swaps can floor an output to 0
         trace = tmp_path / "trace.json"
         trace.write_text(json.dumps(one_event("event", "amount", "0")),
                          encoding="utf-8")
-        result = runner.invoke(main, ["analyze", str(trace),
-                                      "--principal", "P",
-                                      "--beneficiary", "B"])
-        assert result.exit_code == 0, result.output
-        assert "transfer-layer: NOT RECOVERABLE" in result.output
+        result = cli(["analyze", str(trace),
+                      "--principal", "P",
+                      "--beneficiary", "B"])
+        assert result.exit_code == 0, result.stderr
+        assert "transfer-layer: NOT RECOVERABLE" in result.stdout
 
-    def test_events_in_seq_order(self, runner, tmp_path):
+    def test_events_in_seq_order(self, cli, tmp_path):
         # walked in the file order of the seq_reversed case above, the same
         # two events would read NOT RECOVERABLE
         trace = tmp_path / "trace.json"
         trace.write_text(json.dumps(trace_of((1, "P", "B"), (2, "X", "P"))),
                          encoding="utf-8")
-        result = runner.invoke(main, ["analyze", str(trace),
-                                      "--principal", "P",
-                                      "--beneficiary", "B"])
-        assert result.exit_code == 0, result.output
-        assert "transfer-layer: RECOVERABLE 5 TOKA" in result.output
+        result = cli(["analyze", str(trace),
+                      "--principal", "P",
+                      "--beneficiary", "B"])
+        assert result.exit_code == 0, result.stderr
+        assert "transfer-layer: RECOVERABLE 5 TOKA" in result.stdout
 
 
 class TestCalibrate:
-    def test_default_observations(self, runner):
-        result = runner.invoke(main, ["calibrate"])
-        assert result.exit_code == 0, result.output
-        assert "relative residual" in result.output
-        assert "eta" in result.output
+    def test_default_observations(self, cli):
+        result = cli(["calibrate"])
+        assert result.exit_code == 0, result.stderr
+        assert "relative residual" in result.stdout
+        assert "eta" in result.stdout
 
-    def test_observation_file(self, runner, tmp_path):
+    def test_observation_file(self, cli, tmp_path):
         from ammflow.calibration import PUBLISHED_OBSERVATIONS
         path = tmp_path / "obs.json"
         path.write_text(json.dumps(PUBLISHED_OBSERVATIONS.to_dict()),
                         encoding="utf-8")
-        result = runner.invoke(main, ["calibrate", "--observations",
-                                      str(path)])
-        assert result.exit_code == 0, result.output
+        result = cli(["calibrate", "--observations", str(path)])
+        assert result.exit_code == 0, result.stderr
 
-    def test_inconsistent_observations_exit_1(self, runner, tmp_path):
+    def test_inconsistent_observations_exit_1(self, cli, tmp_path):
         from ammflow.calibration import PUBLISHED_OBSERVATIONS
         data = PUBLISHED_OBSERVATIONS.to_dict()
         data["a_prime"] = 11.0
         path = tmp_path / "obs.json"
         path.write_text(json.dumps(data), encoding="utf-8")
-        result = runner.invoke(main, ["calibrate", "--observations",
-                                      str(path)])
+        result = cli(["calibrate", "--observations", str(path)])
         assert result.exit_code == 1
 
-    def test_underflowing_observation_exits_1(self, runner, tmp_path):
+    def test_underflowing_observation_exits_1(self, cli, tmp_path):
         from ammflow.calibration import PUBLISHED_OBSERVATIONS
         data = PUBLISHED_OBSERVATIONS.to_dict()
         data["b"] = 1e-300
         path = tmp_path / "obs.json"
         path.write_text(json.dumps(data), encoding="utf-8")
-        result = runner.invoke(main, ["calibrate", "--observations",
-                                      str(path)])
-        assert result.exit_code == 1, result.output
-        assert "calibration failed" in result.output
+        result = cli(["calibrate", "--observations", str(path)])
+        assert result.exit_code == 1, result.stderr
+        assert "calibration failed" in result.stdout
 
-    def test_singular_observations_exit_1(self, runner, tmp_path):
+    def test_singular_observations_exit_1(self, cli, tmp_path):
         path = tmp_path / "obs.json"
         path.write_text(json.dumps(
             {"a": 10, "x": 5, "b": 6, "x_prime": 2, "b_prime": 3, "y": 1,
              "a_prime": 9, "fee_bps": 0}), encoding="utf-8")
-        result = runner.invoke(main, ["calibrate", "--observations",
-                                      str(path)])
-        assert result.exit_code == 1, result.output
-        assert "calibration failed" in result.output
+        result = cli(["calibrate", "--observations", str(path)])
+        assert result.exit_code == 1, result.stderr
+        assert "calibration failed" in result.stdout
 
-    def test_overflowing_reserve_exits_1(self, runner, tmp_path):
+    def test_overflowing_reserve_exits_1(self, cli, tmp_path):
         from ammflow.calibration import PUBLISHED_OBSERVATIONS
         data = PUBLISHED_OBSERVATIONS.to_dict()
         data.update(b=1.5946105e307, b_prime=1.572626e307)
         path = tmp_path / "obs.json"
         path.write_text(json.dumps(data), encoding="utf-8")
-        result = runner.invoke(main, ["calibrate", "--observations",
-                                      str(path)])
-        assert result.exit_code == 1, result.output
-        assert "calibration failed" in result.output
+        result = cli(["calibrate", "--observations", str(path)])
+        assert result.exit_code == 1, result.stderr
+        assert "calibration failed" in result.stdout
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity"])
-    def test_non_finite_observation_exits_2(self, runner, tmp_path, value):
+    def test_non_finite_observation_exits_2(self, cli, tmp_path, value):
         from ammflow.calibration import PUBLISHED_OBSERVATIONS
         text = json.dumps(PUBLISHED_OBSERVATIONS.to_dict())
         path = tmp_path / "obs.json"
         path.write_text(text.replace('"b": 159461.05', f'"b": {value}'),
                         encoding="utf-8")
-        result = runner.invoke(main, ["calibrate", "--observations",
-                                      str(path)])
-        assert result.exit_code == 2, result.output
-        assert "bad observations file" in result.output
+        result = cli(["calibrate", "--observations", str(path)])
+        assert result.exit_code == 2, result.stderr
+        assert "bad observations file" in result.stderr
 
     @pytest.mark.parametrize("field, value", [
         ("asset_decimals", 50), ("counter_decimals", -1),
         ("fee_bps", -5), ("fee_bps", 20000), ("fee_bps", 30.9),
         ("fee_bps", True), ("asset_decimals", 18.0),
         ("counter_decimals", "6")])
-    def test_out_of_range_field_exits_2(self, runner, tmp_path, field,
+    def test_out_of_range_field_exits_2(self, cli, tmp_path, field,
                                         value):
         from ammflow.calibration import PUBLISHED_OBSERVATIONS
         data = PUBLISHED_OBSERVATIONS.to_dict()
         data[field] = value
         path = tmp_path / "obs.json"
         path.write_text(json.dumps(data), encoding="utf-8")
-        result = runner.invoke(main, ["calibrate", "--observations",
-                                      str(path)])
-        assert result.exit_code == 2, result.output
-        assert "bad observations file" in result.output
+        result = cli(["calibrate", "--observations", str(path)])
+        assert result.exit_code == 2, result.stderr
+        assert "bad observations file" in result.stderr
 
-    def test_bad_file_exits_2(self, runner, tmp_path):
+    def test_bad_file_exits_2(self, cli, tmp_path):
         path = tmp_path / "obs.json"
         path.write_text("not json", encoding="utf-8")
-        result = runner.invoke(main, ["calibrate", "--observations",
-                                      str(path)])
+        result = cli(["calibrate", "--observations", str(path)])
         assert result.exit_code == 2
 
 
 class TestReport:
-    def test_aggregates_and_is_deterministic(self, runner, tmp_path):
-        out = simulate(runner, tmp_path, "relocation_sym_zero_fee",
+    def test_aggregates_and_is_deterministic(self, cli, tmp_path):
+        out = simulate(cli, tmp_path, "relocation_sym_zero_fee",
                        "benign_routing")
-        first = runner.invoke(main, ["report", str(out)])
-        assert first.exit_code == 0, first.output
-        assert "relocation_sym_zero_fee" in first.output
+        first = cli(["report", str(out)])
+        assert first.exit_code == 0, first.stderr
+        assert "relocation_sym_zero_fee" in first.stdout
         report_bytes = (out / "report.json").read_bytes()
-        second = runner.invoke(main, ["report", str(out)])
+        second = cli(["report", str(out)])
         assert second.exit_code == 0
         assert (out / "report.json").read_bytes() == report_bytes
         payload = json.loads(report_bytes)
         assert "relocation_sym_zero_fee" in payload["runs"]
 
-    def test_empty_dir_exits_2(self, runner, tmp_path):
+    def test_empty_dir_exits_2(self, cli, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
-        result = runner.invoke(main, ["report", str(empty)])
+        result = cli(["report", str(empty)])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("name, body", [
+        ("manifest.json", "not json"),
+        ("migration_report.json", '{"migrations": 5}'),
+        ("analysis.json", "[]"),
+    ], ids=["manifest_not_json", "migrations_not_a_list",
+            "analysis_not_an_object"])
+    def test_malformed_run_file_exits_2_and_writes_nothing(
+            self, cli, tmp_path, name, body):
+        out = simulate(cli, tmp_path, "relocation_sym_zero_fee",
+                       "benign_routing")
+        (out / "relocation_sym_zero_fee" / name).write_text(
+            body, encoding="utf-8")
+        result = cli(["report", str(out)])
+        assert result.exit_code == 2, result.stderr
+        assert "bad run file" in result.stderr
+        assert not (out / "report.json").exists()
+        assert not (out / "report.txt").exists()
 
-def test_selftest(runner):
-    result = runner.invoke(main, ["selftest"])
-    assert result.exit_code == 0, result.output
-    assert "all checks passed" in result.output
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{dir}", "--principal", "P", "--beneficiary", "B"],
+    ["calibrate", "--observations", "{missing}"],
+    ["calibrate", "--observations", "{dir}"],
+    ["report", "{missing}"],
+    ["report", "{file}"],
+    ["simulate", "benign_routing", "--out", "{file}"],
+], ids=["analyze_a_dir", "observations_missing", "observations_a_dir",
+        "report_missing", "report_a_file", "simulate_out_a_file"])
+def test_bad_path_exits_2(cli, tmp_path, argv):
+    (tmp_path / "file").write_text("x", encoding="utf-8")
+    paths = {"dir": tmp_path, "missing": tmp_path / "missing",
+             "file": tmp_path / "file"}
+    result = cli([arg.format(**paths) for arg in argv])
+    assert result.exit_code == 2, result.stderr
+    assert result.stderr.startswith("Error: ")
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "file"]
 
 
-def test_simulate_rerun_byte_identical(runner, tmp_path):
-    out1 = simulate(runner, tmp_path / "a", "relocation_sym_zero_fee")
-    out2 = simulate(runner, tmp_path / "b", "relocation_sym_zero_fee")
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["simulate"], ["analyze", "t.json", "--principal", "P"],
+    ["calibrate", "--nope"],
+])
+def test_usage_error_exits_2(cli, argv):
+    result = cli(argv)
+    assert result.exit_code == 2
+    assert "usage: ammflow" in result.stderr
+
+
+def test_help_lists_every_command(cli):
+    result = cli(["--help"])
+    assert result.exit_code == 0
+    for name in ("simulate", "analyze", "calibrate", "report", "selftest"):
+        assert name in result.stdout
+
+
+def run_python(*args):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], env=env, check=False,
+                          capture_output=True, text=True)
+
+
+def test_cold_import_loads_neither_click_nor_yaml():
+    proc = run_python("-c", "import sys, ammflow.cli; "
+                      "print(sorted({'click', 'yaml'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_module_entry_point_exits_with_status(tmp_path):
+    proc = run_python("-m", "ammflow.cli", "report", str(tmp_path / "no"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("Error: run dir ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_selftest(cli):
+    result = cli(["selftest"])
+    assert result.exit_code == 0, result.stderr
+    assert "all checks passed" in result.stdout
+
+
+def test_simulate_rerun_byte_identical(cli, tmp_path):
+    out1 = simulate(cli, tmp_path / "a", "relocation_sym_zero_fee")
+    out2 = simulate(cli, tmp_path / "b", "relocation_sym_zero_fee")
     for name in ("trace.json", "migration_report.json", "analysis.json",
                  "manifest.json", "plan.json"):
         assert (out1 / "relocation_sym_zero_fee" / name).read_bytes() == \

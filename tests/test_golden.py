@@ -8,9 +8,6 @@ outputs must leave this table alone.
 
 import hashlib
 
-from click.testing import CliRunner
-
-from ammflow.cli import main
 from ammflow.scenarios import library
 
 GOLDEN = {
@@ -41,11 +38,10 @@ def run_digest(run_dir) -> str:
     return h.hexdigest()
 
 
-def test_library_run_directories_match_golden_digests(tmp_path):
+def test_library_run_directories_match_golden_digests(cli, tmp_path):
     assert sorted(library()) == sorted(GOLDEN)
     out = tmp_path / "runs"
-    result = CliRunner().invoke(main, ["simulate", *sorted(GOLDEN),
-                                       "--out", str(out)])
-    assert result.exit_code == 0, result.output
+    result = cli(["simulate", *sorted(GOLDEN), "--out", str(out)])
+    assert result.exit_code == 0, result.stderr
     digests = {name: run_digest(out / name) for name in GOLDEN}
     assert digests == GOLDEN
