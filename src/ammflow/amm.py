@@ -146,9 +146,10 @@ def swap_exact_in(pool: PoolState, input_asset: AssetId,
     else:
         eff = amount_in * Fraction(gamma_num, BPS_DENOM)
         out = r_out * eff / (r_in + eff)
-    if not exact_sign(r_out - out) > 0:
+    rest = r_out - out
+    if not exact_sign(rest) > 0:
         raise OutputExceedsReserve("swap would drain the pool")
-    new_pool = pool.with_reserves(input_asset, r_in + amount_in, r_out - out)
+    new_pool = pool.with_reserves(input_asset, r_in + amount_in, rest)
     return out, new_pool
 
 

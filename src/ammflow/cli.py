@@ -61,7 +61,11 @@ def _simulate_one(source: str, out_root: Path) -> str:
     world_before = run.world.copy()
     world_after, trace = run.execute()
     out_dir = out_root / run.name
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageFailure(f"cannot create {out_dir}: {exc.strerror}") \
+            from exc
 
     (out_dir / "trace.json").write_text(
         trace_to_json(trace, world_before.mode), encoding="utf-8")

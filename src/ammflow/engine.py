@@ -266,10 +266,11 @@ class _Execution:
         if exact_sign(amount) <= 0:
             raise EngineError("transfer amount must be positive")
         bal = self.world.balance(src, asset)
-        if exact_sign(bal - amount) < 0:
+        left = bal - amount
+        if exact_sign(left) < 0:
             raise InsufficientBalance(
                 f"{src} holds {bal} {asset.symbol}, needs {amount}")
-        self.world.set_balance(src, asset, bal - amount)
+        self.world.set_balance(src, asset, left)
         self.world.set_balance(dst, asset,
                                self.world.balance(dst, asset) + amount)
         self.emit(src, dst, asset, amount, action_index)
@@ -279,10 +280,11 @@ class _Execution:
     def pay_into_pool(self, src: str, pool_id: str, asset: AssetId, amount,
                       action_index: int) -> None:
         bal = self.world.balance(src, asset)
-        if exact_sign(bal - amount) < 0:
+        left = bal - amount
+        if exact_sign(left) < 0:
             raise InsufficientBalance(
                 f"{src} holds {bal} {asset.symbol}, needs {amount}")
-        self.world.set_balance(src, asset, bal - amount)
+        self.world.set_balance(src, asset, left)
         self.emit(src, pool_id, asset, amount, action_index)
 
     def pay_from_pool(self, pool_id: str, dst: str, asset: AssetId, amount,

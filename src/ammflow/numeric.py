@@ -130,10 +130,15 @@ class QuadExact:
     __rmul__ = __mul__
 
     def _inverse(self):
-        norm = self.p * self.p - self.q * self.q * self.d
-        if norm == 0:
+        # with p = a/b, q = c/e, d = f/g the norm p^2 - q^2 d is n/(b^2 e^2 g)
+        a, b = self.p.numerator, self.p.denominator
+        c, e = self.q.numerator, self.q.denominator
+        f, g = self.d.numerator, self.d.denominator
+        n = a * a * e * e * g - c * c * b * b * f
+        if n == 0:
             raise ZeroDivisionError("division by zero field element")
-        return QuadExact(self.p / norm, -self.q / norm, self.d)
+        return QuadExact(Fraction(a * b * e * e * g, n),
+                         Fraction(-c * b * b * e * g, n), self.d)
 
     def __truediv__(self, other):
         m = self._match(other)
@@ -155,21 +160,20 @@ class QuadExact:
     # -- ordering -------------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign of p + q*sqrt(d)."""
+        """Exact sign of p + q*sqrt(d), decided on integers."""
         p, q, d = self.p, self.q, self.d
-        if q == 0:
-            return 0 if p == 0 else (1 if p > 0 else -1)
-        if p == 0:
-            return 1 if q > 0 else -1
-        if p > 0 and q > 0:
-            return 1
-        if p < 0 and q < 0:
-            return -1
-        # opposite signs: compare p^2 vs q^2 * d
-        lhs, rhs = p * p, q * q * d
-        if p > 0:  # q < 0: positive iff p^2 > q^2 d
-            return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
-        return -1 if lhs > rhs else (1 if lhs < rhs else 0)
+        pn, qn = p.numerator, q.numerator
+        if pn == 0 or (pn > 0) == (qn > 0):
+            s = pn or qn
+            return (s > 0) - (s < 0)
+        # opposite signs: the larger of p^2 and q^2 d decides, over the
+        # common denominator pd^2 qd^2 dd
+        pd, qd = p.denominator, q.denominator
+        lhs = pn * pn * qd * qd * d.denominator
+        rhs = qn * qn * pd * pd * d.numerator
+        if lhs == rhs:
+            return 0
+        return 1 if (pn if lhs > rhs else qn) > 0 else -1
 
     def _cmp(self, other) -> int | None:
         m = self._match(other)
@@ -225,9 +229,12 @@ class QuadExact:
 
 def exact_sign(value: ExactNumber) -> int:
     """Sign of any exact number (int, Fraction or QuadExact)."""
+    if isinstance(value, int):
+        return 0 if value == 0 else (1 if value > 0 else -1)
     if isinstance(value, QuadExact):
         return value.sign()
-    return 0 if value == 0 else (1 if value > 0 else -1)
+    n = value.numerator  # a Fraction's denominator is positive
+    return (n > 0) - (n < 0)
 
 
 def exact_sqrt(value: ExactNumber) -> ExactNumber:

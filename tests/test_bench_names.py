@@ -1,11 +1,13 @@
-"""The benchmark's span recorder wraps library functions by name.
+"""The benchmark reaches into the library by name.
 
 `bench/spans.py` looks every name in its tables up with getattr, so a
 renamed or deleted function breaks every traced benchmark run.  These
 tests load that file by path (it uses only the stdlib) and check that each
-name still resolves.
+name still resolves.  `bench/test_checks.py` rebuilds library records with
+`dataclasses.replace`, so those records must stay dataclasses.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -37,3 +39,17 @@ def test_traced_function_resolves(layer, name):
 def test_traced_quad_method_resolves(method):
     from ammflow.numeric import QuadExact
     assert callable(QuadExact.__dict__.get(method))
+
+
+@pytest.mark.parametrize("layer, name, fields", [
+    ("engine", "TransferEvent", {"amount"}),
+    ("amm", "PoolState", {"reserve0", "reserve1"}),
+    ("planner", "RelocationPlan", {"predicted_a_prime"}),
+    ("graph", "AttributionResult", {"p_to_b_min", "p_to_b_max"}),
+    ("semantic", "Migration", {"amount"})],
+    ids=["TransferEvent", "PoolState", "RelocationPlan", "AttributionResult",
+         "Migration"])
+def test_replaced_record_is_a_dataclass(layer, name, fields):
+    record = getattr(importlib.import_module(f"ammflow.{layer}"), name)
+    assert dataclasses.is_dataclass(record)
+    assert fields <= {f.name for f in dataclasses.fields(record)}

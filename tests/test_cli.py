@@ -114,6 +114,22 @@ class TestSimulate:
         assert (first / manifest).read_bytes() == \
             (second / manifest).read_bytes()
 
+    @pytest.mark.parametrize("blocker, out", [
+        ("afile", "afile/sub"),  # NotADirectoryError
+        ("runs/benign_routing", "runs"),  # FileExistsError
+    ])
+    def test_unwritable_run_dir_exits_2(self, cli, tmp_path, blocker, out):
+        (tmp_path / blocker).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / blocker).write_text("junk", encoding="utf-8")
+        before = sorted(tmp_path.rglob("*"))
+        result = cli(["simulate", "benign_routing",
+                      "--out", str(tmp_path / out)])
+        assert result.exit_code == 2, result.stderr
+        assert result.stderr.startswith("Error: cannot create ")
+        assert "Traceback" not in result.stderr
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / blocker).read_text(encoding="utf-8") == "junk"
+
     def test_unknown_name_exits_2(self, cli, tmp_path):
         result = cli(["simulate", "does_not_exist",
                       "--out", str(tmp_path / "runs")])

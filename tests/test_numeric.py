@@ -222,3 +222,85 @@ def test_relocation_tests_one_radicand(sqrt_calls):
     run = build_relocation_scenario()
     execute_bundle(run.world, run.bundle, run.initiator)
     assert sqrt_calls == [84000000]
+
+
+def fraction_sign(p, q, d):
+    """sign(p + q*sqrt(d)) by the textbook case split, in Fractions: with p
+    and q of opposite signs, p's sign wins exactly when p^2 > q^2 d."""
+    p, q, d = Fraction(p), Fraction(q), Fraction(d)
+    s = p or q if p * q >= 0 else p * (p * p - q * q * d)
+    return (s > 0) - (s < 0)
+
+
+PARTS = st.one_of(st.just(0), st.integers(-10**20, 10**20),
+                  st.fractions(-10**6, 10**6, max_denominator=10**6))
+RADICANDS = st.one_of(
+    st.sampled_from(NON_SQUARES),
+    st.fractions(Fraction(1, 1000), 1000, max_denominator=1000).filter(
+        lambda d: rational_sqrt(d) is None))
+
+
+@st.composite
+def elements(draw):
+    """A QuadExact with int or Fraction parts over an int or fractional
+    non-square d; half of them put p next to -q*sqrt(d), where the sign
+    turns on the last digits."""
+    d = draw(RADICANDS)
+    q = draw(PARTS.filter(bool))
+    if draw(st.booleans()):
+        p = draw(PARTS)
+    else:
+        root = Fraction(math.sqrt(d)).limit_denominator(
+            draw(st.integers(1, 10**12)))
+        p = -q * root + draw(st.sampled_from([0, 1, -1])) * Fraction(
+            1, draw(st.integers(1, 10**30)))
+    return QuadExact(p, q, d)
+
+
+@settings(max_examples=500, deadline=None)
+@given(elements())
+def test_sign_matches_fraction_reference(x):
+    expected = fraction_sign(x.p, x.q, x.d)
+    assert x.sign() == exact_sign(x) == expected
+    assert (-x).sign() == -expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(elements())
+def test_inverse_is_exact(x):
+    one = x * x._inverse()
+    assert one == 1
+    assert type(one) is Fraction
+
+
+@pytest.mark.parametrize("p, q, d", [
+    (1766319049, -226153980, 61),  # p^2 - 61 q^2 = 1
+    (665857, -470832, 2),  # p^2 - 2 q^2 = 1
+])
+def test_sign_of_pell_units(p, q, d):
+    x = QuadExact(Fraction(p), Fraction(q), Fraction(d))
+    assert exact_sign(x) == 1
+    assert exact_sign(-x) == -1
+    assert x * x._inverse() == 1
+
+
+def test_float_loses_the_sign_of_the_61_unit():
+    x = QuadExact(Fraction(1766319049), Fraction(-226153980), Fraction(61))
+    assert float(x) == 0.0
+    assert x > 0
+
+
+def test_signs_build_no_fractions(monkeypatch):
+    x = QuadExact(Fraction(1766319049), Fraction(-226153980), Fraction(61))
+    y = QuadExact(Fraction(-7, 3), Fraction(11, 5), Fraction(26, 3))
+    neg, frac, zero = -x, Fraction(-3, 7), Fraction(0)
+    built = []
+    real = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kwargs:
+                        built.append(args) or real(cls, *args, **kwargs))
+    Fraction(1, 2)
+    assert len(built) == 1  # the counter sees every Fraction built
+    built.clear()
+    assert [x.sign(), neg.sign(), y.sign()] == [1, -1, 1]
+    assert [exact_sign(x), exact_sign(frac), exact_sign(zero)] == [1, -1, 0]
+    assert built == []
