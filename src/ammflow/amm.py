@@ -9,9 +9,10 @@ output, matching Uniswap-V2-style on-chain semantics.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, replace
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from typing import NamedTuple
 
 from .numeric import ExactNumber, exact_sign
 
@@ -43,45 +44,97 @@ class OutputNotLessThanReserve(AmmError):
     pass
 
 
-@dataclass(frozen=True)
-class AssetId:
+def checked(fields: type) -> type:
+    """A subclass of the NamedTuple `fields`, under the same name, whose
+    every construction runs `fields._check`: `_make` and `_replace` build
+    through the constructor, so no instance skips the check."""
+
+    class Record(fields):
+        __slots__ = ()
+
+        def __new__(cls, *args, **kwargs):
+            self = super().__new__(cls, *args, **kwargs)
+            self._check()
+            return self
+
+        _make = classmethod(lambda cls, values: cls(*values))
+
+    Record.__name__ = Record.__qualname__ = fields.__name__
+    Record.__module__ = fields.__module__
+    return Record
+
+
+@checked
+class AssetId(NamedTuple):
     symbol: str
     decimals: int = 18
 
-    def __post_init__(self):
+    def _check(self):
         if not self.symbol:
             raise ValueError("asset symbol must be non-empty")
         if not 0 <= self.decimals <= 38:
             raise ValueError("asset decimals must be in [0, 38]")
 
 
+_AMOUNT = re.compile(r"([+-]?)(\d*)(?:\.(\d*))?(?:[eE]([+-]?\d+))?")
+
+_MAX_DIGITS = 78     # 10**78 > 2**256, the uint256 bound
+_MAX_DECIMALS = 38
+
+
 def parse_amount(text: str, asset: AssetId, mode: NumericMode):
     """Parse a decimal-string amount into the mode's internal representation.
+
+    An amount is an optional sign, digits with an optional fraction
+    (``12``, ``1.5``, ``.5``, ``5.``) and an optional exponent (``e`` or
+    ``E``, signed); surrounding whitespace and underscores are ignored, and
+    NaN and Infinity are refused.  It is read on ints, as its significant
+    digits n times 10**scale.  Before any power of ten is built, a nonzero
+    amount must be below 10**78 whole tokens and have no nonzero digit
+    finer than 10**-38: ERC-20 amounts are uint256 counts of smallest
+    units, below 2**256 < 10**78, and no asset has more than 38 decimals.
+    The bound also keeps every amount's decimal string short.
 
     Rational mode yields an exact Fraction in whole-token units; integer
     mode yields smallest units and rejects amounts finer than the asset's
     decimals.
     """
-    try:
-        dec = Decimal(str(text))
-    except InvalidOperation as exc:
-        raise ValueError(f"bad amount {text!r}") from exc
-    frac = Fraction(dec)
+    match = _AMOUNT.fullmatch(str(text).strip().replace("_", ""))
+    if match is None or not (match[2] or match[3]):
+        raise ValueError(f"bad amount {text!r}")
+    sign, whole, frac, exp = match.groups("")
+    digits = (whole + frac).lstrip("0")
+    significant = digits.rstrip("0")
+    if not significant:
+        return Fraction(0) if mode is NumericMode.RATIONAL else 0
+    scale = int(exp or 0) - len(frac) + len(digits) - len(significant)
+    if scale + len(significant) > _MAX_DIGITS:
+        raise ValueError(f"amount {text!r} is not below 10**{_MAX_DIGITS}")
+    if scale < -_MAX_DECIMALS:
+        raise ValueError(
+            f"amount {text!r} has a digit finer than 10**-{_MAX_DECIMALS}")
+    n = int(sign + significant)
     if mode is NumericMode.RATIONAL:
-        return frac
-    units = frac * 10 ** asset.decimals
-    if units.denominator != 1:
+        return Fraction(n * 10 ** scale) if scale >= 0 \
+            else Fraction(n, 10 ** -scale)
+    if scale + asset.decimals < 0:
         raise ValueError(
             f"{text} is finer than {asset.symbol}'s {asset.decimals} decimals")
-    return int(units)
+    return n * 10 ** (scale + asset.decimals)
 
 
 def format_amount(amount, asset: AssetId, mode: NumericMode) -> str:
-    """Render an internal amount as a whole-token decimal/exact string."""
+    """Render an internal amount as a whole-token decimal/exact string.
+
+    Integer amounts are split exactly by divmod, with no trailing zeros in
+    the fraction and no fraction for a whole number of tokens.
+    """
     if mode is NumericMode.INTEGER:
-        whole = Fraction(amount, 10 ** asset.decimals)
-        dec = Decimal(whole.numerator) / Decimal(whole.denominator)
-        return format(dec, "f")
+        whole, rest = divmod(abs(amount), 10 ** asset.decimals)
+        text = str(whole)
+        if rest:
+            text += "." + str(rest).zfill(asset.decimals).rstrip("0")
+        return "-" + text if amount < 0 else text
     return str(amount)
 
 

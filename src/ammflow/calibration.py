@@ -9,10 +9,10 @@ an independent integer-mode replay of the whole bundle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
-from .amm import BPS_DENOM, AssetId, NumericMode, PoolState
+from .amm import BPS_DENOM, AssetId, NumericMode, PoolState, checked
 
 
 class InconsistentObservations(Exception):
@@ -22,8 +22,8 @@ class InconsistentObservations(Exception):
 _QUANTITIES = ("a", "x", "b", "x_prime", "b_prime", "y", "a_prime")
 
 
-@dataclass(frozen=True)
-class ObservationSet:
+@checked
+class ObservationSet(NamedTuple):
     """Observed pipeline quantities, in whole-token units."""
 
     a: float          # principal input (migrated asset)
@@ -37,7 +37,7 @@ class ObservationSet:
     asset_decimals: int = 18
     counter_decimals: int = 6
 
-    def __post_init__(self):
+    def _check(self):
         for name in _QUANTITIES:
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -51,13 +51,7 @@ class ObservationSet:
             raise ValueError(f"fee_bps must be in [0, {BPS_DENOM})")
 
     def to_dict(self) -> dict:
-        return {
-            "a": self.a, "x": self.x, "b": self.b, "x_prime": self.x_prime,
-            "b_prime": self.b_prime, "y": self.y, "a_prime": self.a_prime,
-            "fee_bps": self.fee_bps,
-            "asset_decimals": self.asset_decimals,
-            "counter_decimals": self.counter_decimals,
-        }
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, data: dict) -> "ObservationSet":
@@ -82,12 +76,18 @@ PUBLISHED_OBSERVATIONS = ObservationSet(
     counter_decimals=6)
 
 
-@dataclass
 class CalibratedPools:
-    pool1_reserves: tuple[float, float]   # (migrated, counter)
-    pool2_reserves: tuple[float, float]
-    residuals: dict[str, float] = field(default_factory=dict)
-    iterations: int = 0   # always 0: the solve has no iteration
+    __slots__ = ("pool1_reserves", "pool2_reserves", "residuals",
+                 "iterations")
+
+    def __init__(self, pool1_reserves: tuple[float, float],
+                 pool2_reserves: tuple[float, float],
+                 residuals: dict[str, float] | None = None,
+                 iterations: int = 0):
+        self.pool1_reserves = pool1_reserves   # (migrated, counter)
+        self.pool2_reserves = pool2_reserves
+        self.residuals = {} if residuals is None else residuals
+        self.iterations = iterations   # always 0: the solve has no iteration
 
     @property
     def max_residual(self) -> float:

@@ -9,11 +9,11 @@ transfer-graph observer and the semantic tracer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass
+from typing import NamedTuple, Union
 
-from .amm import (AssetId, NumericMode, PoolState, keeps_fee_adjusted_k,
-                  swap_exact_in)
+from .amm import (AssetId, NumericMode, PoolState, checked,
+                  keeps_fee_adjusted_k, swap_exact_in)
 from .numeric import ExactNumber, exact_sign, parse_exact
 
 ROLE_LABELS = ("Principal", "Executor", "Beneficiary", "Operator",
@@ -49,25 +49,33 @@ class Overfill(EngineError):
     pass
 
 
-@dataclass(frozen=True)
-class Address:
+@checked
+class Address(NamedTuple):
     id: str
     label: str = "Unlabeled"
 
-    def __post_init__(self):
+    def _check(self):
         if self.label not in ROLE_LABELS:
             raise ValueError(f"unknown label {self.label!r}")
 
 
-@dataclass
 class WorldState:
-    mode: NumericMode
-    addresses: dict[str, Address] = field(default_factory=dict)
-    assets: dict[str, AssetId] = field(default_factory=dict)
-    balances: dict[tuple[str, str], ExactNumber] = field(default_factory=dict)
-    pools: dict[str, PoolState] = field(default_factory=dict)
-    allowances: dict[tuple[str, str, str], ExactNumber] = field(
-        default_factory=dict)
+    __slots__ = ("mode", "addresses", "assets", "balances", "pools",
+                 "allowances")
+
+    def __init__(self, mode: NumericMode,
+                 addresses: dict[str, Address] | None = None,
+                 assets: dict[str, AssetId] | None = None,
+                 balances: dict[tuple[str, str], ExactNumber] | None = None,
+                 pools: dict[str, PoolState] | None = None,
+                 allowances: dict[tuple[str, str, str], ExactNumber]
+                 | None = None):
+        self.mode = mode
+        self.addresses = {} if addresses is None else addresses
+        self.assets = {} if assets is None else assets
+        self.balances = {} if balances is None else balances
+        self.pools = {} if pools is None else pools
+        self.allowances = {} if allowances is None else allowances
 
     def add_address(self, addr: Address) -> Address:
         if addr.id in self.addresses:
@@ -121,16 +129,14 @@ class WorldState:
 # -- actions ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Transfer:
+class Transfer(NamedTuple):
     src: str
     dst: str
     asset: AssetId
     amount: ExactNumber
 
 
-@dataclass(frozen=True)
-class TransferFrom:
+class TransferFrom(NamedTuple):
     owner: str
     spender: str
     dst: str
@@ -138,8 +144,7 @@ class TransferFrom:
     amount: ExactNumber
 
 
-@dataclass(frozen=True)
-class Swap:
+class Swap(NamedTuple):
     caller: str
     pool: str
     input_asset: AssetId
@@ -147,40 +152,36 @@ class Swap:
     recipient: str
 
 
-@dataclass(frozen=True)
-class FlashBorrow:
+class FlashBorrow(NamedTuple):
     provider: str
     borrower: str
     asset: AssetId
     amount: ExactNumber
 
 
-@dataclass(frozen=True)
-class FlashRepay:
+class FlashRepay(NamedTuple):
     borrower: str
     provider: str
     asset: AssetId
     amount: ExactNumber
 
 
-@dataclass(frozen=True)
-class FlashSwapBorrow:
+class FlashSwapBorrow(NamedTuple):
     pool: str
     borrower: str
     asset: AssetId
     amount: ExactNumber
 
 
-@dataclass(frozen=True)
-class FlashSwapRepay:
+class FlashSwapRepay(NamedTuple):
     pool: str
     borrower: str
     asset: AssetId
     amount: ExactNumber
 
 
-@dataclass(frozen=True)
-class LimitOrderIntent:
+@checked
+class LimitOrderIntent(NamedTuple):
     maker: str
     maker_asset: AssetId
     taker_asset: AssetId
@@ -189,14 +190,13 @@ class LimitOrderIntent:
     receiver: str
     settlement: str
 
-    def __post_init__(self):
+    def _check(self):
         if exact_sign(self.making_amount) <= 0 \
                 or exact_sign(self.taking_amount) <= 0:
             raise ValueError("order amounts must be positive")
 
 
-@dataclass(frozen=True)
-class FillLimitOrder:
+class FillLimitOrder(NamedTuple):
     order: LimitOrderIntent
     filler: str
     fill_amount: ExactNumber  # in maker-asset units
@@ -219,20 +219,23 @@ class TransferEvent:
     action_index: int
 
 
-@dataclass(frozen=True)
-class CallRecord:
+class CallRecord(NamedTuple):
     action_index: int
     kind: str
     caller: str
     callee: str
 
 
-@dataclass
 class ExecutionTrace:
-    bundle_id: str
-    initiator: str
-    events: list[TransferEvent] = field(default_factory=list)
-    calls: list[CallRecord] = field(default_factory=list)
+    __slots__ = ("bundle_id", "initiator", "events", "calls")
+
+    def __init__(self, bundle_id: str, initiator: str,
+                 events: list[TransferEvent] | None = None,
+                 calls: list[CallRecord] | None = None):
+        self.bundle_id = bundle_id
+        self.initiator = initiator
+        self.events = [] if events is None else events
+        self.calls = [] if calls is None else calls
 
 
 # -- execution ----------------------------------------------------------

@@ -12,29 +12,31 @@ amount are two exact min-cost flows in the graph's own number type.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .amm import AssetId
 from .engine import ExecutionTrace
 from .numeric import QuadExact
 
 
-@dataclass(frozen=True)
-class GraphEdge:
+class GraphEdge(NamedTuple):
     seq: int
     src: str
     dst: str
     amount: object  # int, Fraction or QuadExact
 
 
-@dataclass
 class TransferGraph:
     """The transfers of one asset, in time order (strictly increasing seq);
     every observer walks the edges in list order."""
 
-    asset: AssetId
-    edges: list[GraphEdge] = field(default_factory=list)
+    __slots__ = ("asset", "edges")
+
+    def __init__(self, asset: AssetId, edges: list[GraphEdge] | None = None):
+        self.asset = asset
+        self.edges = [] if edges is None else edges
 
     @property
     def nodes(self) -> list[str]:

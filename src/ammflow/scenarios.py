@@ -7,9 +7,7 @@ traces.
 
 from __future__ import annotations
 
-import dataclasses
 import re
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .amm import AmmError, AssetId, NumericMode, PoolState, parse_amount, \
@@ -33,18 +31,28 @@ RECIPES = ("RelocationZeroFee", "RelocationFeeCalibrated", "PEBLimitOrder",
            "PEBFlashSwapVariant", "BenignArbitrage", "BenignRouting")
 
 
-@dataclass
 class ScenarioRun:
-    name: str
-    world: WorldState
-    bundle: list[Action]
-    initiator: str
-    principal: str | None = None
-    beneficiary: str | None = None
-    intents: tuple[LimitOrderIntent, ...] = ()
-    plan: Optional[RelocationPlan] = None
-    route_via_settlement: bool = True
-    is_relocation: bool = False
+    __slots__ = ("name", "world", "bundle", "initiator", "principal",
+                 "beneficiary", "intents", "plan", "route_via_settlement",
+                 "is_relocation")
+
+    def __init__(self, name: str, world: WorldState, bundle: list[Action],
+                 initiator: str, principal: str | None = None,
+                 beneficiary: str | None = None,
+                 intents: tuple[LimitOrderIntent, ...] = (),
+                 plan: Optional[RelocationPlan] = None,
+                 route_via_settlement: bool = True,
+                 is_relocation: bool = False):
+        self.name = name
+        self.world = world
+        self.bundle = bundle
+        self.initiator = initiator
+        self.principal = principal
+        self.beneficiary = beneficiary
+        self.intents = intents
+        self.plan = plan
+        self.route_via_settlement = route_via_settlement
+        self.is_relocation = is_relocation
 
     def execute(self) -> tuple[WorldState, ExecutionTrace]:
         return execute_bundle(self.world, self.bundle, self.initiator,
@@ -213,18 +221,15 @@ _RENAMEABLE_FIELDS = ("src", "dst", "owner", "spender", "caller",
 
 def _rename_action(act: Action, mapping: dict[str, str]) -> Action:
     updates = {}
-    for f in dataclasses.fields(act):
-        if f.name in _RENAMEABLE_FIELDS:
-            updates[f.name] = mapping.get(getattr(act, f.name),
-                                          getattr(act, f.name))
-        elif f.name == "order":
-            order = act.order
-            updates["order"] = dataclasses.replace(
-                order,
-                maker=mapping.get(order.maker, order.maker),
-                receiver=mapping.get(order.receiver, order.receiver),
-                settlement=mapping.get(order.settlement, order.settlement))
-    return dataclasses.replace(act, **updates)
+    for name, value in zip(act._fields, act):
+        if name in _RENAMEABLE_FIELDS:
+            updates[name] = mapping.get(value, value)
+        elif name == "order":
+            updates["order"] = value._replace(
+                maker=mapping.get(value.maker, value.maker),
+                receiver=mapping.get(value.receiver, value.receiver),
+                settlement=mapping.get(value.settlement, value.settlement))
+    return act._replace(**updates)
 
 
 def build_benign_twin(run: ScenarioRun,

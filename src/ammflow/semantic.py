@@ -7,7 +7,7 @@ graph throws away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .amm import BPS_DENOM, NumericMode
@@ -33,14 +33,21 @@ class Migration:
         }
 
 
-@dataclass
 class MigrationReport:
-    migrations: list[Migration]
-    roles: dict[str, str]
-    efficiency: float | None
-    atomic: bool
-    executor_profit: dict[str, object] = field(default_factory=dict)
-    unresolved: list[dict] = field(default_factory=list)
+    __slots__ = ("migrations", "roles", "efficiency", "atomic",
+                 "executor_profit", "unresolved")
+
+    def __init__(self, migrations: list[Migration], roles: dict[str, str],
+                 efficiency: float | None, atomic: bool,
+                 executor_profit: dict[str, object] | None = None,
+                 unresolved: list[dict] | None = None):
+        self.migrations = migrations
+        self.roles = roles
+        self.efficiency = efficiency
+        self.atomic = atomic
+        self.executor_profit = {} if executor_profit is None \
+            else executor_profit
+        self.unresolved = [] if unresolved is None else unresolved
 
     def to_dict(self) -> dict:
         return {

@@ -166,6 +166,75 @@ class TestAmountIo:
         assert text == "1.5"
         assert parse_amount(text, usdt, NumericMode.INTEGER) == 1_500_000
 
+    @pytest.mark.parametrize("text, value", [
+        ("12", 12), (" 2.5 ", Fraction(5, 2)), (".5", Fraction(1, 2)),
+        ("5.", 5), ("-0.25", Fraction(-1, 4)), ("+.5e+3", 500),
+        ("1E-2", Fraction(1, 100)), ("1_000", 1000), ("-0", 0),
+        ("0e999999999", 0), ("000120.5000", Fraction(241, 2)),
+        ("9" * 78, 10 ** 78 - 1), ("1e77", 10 ** 77),
+        ("0.1e-37", Fraction(1, 10 ** 38)), ("1e-38", Fraction(1, 10 ** 38)),
+    ])
+    def test_parse_grammar(self, text, value):
+        got = parse_amount(text, TOKA, NumericMode.RATIONAL)
+        assert type(got) is Fraction and got == value
+
+    @pytest.mark.parametrize("text", [
+        "NaN", "nan", "sNaN", "Infinity", "-inf", "Inf", "", ".", "e5",
+        "1e", "1.2.3", "0x10", "--1", "1e78", "1" + "0" * 78, "-1e78",
+        "1e-39", "1e30000", "1e3000000", "1e-3000000", "1e" + "9" * 5000,
+    ])
+    def test_parse_refuses(self, text):
+        for mode in NumericMode:
+            with pytest.raises(ValueError):
+                parse_amount(text, TOKA, mode)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["", "+", "-"]), st.text("0123456789", max_size=20),
+           st.text("0123456789", max_size=10), st.booleans(),
+           st.integers(-20, 40), st.integers(0, 38))
+    def test_parse_agrees_with_decimal(self, sign, whole, frac, point, exp,
+                                       decimals):
+        from decimal import Decimal
+        if not (whole or frac):
+            whole = "0"
+        text = sign + whole + ("." + frac if point or frac else "") \
+            + (f"e{exp}" if exp else "")
+        value = Fraction(Decimal(text))
+        asset = AssetId("TOK", decimals)
+        assert parse_amount(text, asset, NumericMode.RATIONAL) == value
+        units = value * 10 ** decimals
+        if units.denominator == 1:
+            assert parse_amount(text, asset, NumericMode.INTEGER) == units
+        else:
+            with pytest.raises(ValueError, match="finer than TOK's"):
+                parse_amount(text, asset, NumericMode.INTEGER)
+
+    def test_format_is_exact_beyond_28_digits(self):
+        weth = AssetId("WETH", 18)
+        assert format_amount(10 ** 40 + 1, weth, NumericMode.INTEGER) \
+            == "10000000000000000000000.000000000000000001"
+        assert format_amount(-5 * 10 ** 17, weth, NumericMode.INTEGER) \
+            == "-0.5"
+        assert format_amount(0, weth, NumericMode.INTEGER) == "0"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-(2 ** 256) + 1, 2 ** 256 - 1), st.integers(0, 38))
+    def test_format_parse_round_trip(self, n, decimals):
+        asset = AssetId("TOK", decimals)
+        text = format_amount(n, asset, NumericMode.INTEGER)
+        assert parse_amount(text, asset, NumericMode.INTEGER) == n
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-(10 ** 28) + 1, 10 ** 28 - 1), st.integers(0, 38))
+    def test_format_matches_decimal_up_to_28_digits(self, n, decimals):
+        # the former rendering, exact within Decimal's 28-digit context
+        from decimal import Decimal
+        whole = Fraction(n, 10 ** decimals)
+        want = format(Decimal(whole.numerator) / Decimal(whole.denominator),
+                      "f")
+        asset = AssetId("TOK", decimals)
+        assert format_amount(n, asset, NumericMode.INTEGER) == want
+
 
 def test_pool_validation():
     with pytest.raises(ValueError):

@@ -1,9 +1,11 @@
 """The benchmark harness runs and its output checks pass.
 
 Every performance change is gated on `bench/run.py` reporting correct
-outputs, so a short run of each exact workload belongs with the unit
-tests: a library change that breaks a workload's checks shows here, not
-only in a 30-second benchmark run.
+outputs, so a short run of each workload belongs with the unit tests: a
+library change that breaks a workload's checks shows here, not only in a
+30-second benchmark run.  `forensics_blocks` is not gated, but its checks
+are the only ones that walk graph edges, transfer graphs and call records
+through `trace_to_dict`.
 """
 
 import json
@@ -16,7 +18,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["sweep_rational", "fee_integer"])
+@pytest.mark.parametrize("workload", ["sweep_rational", "fee_integer",
+                                      "cli_cold", "forensics_blocks"])
 def test_short_run_passes_its_checks(workload):
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -51,34 +50,33 @@ class TestCalibrateReserves:
             assert abs(got - want) / want < 1e-9
 
     def test_output_not_below_input_is_inconsistent(self):
-        obs = dataclasses.replace(PUBLISHED_OBSERVATIONS, a_prime=10.5)
+        obs = PUBLISHED_OBSERVATIONS._replace(a_prime=10.5)
         with pytest.raises(InconsistentObservations):
             calibrate_reserves(obs)
 
     def test_garbled_observations_rejected(self):
-        obs = dataclasses.replace(PUBLISHED_OBSERVATIONS, b=500.0)
+        obs = PUBLISHED_OBSERVATIONS._replace(b=500.0)
         with pytest.raises(InconsistentObservations):
             calibrate_reserves(obs)
 
     def test_overflowing_observations_rejected(self):
-        obs = dataclasses.replace(PUBLISHED_OBSERVATIONS, b=1e300,
-                                  b_prime=1e300)
+        obs = PUBLISHED_OBSERVATIONS._replace(b=1e300, b_prime=1e300)
         with pytest.raises(InconsistentObservations):
             calibrate_reserves(obs)
 
     def test_underflowing_price_seed_rejected(self):
-        obs = dataclasses.replace(PUBLISHED_OBSERVATIONS, b=1e-300)
+        obs = PUBLISHED_OBSERVATIONS._replace(b=1e-300)
         with pytest.raises(InconsistentObservations):
             calibrate_reserves(obs)
 
     def test_positive_observations_enforced(self):
         with pytest.raises(ValueError):
-            dataclasses.replace(PUBLISHED_OBSERVATIONS, x=-1.0)
+            PUBLISHED_OBSERVATIONS._replace(x=-1.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_finite_observations_enforced(self, value):
         with pytest.raises(ValueError, match="finite"):
-            dataclasses.replace(PUBLISHED_OBSERVATIONS, b=value)
+            PUBLISHED_OBSERVATIONS._replace(b=value)
 
     def test_singular_pool_equations_rejected(self):
         # pool 2's two swap equations are parallel lines: no state fits
@@ -86,8 +84,8 @@ class TestCalibrateReserves:
             calibrate_reserves(SINGULAR_OBSERVATIONS)
 
     def test_reserve_beyond_float_range_rejected(self):
-        obs = dataclasses.replace(PUBLISHED_OBSERVATIONS, b=1.5946105e307,
-                                  b_prime=1.572626e307)
+        obs = PUBLISHED_OBSERVATIONS._replace(b=1.5946105e307,
+                                              b_prime=1.572626e307)
         with pytest.raises(InconsistentObservations, match="overflows"):
             calibrate_reserves(obs)
 

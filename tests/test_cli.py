@@ -92,8 +92,13 @@ class TestSimulate:
         "recipe: PEBLimitOrder\nparams:\n  taking: \"2000000\"\n",
         "recipe: BenignArbitrage\nparams:\n  fee_bps: 30.9\n",
         "recipe: BenignArbitrage\nparams:\n  fee_bps: true\n",
+        "recipe: RelocationZeroFee\nparams:\n  a: \"Infinity\"\n",
+        "recipe: RelocationZeroFee\nparams:\n  a: \"1e30000\"\n",
+        "recipe: RelocationZeroFee\nparams:\n  a: \"1e3000000\"\n",
     ], ids=["fee_outside_exact_field", "negative_principal",
-            "taking_drains_pool", "fee_not_an_integer", "fee_is_a_boolean"])
+            "taking_drains_pool", "fee_not_an_integer", "fee_is_a_boolean",
+            "infinite_principal", "principal_past_str_limit",
+            "principal_exponent_huge"])
     def test_recipe_failure_exits_2(self, cli, tmp_path, body):
         config = tmp_path / "bad.yaml"
         config.write_text("schema_version: 1\nscenario: x\n" + body,
