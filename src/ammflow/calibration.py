@@ -184,6 +184,20 @@ def calibrate_reserves(obs: ObservationSet) -> CalibratedPools:
         residuals=_residuals(reserves, observed, g))
 
 
+def integer_amounts(calibrated: CalibratedPools,
+                    obs: ObservationSet) -> tuple:
+    """Pool 1's and pool 2's (asset, counter) reserves, each its float's
+    exact value, then a, x and y, each its float times 10**decimals, all
+    rounded to smallest units: the pools and amounts that both
+    `replay_and_validate` and the `relocation_fee_calibrated` scenario
+    relocate over."""
+    sa, sc = 10 ** obs.asset_decimals, 10 ** obs.counter_decimals
+    pools = tuple((round(Fraction(r_a) * sa), round(Fraction(r_b) * sc))
+                  for r_a, r_b in (calibrated.pool1_reserves,
+                                   calibrated.pool2_reserves))
+    return (*pools, *(round(v * sa) for v in (obs.a, obs.x, obs.y)))
+
+
 def replay_and_validate(calibrated: CalibratedPools,
                         obs: ObservationSet) -> dict[str, float]:
     """Integer-mode full-bundle replay; per-quantity relative errors."""
@@ -191,17 +205,14 @@ def replay_and_validate(calibrated: CalibratedPools,
 
     asset = AssetId("ASSET", obs.asset_decimals)
     counter = AssetId("COUNTER", obs.counter_decimals)
-    sa = 10 ** obs.asset_decimals
-    sc = 10 ** obs.counter_decimals
-    pool1, pool2 = (
-        PoolState(pool_id, asset, counter, round(r_a * sa), round(r_b * sc),
-                  obs.fee_bps, NumericMode.INTEGER)
-        for pool_id, (r_a, r_b) in (("pool1", calibrated.pool1_reserves),
-                                    ("pool2", calibrated.pool2_reserves)))
-    plan = plan_relocation(pool1, pool2, asset, "P", "B", "O",
-                           round(obs.a * sa),
-                           x_override=round(obs.x * sa),
-                           y_override=round(obs.y * sa))
+    sa, sc = 10 ** obs.asset_decimals, 10 ** obs.counter_decimals
+    reserves1, reserves2, a, x, y = integer_amounts(calibrated, obs)
+    pool1, pool2 = (PoolState(pool_id, asset, counter, *reserves,
+                              obs.fee_bps, NumericMode.INTEGER)
+                    for pool_id, reserves in (("pool1", reserves1),
+                                              ("pool2", reserves2)))
+    plan = plan_relocation(pool1, pool2, asset, "P", "B", "O", a,
+                           x_override=x, y_override=y)
     replayed = {
         "b": plan.b / sc,
         "x_prime": plan.x_recovered / sa,
@@ -223,21 +234,18 @@ def generate_observations(pool1: PoolState, pool2: PoolState,
                           asset: AssetId, a, y) -> ObservationSet:
     """Synthetic observation set from known ground-truth pools.
 
-    Used by round-trip identifiability checks: exact fee-mode replay with
-    the self-repaying flash amount, then float projection.
+    Used by round-trip identifiability checks: the planned relocation
+    with the self-repaying flash amount and repayment y, projected to
+    floats.  A plan whose extraction does not cover the flash shortfall
+    raises the planner's PlannerError.
     """
-    from .planner import extraction_result, solve_flash_amount
-    from .amm import swap_exact_in
+    from .planner import plan_relocation
 
-    counter = pool1.other_asset(asset)
-    x = solve_flash_amount(pool1, pool2, asset, a)
-    b, pool1_after = swap_exact_in(pool1, asset, a + x)
-    x_rec, pool2_after = swap_exact_in(pool2, counter, b)
-    b_prime, out = extraction_result(pool1_after, pool2_after, asset, y)
+    plan = plan_relocation(pool1, pool2, asset, "P", "B", "O", a,
+                           y_override=y)
     return ObservationSet(
-        a=float(a), x=float(x), b=float(b), x_prime=float(x_rec),
-        b_prime=float(b_prime), y=float(y),
-        a_prime=float(out - y - (x - x_rec)),
-        fee_bps=pool1.fee_bps,
-        asset_decimals=asset.decimals,
-        counter_decimals=counter.decimals)
+        a=float(a), x=float(plan.x), b=float(plan.b),
+        x_prime=float(plan.x_recovered), b_prime=float(plan.b_prime),
+        y=float(y), a_prime=float(plan.predicted_a_prime),
+        fee_bps=pool1.fee_bps, asset_decimals=asset.decimals,
+        counter_decimals=pool1.other_asset(asset).decimals)

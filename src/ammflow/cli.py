@@ -16,10 +16,10 @@ from pathlib import Path
 from .calibration import (InconsistentObservations, ObservationSet,
                           PUBLISHED_OBSERVATIONS, calibrate_reserves,
                           replay_and_validate)
-from .engine import (Address, ExecutionTrace, WorldState, net_deltas,
-                     trace_from_dict, trace_to_dict, trace_to_json)
-from .graph import (attribute, build_graph, taint_haircut, taint_poison,
-                    to_dot)
+from .engine import (ExecutionTrace, net_deltas, trace_from_dict,
+                     trace_to_dict, trace_to_json)
+from .graph import (TransferGraph, attribute, build_graph, taint_haircut,
+                    taint_poison, to_dot)
 from .numeric import exact_sign
 from .scenarios import ConfigError, library, load_scenario_config
 from .semantic import loss_decomposition, recover_migrations
@@ -71,19 +71,16 @@ def _simulate_one(source: str, out_root: Path) -> str:
         trace_to_json(trace, world_before.mode), encoding="utf-8")
     labels = {aid: a.label for aid, a in world_after.addresses.items()
               if a.label != "Unlabeled"}
-    asset_symbols = sorted({ev.asset.symbol for ev in trace.events})
+    graphs = _asset_graphs(trace)
     outputs = ["trace.json", "migration_report.json", "analysis.json",
                "manifest.json"]
-    for sym in asset_symbols:
-        asset = world_after.assets[sym]
+    for sym, graph in graphs.items():
         dot_name = f"transfers_{sym}.dot"
-        (out_dir / dot_name).write_text(
-            to_dot(build_graph(trace, asset), labels), encoding="utf-8")
+        (out_dir / dot_name).write_text(to_dot(graph, labels),
+                                        encoding="utf-8")
         outputs.append(dot_name)
 
-    report = recover_migrations(trace, world_before, world_after,
-                                intents=run.intents)
-    report_dict = report.to_dict()
+    report_dict = recover_migrations(trace, None, None).to_dict()
     if run.plan is not None:
         report_dict["loss_decomposition"] = loss_decomposition(
             trace, run.plan, world_before)
@@ -92,8 +89,7 @@ def _simulate_one(source: str, out_root: Path) -> str:
     _dump_json(out_dir / "migration_report.json", report_dict)
 
     _dump_json(out_dir / "analysis.json",
-               _analysis_payload(trace, world_after,
-                                 run.principal, run.beneficiary))
+               _analysis_payload(graphs, run.principal, run.beneficiary))
     outputs.sort()
     _dump_json(out_dir / "manifest.json", {
         "scenario": run.name,
@@ -105,13 +101,17 @@ def _simulate_one(source: str, out_root: Path) -> str:
     return run.name
 
 
-def _analysis_payload(trace: ExecutionTrace, world: WorldState,
+def _asset_graphs(trace: ExecutionTrace) -> dict[str, TransferGraph]:
+    """The transfer graph of each asset the trace moves, by symbol."""
+    assets = {ev.asset.symbol: ev.asset for ev in trace.events}
+    return {sym: build_graph(trace, assets[sym]) for sym in sorted(assets)}
+
+
+def _analysis_payload(graphs: dict[str, TransferGraph],
                       principal: str | None,
                       beneficiary: str | None) -> dict:
     payload: dict = {"attribution": {}, "taint": {}}
-    symbols = sorted({ev.asset.symbol for ev in trace.events})
-    for sym in symbols:
-        graph = build_graph(trace, world.assets[sym])
+    for sym, graph in graphs.items():
         if principal is not None:
             payload["taint"][sym] = {
                 "poison": taint_poison(graph, {principal}),
@@ -121,45 +121,6 @@ def _analysis_payload(trace: ExecutionTrace, world: WorldState,
             payload["attribution"][sym] = \
                 attribute(graph, principal, beneficiary).to_dict()
     return payload
-
-
-def _infer_world(trace: ExecutionTrace) -> WorldState:
-    """Best-effort world reconstruction from a bare trace.
-
-    Infrastructure addresses are recognized from call records so the
-    pairing logic excludes them; everything else stays unlabeled.
-    """
-    from .amm import NumericMode
-
-    pool_like = {"swap", "flash_swap_borrow", "flash_swap_repay"}
-    flash_like = {"flash_borrow", "flash_repay"}
-    labels: dict[str, str] = {}
-    for call in trace.calls:
-        if call.kind in pool_like:
-            labels[call.callee] = "PoolContract"
-        elif call.kind in flash_like:
-            labels[call.callee] = "FlashProvider"
-    for call in trace.calls:
-        if call.kind != "fill_limit_order":
-            continue
-        hops = [ev for ev in trace.events
-                if ev.action_index == call.action_index]
-        # maker -> settlement -> filler routing leaves the settlement as
-        # the middle hop of the maker-asset leg
-        for first, second in zip(hops, hops[1:]):
-            if first.dst == second.src and first.asset == second.asset:
-                labels[first.dst] = "SettlementContract"
-
-    world = WorldState(mode=NumericMode.RATIONAL)
-    seen: set[str] = set()
-    for ev in trace.events:
-        world.assets.setdefault(ev.asset.symbol, ev.asset)
-        for node in (ev.src, ev.dst):
-            if node not in seen:
-                seen.add(node)
-                world.add_address(Address(node,
-                                          labels.get(node, "Unlabeled")))
-    return world
 
 
 def _input_file(path: str, role: str) -> Path:
@@ -191,21 +152,17 @@ def analyze(trace_path, principal, beneficiary):
     except (json.JSONDecodeError, KeyError, ValueError, TypeError,
             AttributeError) as exc:
         raise UsageFailure(f"bad trace file: {exc}") from exc
-    world = _infer_world(trace)
 
-    recovered = []
-    for sym in sorted({ev.asset.symbol for ev in trace.events}):
-        graph = build_graph(trace, world.assets[sym])
-        result = attribute(graph, principal, beneficiary)
-        if result.recoverable:
-            recovered.append((sym, result.p_to_b_min))
-    if recovered:
-        for sym, amount in recovered:
-            print(f"transfer-layer: RECOVERABLE {amount:.6g} {sym}")
-    else:
+    results = {sym: attribute(graph, principal, beneficiary)
+               for sym, graph in _asset_graphs(trace).items()}
+    recovered = [(sym, r.p_to_b_min) for sym, r in results.items()
+                 if r.recoverable]
+    for sym, amount in recovered:
+        print(f"transfer-layer: RECOVERABLE {amount:.6g} {sym}")
+    if not recovered:
         print("transfer-layer: NOT RECOVERABLE")
 
-    report = recover_migrations(trace, world, world)
+    report = recover_migrations(trace, None, None)
     print("semantic: " + report.summary().replace("\n", "\nsemantic: "))
 
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 import re
 from typing import Callable, Optional
 
-from .amm import AmmError, AssetId, NumericMode, PoolState, parse_amount, \
-    solve_input_for_output, swap_exact_in
+from .amm import AmmError, AssetId, NumericMode, PoolState, format_amount, \
+    parse_amount, solve_input_for_output, swap_exact_in
 from .engine import (Action, Address, ExecutionTrace, FillLimitOrder,
                      FlashBorrow, FlashRepay, FlashSwapBorrow, FlashSwapRepay,
                      INFRA_LABELS, LimitOrderIntent, Swap, Transfer,
@@ -26,9 +26,6 @@ class ConfigError(Exception):
 
 
 _SCENARIO_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
-
-RECIPES = ("RelocationZeroFee", "RelocationFeeCalibrated", "PEBLimitOrder",
-           "PEBFlashSwapVariant", "BenignArbitrage", "BenignRouting")
 
 
 class ScenarioRun:
@@ -121,27 +118,24 @@ def build_calibrated_relocation_scenario(name: str = "relocation_fee_calibrated"
                                          ) -> ScenarioRun:
     """Fee-mode relocation over reserves recovered from the published
     migration observations, replayed in integer smallest units."""
-    from .calibration import PUBLISHED_OBSERVATIONS, calibrate_reserves
+    from .calibration import (PUBLISHED_OBSERVATIONS, calibrate_reserves,
+                              integer_amounts)
 
     obs = PUBLISHED_OBSERVATIONS
-    calibrated = calibrate_reserves(obs)
+    mode = NumericMode.INTEGER
     asset = AssetId("WETH", obs.asset_decimals)
     counter = AssetId("USDT", obs.counter_decimals)
-    r1 = calibrated.pool1_reserves
-    r2 = calibrated.pool2_reserves
-    mode = NumericMode.INTEGER
-    scale_a = 10 ** asset.decimals
-    scale_b = 10 ** counter.decimals
+    reserves1, reserves2, a, x, y = integer_amounts(calibrate_reserves(obs),
+                                                    obs)
+
+    def text(reserves):
+        return tuple(format_amount(r, token, mode)
+                     for r, token in zip(reserves, (asset, counter)))
+
     return build_relocation_scenario(
         name=name, mode=mode, fee_bps=obs.fee_bps, asset=asset,
-        counter=counter,
-        reserves1=(f"{r1[0]:.{asset.decimals}f}",
-                   f"{r1[1]:.{counter.decimals}f}"),
-        reserves2=(f"{r2[0]:.{asset.decimals}f}",
-                   f"{r2[1]:.{counter.decimals}f}"),
-        a=f"{obs.a}",
-        x_override=round(obs.x * scale_a),
-        y_override=round(obs.y * scale_a))
+        counter=counter, reserves1=text(reserves1), reserves2=text(reserves2),
+        a=format_amount(a, asset, mode), x_override=x, y_override=y)
 
 
 # -- PEB limit-order scenarios -----------------------------------------
@@ -355,6 +349,48 @@ def relocation_scenario_names() -> list[str]:
 # -- config files -------------------------------------------------------
 
 
+_KINDS = {str: "a decimal string", bool: "true or false",
+          int: "an integer"}
+# each param's type, or the conversion that reads it
+_PARAMS = {"numeric_mode": NumericMode, "fee_bps": int, "a": str,
+           "making": str, "taking": str, "receiver": lambda v: str(v),
+           "operator_is_principal": bool, "route_via_settlement": bool,
+           "funding_policy": FundingPolicy,
+           "extraction_style": ExtractionStyle}
+_PEB_PARAMS = ("making", "taking", "fee_bps", "receiver",
+               "route_via_settlement", "numeric_mode")
+# recipe -> (builder, fixed arguments, params read, {pool id: argument});
+# what a config leaves out takes the builder's own default
+_RECIPES = {
+    "RelocationZeroFee": (
+        build_relocation_scenario, {},
+        ("numeric_mode", "fee_bps", "a", "operator_is_principal",
+         "funding_policy", "extraction_style"),
+        {"pool1": "reserves1", "pool2": "reserves2"}),
+    "RelocationFeeCalibrated": (build_calibrated_relocation_scenario, {},
+                                (), {}),
+    "PEBLimitOrder": (build_peb_scenario, {"variant": "flash_loan"},
+                      _PEB_PARAMS, {"pool": "pool_reserves"}),
+    "PEBFlashSwapVariant": (build_peb_scenario, {"variant": "flash_swap"},
+                            _PEB_PARAMS, {"pool": "pool_reserves"}),
+    "BenignArbitrage": (build_benign_arbitrage, {},
+                        ("numeric_mode", "fee_bps"), {}),
+    "BenignRouting": (build_benign_routing, {}, ("numeric_mode",), {}),
+}
+RECIPES = tuple(_RECIPES)
+
+
+def _read_param(key: str, value):
+    kind = _PARAMS[key]
+    if kind not in _KINDS:
+        return kind(value)
+    # bool is a subclass of int, but true is not an integer input
+    if not isinstance(value, kind) or kind is int and isinstance(value, bool):
+        raise TypeError(f"param {key} must be {_KINDS[kind]}, "
+                        f"got {value!r}")
+    return value
+
+
 def load_scenario_config(path: str) -> ScenarioRun:
     """Build a scenario from a versioned YAML config file."""
     import yaml  # imported here: only config files need it
@@ -381,72 +417,22 @@ def load_scenario_config(path: str) -> ScenarioRun:
     params = data.get("params") or {}
     if not isinstance(params, dict):
         raise ConfigError("params must be a mapping")
-
-    read = set()
-    kinds = {str: "a decimal string", bool: "true or false",
-             int: "an integer"}
-
-    def param(key, default, kind=object):
-        read.add(key)
-        value = params.get(key, default)
-        # bool is a subclass of int, but true is not an integer input
-        if not isinstance(value, kind) \
-                or kind is int and isinstance(value, bool):
-            raise TypeError(f"param {key} must be {kinds[kind]}, "
-                            f"got {value!r}")
-        return value
-
-    def mode_of() -> NumericMode:
-        return NumericMode(param("numeric_mode", "rational"))
-
     pool_list = data.get("pools") or []
     if not isinstance(pool_list, list) \
             or not all(isinstance(p, dict) for p in pool_list):
         raise ConfigError("pools must be a list of mappings")
     pools = {p.get("id"): p for p in pool_list}
 
-    def pool_reserves(pool_id, default) -> tuple[str, str]:
-        if pool_id not in pools:
-            return default
-        p = pools[pool_id]
-        return str(p["reserve0"]), str(p["reserve1"])
-
+    builder, fixed, read, pool_args = _RECIPES[recipe]
     try:
-        if recipe == "RelocationZeroFee":
-            run = build_relocation_scenario(
-                name=name, mode=mode_of(),
-                fee_bps=param("fee_bps", 0, int),
-                reserves1=pool_reserves("pool1", ("100", "100")),
-                reserves2=pool_reserves("pool2", ("100", "100")),
-                a=param("a", "10", str),
-                operator_is_principal=param("operator_is_principal", False,
-                                            bool),
-                funding_policy=FundingPolicy(
-                    param("funding_policy", "shortfall_from_principal")),
-                extraction_style=ExtractionStyle(
-                    param("extraction_style", "flash_swap")))
-        elif recipe == "RelocationFeeCalibrated":
-            run = build_calibrated_relocation_scenario(name)
-        elif recipe in ("PEBLimitOrder", "PEBFlashSwapVariant"):
-            run = build_peb_scenario(
-                name=name,
-                variant="flash_loan" if recipe == "PEBLimitOrder"
-                else "flash_swap",
-                making=param("making", "1000", str),
-                taking=param("taking", "990", str),
-                pool_reserves=pool_reserves("pool",
-                                            ("1000000", "1000000")),
-                fee_bps=param("fee_bps", 30, int),
-                receiver=str(param("receiver", "B")),
-                route_via_settlement=param("route_via_settlement", True,
-                                           bool),
-                mode=mode_of())
-        elif recipe == "BenignArbitrage":
-            run = build_benign_arbitrage(
-                name=name, mode=mode_of(),
-                fee_bps=param("fee_bps", 0, int))
-        else:
-            run = build_benign_routing(name=name, mode=mode_of())
+        kwargs = {"mode" if key == "numeric_mode" else key:
+                  _read_param(key, params[key])
+                  for key in read if key in params}
+        for pool_id, arg in pool_args.items():
+            if pool_id in pools:
+                kwargs[arg] = (str(pools[pool_id]["reserve0"]),
+                               str(pools[pool_id]["reserve1"]))
+        run = builder(name=name, **fixed, **kwargs)
     except (TypeError, ValueError, KeyError, AmmError,
             PlannerError) as exc:
         raise ConfigError(f"bad scenario parameters: {exc}") from exc

@@ -1,8 +1,8 @@
 """Execution-layer observer: recovers migrations and roles from traces.
 
-Works from the full execution record (events, call records, world states,
-decoded order intents), which is exactly the information the transfer
-graph throws away.
+Works from the execution record alone (events, call records, decoded order
+intents), which is exactly the information the transfer graph throws
+away.  No role label given to an address is consulted.
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .amm import BPS_DENOM, NumericMode
-from .engine import (ExecutionTrace, INFRA_LABELS, LimitOrderIntent,
-                     WorldState, net_deltas)
+from .engine import (ExecutionTrace, LimitOrderIntent, WorldState,
+                     net_deltas)
 from .numeric import exact_sign
 from .planner import RelocationPlan
 
@@ -74,49 +74,71 @@ class MigrationReport:
         return "\n".join(lines)
 
 
-def recover_migrations(trace: ExecutionTrace, world_before: WorldState,
-                       world_after: WorldState,
+# calls whose callee is a pool or a flash provider
+_INFRA_CALLS = frozenset({"swap", "flash_swap_borrow", "flash_swap_repay",
+                          "flash_borrow", "flash_repay"})
+
+
+def _read_calls(trace: ExecutionTrace) -> tuple[set[str], list[tuple]]:
+    """Infrastructure addresses, and each fill as (maker, maker asset,
+    receiver, taker asset).  A fill's call names its filler and maker; the
+    filler's first hop is the taker leg to the receiver, and the maker's
+    first hop lands on the filler or on the settlement contract that
+    routes the maker leg."""
+    infra = {c.callee for c in trace.calls if c.kind in _INFRA_CALLS}
+    fills = []
+    for call in trace.calls:
+        if call.kind != "fill_limit_order":
+            continue
+        hops = [ev for ev in trace.events
+                if ev.action_index == call.action_index]
+        taker = next((ev for ev in hops if ev.src == call.caller), None)
+        maker = next((ev for ev in hops if ev.src == call.callee), None)
+        if taker is not None and maker is not None:
+            fills.append((call.callee, maker.asset.symbol, taker.dst,
+                          taker.asset.symbol))
+            if maker.dst != call.caller:
+                infra.add(maker.dst)
+    return infra, fills
+
+
+def recover_migrations(trace: ExecutionTrace,
+                       world_before: WorldState | None,
+                       world_after: WorldState | None,
                        intents: tuple[LimitOrderIntent, ...] = ()
                        ) -> MigrationReport:
     """Pair strict losers with strict gainers enforced in the same bundle.
 
-    The initiator is the executor/operator; principals are identified from
-    allowance pulls and decoded intent makers; infrastructure addresses
-    (pools, flash providers, settlement contracts) are excluded from
-    pairing.  An asset with several losers or gainers is reported in
-    `unresolved` rather than guessed.
+    Only the trace is read, never the worlds or `intents`.  The initiator
+    is the executor/operator; principals are allowance-pull owners and
+    fill makers, and a fill pairs its maker with its receiver;
+    infrastructure (pools, flash providers, settlement contracts) is
+    excluded from pairing.  An asset with several losers or gainers is
+    reported in `unresolved` rather than guessed.
     """
     deltas = net_deltas(trace)
-    labels = {aid: addr.label for aid, addr in world_before.addresses.items()}
+    infra, fills = _read_calls(trace)
     actor_deltas = {
         (addr, sym): d for (addr, sym), d in deltas.items()
-        if labels.get(addr, "Unlabeled") not in INFRA_LABELS
-        and addr not in world_before.pools and exact_sign(d) != 0
+        if addr not in infra and exact_sign(d) != 0
     }
 
     roles: dict[str, str] = {}
     fill_present = any(c.kind == "fill_limit_order" for c in trace.calls)
     roles[trace.initiator] = "Executor" if fill_present else "Operator"
-    pulled_from = {c.callee for c in trace.calls if c.kind == "transfer_from"}
-    for owner in pulled_from:
-        roles.setdefault(owner, "Principal")
-    for intent in intents:
-        roles.setdefault(intent.maker, "Principal")
+    for c in trace.calls:  # an allowance pull's owner, or a fill's maker
+        if c.kind in ("transfer_from", "fill_limit_order"):
+            roles.setdefault(c.callee, "Principal")
 
     migrations: list[Migration] = []
     consumed: set[tuple[str, str]] = set()
-
-    for intent in intents:
-        lost = actor_deltas.get((intent.maker, intent.maker_asset.symbol))
-        gained = actor_deltas.get((intent.receiver,
-                                   intent.taker_asset.symbol))
-        if lost is not None and exact_sign(lost) < 0 \
-                and gained is not None and exact_sign(gained) > 0:
-            migrations.append(Migration(intent.maker, intent.receiver,
-                                        intent.taker_asset.symbol, gained))
-            roles.setdefault(intent.receiver, "Beneficiary")
-            consumed.add((intent.maker, intent.maker_asset.symbol))
-            consumed.add((intent.receiver, intent.taker_asset.symbol))
+    for maker, maker_sym, receiver, taker_sym in fills:
+        gained = actor_deltas.get((receiver, taker_sym), 0)
+        if exact_sign(actor_deltas.get((maker, maker_sym), 0)) < 0 \
+                and exact_sign(gained) > 0:
+            migrations.append(Migration(maker, receiver, taker_sym, gained))
+            roles.setdefault(receiver, "Beneficiary")
+            consumed.update({(maker, maker_sym), (receiver, taker_sym)})
 
     executor_profit: dict[str, object] = {}
     unresolved: list[dict] = []
@@ -146,15 +168,11 @@ def recover_migrations(trace: ExecutionTrace, world_before: WorldState,
     efficiency = None
     if migrations:
         m = migrations[0]
-        loss = None
-        for (addr, sym), d in deltas.items():
-            if addr == m.principal and exact_sign(d) < 0:
-                # same asset preferred; fall back to the single lost asset
-                if sym == m.asset or loss is None:
-                    loss = -d
-                    if sym == m.asset:
-                        break
-        if loss is not None and exact_sign(loss) > 0:
+        losses = {sym: -d for (addr, sym), d in deltas.items()
+                  if addr == m.principal and exact_sign(d) < 0}
+        # same asset preferred; fall back to the first lost asset
+        loss = losses.get(m.asset, next(iter(losses.values()), None))
+        if loss is not None:
             efficiency = float(m.amount) / float(loss)
     return MigrationReport(migrations=migrations, roles=roles,
                            efficiency=efficiency, atomic=True,

@@ -81,6 +81,31 @@ def test_criterion_1_zero_fee_constructive_proof():
                f"restore both pools ({elapsed:.2f}s)", ok)
 
 
+def test_transfer_layer_bounds_on_criterion_1_relocations():
+    """What attribution says of criterion 1's relocations, exactly: the
+    minimum is the part of a that extraction's repayment y does not
+    cover, the maximum is a, and the verdict is NOT RECOVERABLE.  The
+    minimum is positive wherever y < a.  Criterion 1's first 200."""
+    rng = random.Random(1)
+    positive_min = 0
+    for _ in range(200):
+        pool1 = make_pool("pool1", Fraction(rng.randint(50, 5000)),
+                          Fraction(rng.randint(50, 5000)))
+        pool2 = make_pool("pool2", Fraction(rng.randint(50, 5000)),
+                          Fraction(rng.randint(50, 5000)))
+        a = Fraction(rng.randint(1, int(pool1.reserve0) // 10))
+        plan, _, _, trace = run_relocation(pool1, pool2, a)
+        result = attribute(build_graph(trace, TOKA), "P", "B")
+        uncovered = a - plan.y
+        assert result.p_to_b_min == \
+            (float(uncovered) if exact_sign(uncovered) > 0 else 0)
+        assert result.p_to_b_max == a
+        assert not result.recoverable
+        positive_min += result.p_to_b_min > 0
+    # both sides of y = a occur in the sample
+    assert 0 < positive_min < 200
+
+
 def test_criterion_2_consistency_solver():
     pool1 = make_pool("pool1", Fraction(100), Fraction(100))
     pool2 = make_pool("pool2", Fraction(100), Fraction(100))

@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from ammflow.amm import AssetId, NumericMode, PoolState
+from ammflow.amm import AssetId, NumericMode, PoolState, swap_exact_in
 from ammflow.calibration import (CalibratedPools, InconsistentObservations,
                                  ObservationSet, PUBLISHED_OBSERVATIONS,
                                  calibrate_reserves, generate_observations,
-                                 replay_and_validate)
-from ammflow.planner import solve_flash_amount
+                                 integer_amounts, replay_and_validate)
+from ammflow.planner import (PlannerError, extraction_result,
+                             solve_flash_amount)
 from ammflow.scenarios import build_calibrated_relocation_scenario
 
 WETH = AssetId("WETH", 18)
@@ -93,6 +94,61 @@ class TestCalibrateReserves:
         plan = build_calibrated_relocation_scenario().plan
         assert plan.b == 159_461_050_000
 
+    def test_replay_plans_over_the_scenarios_pools(self,
+                                                   published_calibration):
+        run = build_calibrated_relocation_scenario()
+        reserves1, reserves2, a, x, y = integer_amounts(
+            published_calibration, PUBLISHED_OBSERVATIONS)
+        assert (run.world.pools["pool1"].reserve0,
+                run.world.pools["pool1"].reserve1) == reserves1
+        assert (run.world.pools["pool2"].reserve0,
+                run.world.pools["pool2"].reserve1) == reserves2
+        plan = run.plan
+        assert (plan.a, plan.x, plan.y) == (a, x, y)
+        report = replay_and_validate(published_calibration,
+                                     PUBLISHED_OBSERVATIONS)
+        assert report["b_replayed"] == plan.b / 10**6
+        assert report["x_prime_replayed"] == plan.x_recovered / 10**18
+        assert report["b_prime_replayed"] == plan.b_prime / 10**6
+        assert report["a_prime_replayed"] == \
+            plan.predicted_a_prime / 10**18
+
+
+@pytest.mark.parametrize("mode, scale", [(NumericMode.INTEGER, 10**18),
+                                         (NumericMode.RATIONAL, 1)])
+def test_observations_equal_the_phase_math(mode, scale):
+    """The observations read off the plan are those of replaying its two
+    phases swap by swap."""
+    usdt = 10**6 if mode is NumericMode.INTEGER else 1
+    pool1 = PoolState("pool1", WETH, USDT, 2000 * scale, 5_400_000 * usdt,
+                      30, mode)
+    pool2 = PoolState("pool2", WETH, USDT, 400 * scale, 1_065_000 * usdt,
+                      30, mode)
+    a, y = 10 * scale, 45 * scale
+    x = solve_flash_amount(pool1, pool2, WETH, a)
+    b, pool1_after = swap_exact_in(pool1, WETH, a + x)
+    x_prime, pool2_after = swap_exact_in(pool2, USDT, b)
+    b_prime, out = extraction_result(pool1_after, pool2_after, WETH, y)
+    assert generate_observations(pool1, pool2, WETH, a, y) == ObservationSet(
+        a=float(a), x=float(x), b=float(b), x_prime=float(x_prime),
+        b_prime=float(b_prime), y=float(y),
+        a_prime=float(out - y - (x - x_prime)), fee_bps=30,
+        asset_decimals=18, counter_decimals=6)
+
+
+def test_uncovered_shortfall_is_the_planners_refusal():
+    # 1% fees on a 1-unit relocation: the extraction at 98% of x nets
+    # less than the flash shortfall
+    pool1 = PoolState("pool1", WETH, USDT, Fraction(4528),
+                      Fraction(4528 * 2816), 100, NumericMode.RATIONAL)
+    pool2 = PoolState("pool2", WETH, USDT, Fraction(1971),
+                      1971 * 2816 * Fraction(10_000 - 112, 10_000), 100,
+                      NumericMode.RATIONAL)
+    x = solve_flash_amount(pool1, pool2, WETH, 1)
+    y = Fraction(float(x)) * Fraction(98, 100)
+    with pytest.raises(PlannerError, match="does not cover"):
+        generate_observations(pool1, pool2, WETH, Fraction(1), y)
+
 
 SINGULAR_OBSERVATIONS = ObservationSet(
     a=10.0, x=5.0, b=6.0, x_prime=2.0, b_prime=3.0, y=1.0, a_prime=9.0,
@@ -118,10 +174,12 @@ def test_round_trip_recovers_truth_pools(fee_bps, r_a1, r_a2, price,
     y = Fraction(float(x)) * Fraction(y_percent, 100)
     try:
         obs = generate_observations(pool1, pool2, WETH, Fraction(a), y)
-    except ValueError as err:
-        # the extraction's fees ate more than the principal: a trace never
-        # shows a non-positive a_prime, so there is nothing to calibrate
-        if "a_prime must be positive" not in str(err):
+    except (ValueError, PlannerError) as err:
+        # the extraction's fees ate more than the principal: the planner
+        # refuses a negative a_prime, and a trace never shows a zero one,
+        # so there is nothing to calibrate
+        if "a_prime must be positive" not in str(err) \
+                and "does not cover the flash shortfall" not in str(err):
             raise
         reject()
     recovered = calibrate_reserves(obs)

@@ -162,6 +162,25 @@ class TestAnalyze:
         assert "transfer-layer: RECOVERABLE 25 TOKA" in result.stdout
         assert "MIGRATION alice -> carol 25 TOKA" in result.stdout
 
+    def test_semantic_lines_agree_with_simulate(self, cli, tmp_path):
+        from ammflow.scenarios import library
+        from ammflow.semantic import recover_migrations
+
+        out = simulate(cli, tmp_path, *library())
+        for name, build in library().items():
+            run = build()
+            world_before = run.world.copy()
+            world_after, trace = run.execute()
+            expected = recover_migrations(trace, world_before, world_after,
+                                          intents=run.intents).summary()
+            result = cli(["analyze", str(out / name / "trace.json"),
+                          "--principal", "P", "--beneficiary", "B"])
+            assert result.exit_code == 0, result.stderr
+            semantic = [line[len("semantic: "):]
+                        for line in result.stdout.splitlines()
+                        if line.startswith("semantic: ")]
+            assert semantic == expected.splitlines(), name
+
     def test_missing_file_exits_2(self, cli, tmp_path):
         result = cli(["analyze",
                       str(tmp_path / "missing.json"),

@@ -8,7 +8,7 @@ from ammflow.amm import NumericMode, PoolState
 from ammflow.planner import build_relocation_bundle, plan_relocation
 from ammflow.scenarios import (build_calibrated_relocation_scenario,
                                build_peb_scenario,
-                               build_relocation_scenario)
+                               build_relocation_scenario, library)
 from ammflow.semantic import loss_decomposition, recover_migrations
 from conftest import TOKA, TOKB
 
@@ -88,6 +88,44 @@ class TestRecoverMigrations:
         text = report.summary()
         assert "MIGRATION P -> B 10 TOKA" in text
         assert "role P: Principal" in text
+
+
+class TestReadsTheExecutionRecordAlone:
+    @pytest.mark.parametrize("name", sorted(library()))
+    def test_same_report_without_worlds(self, name):
+        run = library()[name]()
+        world_before = run.world.copy()
+        world_after, trace = run.execute()
+        with_worlds = recover_migrations(trace, world_before, world_after,
+                                         intents=run.intents)
+        without = recover_migrations(trace, None, None)
+        assert without.to_dict() == with_worlds.to_dict()
+        assert without.summary() == with_worlds.summary()
+
+    @pytest.mark.parametrize("route_via_settlement", [True, False])
+    def test_fill_read_off_the_call_record(self, route_via_settlement):
+        run = build_peb_scenario(name="s",
+                                 route_via_settlement=route_via_settlement)
+        _, trace = run.execute()
+        report = recover_migrations(trace, None, None)
+        (mig,) = report.migrations
+        assert (mig.principal, mig.beneficiary, mig.asset, mig.amount) == \
+            ("P", "B", "DAI", 990)
+        assert report.roles == {"P": "Principal", "E": "Executor",
+                                "B": "Beneficiary"}
+
+    def test_a_label_without_its_call_is_not_honoured(self):
+        # "hub" is labelled a flash provider, but no flash call names it:
+        # it is an actor that gains what p loses
+        world = WorldState(mode=NumericMode.RATIONAL)
+        world.add_address(Address("p"))
+        world.add_address(Address("hub", "FlashProvider"))
+        world.set_balance("p", TOKA, Fraction(10))
+        after, trace = execute_bundle(
+            world, [Transfer("p", "hub", TOKA, Fraction(10))], "p")
+        (mig,) = recover_migrations(trace, world, after).migrations
+        assert (mig.principal, mig.beneficiary, mig.amount) == \
+            ("p", "hub", 10)
 
 
 class TestLossDecomposition:
