@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -177,9 +177,18 @@ class PoolState:
 
     def with_reserves(self, asset_in: AssetId, reserve_in,
                       reserve_out) -> "PoolState":
+        """This pool with asset_in's reserve set to reserve_in and the
+        other to reserve_out.  The copy skips `__post_init__`, so the
+        caller must pass positive reserves: a swap or flash swap of a
+        valid pool by a positive amount yields them by construction."""
+        new = object.__new__(PoolState)
         if asset_in == self.asset0:
-            return replace(self, reserve0=reserve_in, reserve1=reserve_out)
-        return replace(self, reserve0=reserve_out, reserve1=reserve_in)
+            new.__dict__.update(self.__dict__, reserve0=reserve_in,
+                                reserve1=reserve_out)
+        else:
+            new.__dict__.update(self.__dict__, reserve0=reserve_out,
+                                reserve1=reserve_in)
+        return new
 
 
 def swap_exact_in(pool: PoolState, input_asset: AssetId,

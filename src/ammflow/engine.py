@@ -365,6 +365,11 @@ def _apply_action(ex: _Execution, idx: int, act: Action) -> None:
         # an over-repayment is a gift, not credit against a later borrow
         left = debt - act.amount
         ex.flash_debts[key] = left if exact_sign(left) > 0 else 0
+    elif isinstance(act, (FlashSwapBorrow, FlashSwapRepay)) \
+            and exact_sign(act.amount) <= 0:
+        # a positive amount keeps both reserves of a valid pool positive,
+        # which is the contract of PoolState.with_reserves
+        raise EngineError("flash swap amount must be positive")
     elif isinstance(act, FlashSwapBorrow):
         pool = world.pools[act.pool]
         reserve = pool.reserve_of(act.asset)

@@ -30,13 +30,12 @@ _SCENARIO_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
 
 class ScenarioRun:
     __slots__ = ("name", "world", "bundle", "initiator", "principal",
-                 "beneficiary", "intents", "plan", "route_via_settlement",
+                 "beneficiary", "plan", "route_via_settlement",
                  "is_relocation")
 
     def __init__(self, name: str, world: WorldState, bundle: list[Action],
                  initiator: str, principal: str | None = None,
                  beneficiary: str | None = None,
-                 intents: tuple[LimitOrderIntent, ...] = (),
                  plan: Optional[RelocationPlan] = None,
                  route_via_settlement: bool = True,
                  is_relocation: bool = False):
@@ -46,7 +45,6 @@ class ScenarioRun:
         self.initiator = initiator
         self.principal = principal
         self.beneficiary = beneficiary
-        self.intents = intents
         self.plan = plan
         self.route_via_settlement = route_via_settlement
         self.is_relocation = is_relocation
@@ -202,7 +200,7 @@ def build_peb_scenario(*, name: str = "peb",
             FlashSwapRepay(pool_id, e_id, usd, repay_usdc),
         ]
     return ScenarioRun(name=name, world=world, bundle=bundle, initiator=e_id,
-                       principal=p_id, beneficiary=b_id, intents=(order,),
+                       principal=p_id, beneficiary=b_id,
                        route_via_settlement=route_via_settlement)
 
 

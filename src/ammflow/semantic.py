@@ -11,8 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .amm import BPS_DENOM, NumericMode
-from .engine import (ExecutionTrace, LimitOrderIntent, WorldState,
-                     net_deltas)
+from .engine import ExecutionTrace, WorldState, net_deltas
 from .numeric import exact_sign
 from .planner import RelocationPlan
 
@@ -104,12 +103,10 @@ def _read_calls(trace: ExecutionTrace) -> tuple[set[str], list[tuple]]:
 
 def recover_migrations(trace: ExecutionTrace,
                        world_before: WorldState | None,
-                       world_after: WorldState | None,
-                       intents: tuple[LimitOrderIntent, ...] = ()
-                       ) -> MigrationReport:
+                       world_after: WorldState | None) -> MigrationReport:
     """Pair strict losers with strict gainers enforced in the same bundle.
 
-    Only the trace is read, never the worlds or `intents`.  The initiator
+    Only the trace is read, never the worlds.  The initiator
     is the executor/operator; principals are allowance-pull owners and
     fill makers, and a fill pairs its maker with its receiver;
     infrastructure (pools, flash providers, settlement contracts) is

@@ -140,8 +140,7 @@ def test_criterion_4_attribution_vs_semantic_observer():
         graph = build_graph(trace, run.plan.asset)
         result = attribute(graph, run.principal, run.beneficiary)
         ok = ok and not result.recoverable and result.p_to_b_min == 0
-        report = recover_migrations(trace, world_before, world_after,
-                                    intents=run.intents)
+        report = recover_migrations(trace, world_before, world_after)
         found = [m for m in report.migrations
                  if m.principal == run.principal
                  and m.beneficiary == run.beneficiary]
@@ -156,8 +155,7 @@ def test_criterion_4_attribution_vs_semantic_observer():
         asset = world_before.assets[sym]
         ok = ok and not any(e.src == "P" and e.dst == "B"
                             for e in build_graph(trace, asset).edges)
-    roles = recover_migrations(trace, world_before, world_after,
-                               intents=peb.intents).roles
+    roles = recover_migrations(trace, world_before, world_after).roles
     ok = ok and roles.get("P") == "Principal" \
         and roles.get("E") == "Executor" \
         and roles.get("B") == "Beneficiary"

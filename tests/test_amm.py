@@ -1,13 +1,15 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ammflow.amm import (AssetId, NumericMode, OutputNotLessThanReserve,
-                         PoolState, UnknownAsset, ZeroInput, format_amount,
-                         parse_amount, solve_input_for_output, spot_price,
-                         swap_exact_in)
+from ammflow import engine, planner
+from ammflow.amm import (BPS_DENOM, AssetId, NumericMode,
+                         OutputNotLessThanReserve, PoolState, UnknownAsset,
+                         ZeroInput, format_amount, parse_amount,
+                         solve_input_for_output, spot_price, swap_exact_in)
 from conftest import TOKA, TOKB, make_pool
 
 
@@ -245,3 +247,62 @@ def test_pool_validation():
         AssetId("")
     with pytest.raises(ValueError):
         AssetId("X", 40)
+
+
+def reserves(mode):
+    if mode is NumericMode.INTEGER:
+        return st.integers(1, 10 ** 30)
+    return st.fractions(Fraction(1, 10 ** 9), 10 ** 9, max_denominator=10 ** 9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(NumericMode), st.integers(0, BPS_DENOM - 1),
+       st.sampled_from([TOKA, TOKB]), st.data())
+def test_with_reserves_equals_replace(mode, fee_bps, asset_in, data):
+    r0, r1, new_in, new_out = (data.draw(reserves(mode)) for _ in range(4))
+    pool = PoolState("p", TOKA, TOKB, r0, r1, fee_bps, mode)
+    copy = pool.with_reserves(asset_in, new_in, new_out)
+    want = dataclasses.replace(pool, reserve0=new_in, reserve1=new_out) \
+        if asset_in == TOKA \
+        else dataclasses.replace(pool, reserve0=new_out, reserve1=new_in)
+    assert type(copy) is PoolState
+    assert copy == want and hash(copy) == hash(want)
+    assert repr(copy) == repr(want)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        copy.reserve0 = r0
+    assert pool == PoolState("p", TOKA, TOKB, r0, r1, fee_bps, mode)
+
+
+def test_integer_relocation_copies_no_pool_through_replace(monkeypatch):
+    # a relocation shaped like the fee_integer benchmark's (WETH/USDT,
+    # 30 bps, integer units): every pool after the two built here is a
+    # swap-derived copy, which must skip both replace and the re-check
+    weth, usdt = AssetId("WETH", 18), AssetId("USDT", 6)
+    eth, usd = 10 ** 18, 10 ** 6
+    mode = NumericMode.INTEGER
+    pool1 = PoolState("pool1", weth, usdt, 2000 * eth, 5_400_000 * usd, 30,
+                      mode)
+    pool2 = PoolState("pool2", weth, usdt, 400 * eth, 1_090_800 * usd, 30,
+                      mode)
+    world = engine.WorldState(mode=mode)
+    for aid in ("P", "B", "O", "flash"):
+        world.add_address(engine.Address(aid))
+    world.add_pool(pool1)
+    world.add_pool(pool2)
+    world.set_balance("P", weth, 10 * eth)
+    world.set_balance("flash", weth, 2400 * eth)
+    world.approve("P", "O", weth, 10 * eth)
+
+    calls = []
+    real_replace, real_check = dataclasses.replace, PoolState.__post_init__
+    monkeypatch.setattr(dataclasses, "replace", lambda obj, **changes:
+                        calls.append("replace")
+                        or real_replace(obj, **changes))
+    monkeypatch.setattr(PoolState, "__post_init__", lambda self:
+                        calls.append("__post_init__") or real_check(self))
+    plan = planner.plan_relocation(pool1, pool2, weth, "P", "B", "O",
+                                   10 * eth)
+    bundle = planner.build_relocation_bundle(plan, pool1, pool2)
+    _, trace = engine.execute_bundle(world, bundle, "O")
+    assert engine.net_deltas(trace)[("B", "WETH")] == plan.predicted_a_prime
+    assert calls == []

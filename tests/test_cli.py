@@ -171,8 +171,8 @@ class TestAnalyze:
             run = build()
             world_before = run.world.copy()
             world_after, trace = run.execute()
-            expected = recover_migrations(trace, world_before, world_after,
-                                          intents=run.intents).summary()
+            expected = recover_migrations(trace, world_before,
+                                          world_after).summary()
             result = cli(["analyze", str(out / name / "trace.json"),
                           "--principal", "P", "--beneficiary", "B"])
             assert result.exit_code == 0, result.stderr

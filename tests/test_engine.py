@@ -4,8 +4,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from ammflow.amm import NumericMode, PoolState
+from ammflow.amm import AmmError, NumericMode, PoolState
 from ammflow.engine import (Address, EngineError, FillLimitOrder, FlashBorrow,
                             FlashRepay, FlashSwapBorrow, FlashSwapRepay,
                             InsufficientAllowance, InsufficientBalance,
@@ -94,6 +95,28 @@ class TestExecuteBundle:
                 FlashBorrow("pool", "E", TOKA, Fraction(50)),
                 FlashSwapBorrow("pool", "E", TOKB, Fraction(10)),
                 FlashSwapRepay("pool", "E", TOKA, Fraction(12))], "E")
+        assert snapshot(world) == before
+
+    @pytest.mark.parametrize("fee_bps, borrow, repay", [
+        (0, Fraction(-5), Fraction(-5)),
+        (30, Fraction(-100000), Fraction("-100000.1")),
+        (30, Fraction(-100000), Fraction("-100100.1")),
+        (0, Fraction(0), Fraction(1))])
+    def test_flash_swap_amounts_must_be_positive(self, fee_bps, borrow,
+                                                 repay):
+        # a negative borrow raises the reserve and pays the borrower a
+        # negative amount; a negative repay takes reserve out again, and
+        # the fee adjustment credits it.  Unchecked, the second bundle
+        # moves 1/10 TOKA from the pool to E, and the third leaves the
+        # pool's TOKA reserve at -1/10
+        world = basic_world("E")
+        world.add_pool(make_pool("pool", Fraction(100), Fraction(100),
+                                 fee_bps))
+        before = snapshot(world)
+        with pytest.raises(EngineError, match="must be positive"):
+            execute_bundle(world, [
+                FlashSwapBorrow("pool", "E", TOKA, borrow),
+                FlashSwapRepay("pool", "E", TOKA, repay)], "E")
         assert snapshot(world) == before
 
     def test_transfer_from_needs_allowance(self):
@@ -239,6 +262,53 @@ def test_randomized_atomicity_and_conservation():
             assert after.balance(aid, asset) == \
                 world.balance(aid, asset) + delta
     assert successes > 50  # the generator must exercise the happy path
+
+
+ASSETS = st.sampled_from([TOKA, TOKB])
+# non-positive amounts, and positive ones often enough to reach success
+AMOUNTS = st.one_of(st.integers(1, 60), st.integers(-150, 150))
+LEGS = st.none() | st.tuples(ASSETS, AMOUNTS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mode=st.sampled_from(NumericMode), fee_bps=st.sampled_from([0, 30]),
+       swaps=st.lists(st.tuples(ASSETS, AMOUNTS), max_size=3),
+       borrow=LEGS, repay=LEGS, at=st.integers(0, 3))
+@example(mode=NumericMode.RATIONAL, fee_bps=30, swaps=[],
+         borrow=(TOKA, 10), repay=(TOKB, 13), at=0)
+@example(mode=NumericMode.INTEGER, fee_bps=30, swaps=[(TOKA, 7)],
+         borrow=(TOKB, 20), repay=(TOKA, 30), at=0)
+@example(mode=NumericMode.RATIONAL, fee_bps=30, swaps=[],
+         borrow=(TOKA, -200000), repay=(TOKA, -200201), at=0)
+def test_derived_pool_states_stay_valid(mode, fee_bps, swaps, borrow, repay,
+                                        at):
+    # swaps, with a flash swap borrowed before swap `at` and repaid at the
+    # end, either leg possibly missing, and amounts of any sign: a bundle
+    # is refused with the world untouched, or it leaves a valid pool
+    world = basic_world("E", mode=mode)
+    one = Fraction(1, 2) if mode is NumericMode.RATIONAL else 1
+    world.add_pool(make_pool("pool", 100 * one, 100 * one, fee_bps, mode))
+    world.set_balance("E", TOKA, 60 * one)
+    world.set_balance("E", TOKB, 60 * one)
+    bundle = [Swap("E", "pool", asset, n * one, "E") for asset, n in swaps]
+    if repay is not None:
+        bundle.append(FlashSwapRepay("pool", "E", repay[0], repay[1] * one))
+    if borrow is not None:
+        bundle.insert(at, FlashSwapBorrow("pool", "E", borrow[0],
+                                          borrow[1] * one))
+    before = snapshot(world)
+    try:
+        after, trace = execute_bundle(world, bundle, "E")
+    except (EngineError, AmmError):
+        assert snapshot(world) == before
+        return
+    assert snapshot(world) == before
+    pool = after.pools["pool"]
+    assert pool.reserve0 > 0 and pool.reserve1 > 0
+    assert pool.k >= world.pools["pool"].k
+    for asset in (TOKA, TOKB):
+        assert after.total_supply(asset) == world.total_supply(asset)
+    assert all(ev.amount >= 0 for ev in trace.events)
 
 
 def test_insufficient_balance_rolls_back_mid_bundle():

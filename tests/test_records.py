@@ -75,7 +75,7 @@ RECORDS = [
      {"residuals": {}, "iterations": 0}),
     (ScenarioRun, (("name", "s"), ("world", WORLD), ("bundle", []),
                    ("initiator", "E")),
-     {"principal": None, "beneficiary": None, "intents": (), "plan": None,
+     {"principal": None, "beneficiary": None, "plan": None,
       "route_via_settlement": True, "is_relocation": False}),
 ]
 IDS = [record.__name__ for record, _, _ in RECORDS]

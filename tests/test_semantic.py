@@ -16,8 +16,7 @@ from conftest import TOKA, TOKB
 def run_scenario(run):
     world_before = run.world.copy()
     world_after, trace = run.execute()
-    report = recover_migrations(trace, world_before, world_after,
-                                intents=run.intents)
+    report = recover_migrations(trace, world_before, world_after)
     return report, trace, world_after
 
 
@@ -96,8 +95,7 @@ class TestReadsTheExecutionRecordAlone:
         run = library()[name]()
         world_before = run.world.copy()
         world_after, trace = run.execute()
-        with_worlds = recover_migrations(trace, world_before, world_after,
-                                         intents=run.intents)
+        with_worlds = recover_migrations(trace, world_before, world_after)
         without = recover_migrations(trace, None, None)
         assert without.to_dict() == with_worlds.to_dict()
         assert without.summary() == with_worlds.summary()
