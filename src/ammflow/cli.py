@@ -16,11 +16,9 @@ from pathlib import Path
 from .calibration import (InconsistentObservations, ObservationSet,
                           PUBLISHED_OBSERVATIONS, calibrate_reserves,
                           replay_and_validate)
-from .engine import (ExecutionTrace, net_deltas, trace_from_dict,
-                     trace_to_dict, trace_to_json)
+from .engine import ExecutionTrace, trace_from_dict, trace_to_json
 from .graph import (TransferGraph, attribute, build_graph, taint_haircut,
                     taint_poison, to_dot)
-from .numeric import exact_sign
 from .scenarios import ConfigError, library, load_scenario_config
 from .semantic import loss_decomposition, recover_migrations
 
@@ -242,53 +240,34 @@ def report(run_dir):
 
 
 def selftest():
-    """Fast end-to-end consistency checks of the shipped scenarios."""
-    failures = []
-
-    def check(name: str, ok: bool) -> None:
-        print(f"{'PASS' if ok else 'FAIL'} {name}")
-        if not ok:
-            failures.append(name)
+    """Check the paper's claims on the library scenarios."""
+    from . import claims  # only selftest reads the claims
 
     lib = library()
-    run = lib["relocation_sym_zero_fee"]()
-    world_after, trace = run.execute()
-    deltas = net_deltas(trace)
-    sym = run.plan.asset.symbol
-    check("relocation principal/beneficiary deltas exact",
-          deltas[(run.principal, sym)] == -run.plan.a
-          and deltas[(run.beneficiary, sym)] == run.plan.a)
-    check("pools restored exactly",
-          all(exact_sign(world_after.pools[p].reserve0
-                         - run.world.pools[p].reserve0) == 0
-              and exact_sign(world_after.pools[p].reserve1
-                             - run.world.pools[p].reserve1) == 0
-              for p in run.world.pools))
-
-    run_a = lib["peb_limit_order"]()
-    run_b = lib["peb_flash_swap"]()
-    _, trace_a = run_a.execute()
-    _, trace_b = run_b.execute()
-
-    def nonzero(deltas):
-        return {k: v for k, v in deltas.items() if exact_sign(v) != 0}
-
-    check("flash-loan and flash-swap fills net identically",
-          nonzero(net_deltas(trace_a)) == nonzero(net_deltas(trace_b)))
-
-    calibrated = calibrate_reserves(PUBLISHED_OBSERVATIONS)
-    validation = replay_and_validate(calibrated, PUBLISHED_OBSERVATIONS)
-    check("calibration replay within 1e-3",
-          max(v for k, v in validation.items()
-              if k.endswith("_rel_err")) <= 1e-3)
-
-    rerun = lib["relocation_sym_zero_fee"]()
-    _, trace_again = rerun.execute()
-    check("replays byte-identical",
-          trace_to_dict(trace, run.world.mode)
-          == trace_to_dict(trace_again, rerun.world.mode))
-
-    if failures:
+    runs = [make() for make in lib.values()]
+    relocations = [run for run in runs if run.plan is not None]
+    fills = [run for run in runs if run.plan is None and run.principal]
+    subjects = {
+        claims.zero_fee_relocation_exact: [
+            run for run in relocations
+            if not any(p.fee_bps for p in run.world.pools.values())],
+        claims.observer_gap: relocations + fills,
+        claims.peb_separation: fills,
+        claims.twin_indistinguishable: relocations,
+        claims.taint_divergence: relocations}
+    results = [(claim.__name__, run.name, claim(run))
+               for claim, chosen in subjects.items() for run in chosen]
+    results += [("flash_equivalence", "the library fill",
+                 claims.flash_equivalence()),
+                ("calibration_replays", "the published observations",
+                 claims.calibration_replays(PUBLISHED_OBSERVATIONS))]
+    results += [("deterministic_replay", name,
+                 claims.deterministic_replay(make))
+                for name, make in lib.items()]
+    for claim, subject, failed in results:
+        print(f"FAIL {claim} on {subject}: {', '.join(failed)}" if failed
+              else f"PASS {claim} on {subject}")
+    if any(failed for _, _, failed in results):
         return EXIT_INCONSISTENT
     print("selftest: all checks passed")
 

@@ -326,8 +326,23 @@ def _apply_fill(ex: _Execution, idx: int, act: FillLimitOrder) -> None:
         ex.move(order.maker, act.filler, order.maker_asset, making, idx)
 
 
+def _amounts(act: Action) -> tuple:
+    if isinstance(act, FillLimitOrder):
+        order = act.order
+        return act.fill_amount, order.making_amount, order.taking_amount
+    return (act.amount_in if isinstance(act, Swap)
+            else getattr(act, "amount", 0),)
+
+
 def _apply_action(ex: _Execution, idx: int, act: Action) -> None:
     world = ex.world
+    if world.mode is NumericMode.INTEGER \
+            and any(type(v) is not int for v in _amounts(act)):
+        # a pool would floor a fraction of a unit that its payer paid whole
+        raise EngineError(f"integer-mode amounts must be ints: {act}")
+    if isinstance(act, (Swap, FlashSwapBorrow, FlashSwapRepay)) \
+            and act.pool not in world.pools:
+        raise EngineError(f"no pool {act.pool!r}")
     if isinstance(act, Transfer):
         ex.call(idx, "transfer", act.src, act.dst)
         ex.move(act.src, act.dst, act.asset, act.amount, idx)

@@ -111,7 +111,8 @@ def solve_flash_amount(pool1: PoolState, pool2: PoolState, asset: AssetId,
     each pool's own fee factor folded in, so the loop output equals x.
     Integer mode bisects for an x whose floored loop output covers x while
     the output at x + 1 does not cover x + 1; the floors can leave that x
-    far from the continuous root.
+    far from the continuous root.  Raises NoPositiveRoot when x = 1 does
+    not repay itself, or when a + 1 buys no counter unit.
     """
     _check_pair(pool1, pool2, asset)
     if exact_sign(a) <= 0:
@@ -132,7 +133,11 @@ def solve_flash_amount(pool1: PoolState, pool2: PoolState, asset: AssetId,
         return solve_quadratic(qa, qb, qc)[1]
 
     lo, hi = 1, int(r_a2)  # output < r_a2, so f(hi) < 0
-    if dislocation_output(pool1, pool2, asset, a, lo) < lo:
+    try:
+        covered = dislocation_output(pool1, pool2, asset, a, lo) >= lo
+    except ZeroInput:  # a + 1 buys no counter unit: x = 1 repays nothing
+        covered = False
+    if not covered:
         raise NoPositiveRoot("no positive flash amount solves the loop")
     while hi - lo > 1:
         mid = (lo + hi) // 2

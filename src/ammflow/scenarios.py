@@ -30,15 +30,13 @@ _SCENARIO_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
 
 class ScenarioRun:
     __slots__ = ("name", "world", "bundle", "initiator", "principal",
-                 "beneficiary", "plan", "route_via_settlement",
-                 "is_relocation")
+                 "beneficiary", "plan", "route_via_settlement")
 
     def __init__(self, name: str, world: WorldState, bundle: list[Action],
                  initiator: str, principal: str | None = None,
                  beneficiary: str | None = None,
                  plan: Optional[RelocationPlan] = None,
-                 route_via_settlement: bool = True,
-                 is_relocation: bool = False):
+                 route_via_settlement: bool = True):
         self.name = name
         self.world = world
         self.bundle = bundle
@@ -47,7 +45,6 @@ class ScenarioRun:
         self.beneficiary = beneficiary
         self.plan = plan
         self.route_via_settlement = route_via_settlement
-        self.is_relocation = is_relocation
 
     def execute(self) -> tuple[WorldState, ExecutionTrace]:
         return execute_bundle(self.world, self.bundle, self.initiator,
@@ -108,8 +105,7 @@ def build_relocation_scenario(
     world.approve(p_id, o_id, asset, amount_a)
     bundle = build_relocation_bundle(plan, pool1, pool2)
     return ScenarioRun(name=name, world=world, bundle=bundle, initiator=o_id,
-                       principal=p_id, beneficiary=b_id, plan=plan,
-                       is_relocation=True)
+                       principal=p_id, beneficiary=b_id, plan=plan)
 
 
 def build_calibrated_relocation_scenario(name: str = "relocation_fee_calibrated"
@@ -233,7 +229,7 @@ def build_benign_twin(run: ScenarioRun,
     structurally identical to the relocation's under label erasure.  With
     perturb=True one extra edge is appended as a negative control.
     """
-    if not run.is_relocation:
+    if run.plan is None:
         raise ConfigError("benign twin is defined for relocation scenarios")
     mapping = {run.principal: "treasury", run.initiator: "trader",
                run.beneficiary: "collect"}
@@ -338,10 +334,6 @@ def library() -> dict[str, Callable[[], ScenarioRun]]:
         "benign_arbitrage": build_benign_arbitrage,
         "benign_routing": build_benign_routing,
     }
-
-
-def relocation_scenario_names() -> list[str]:
-    return [n for n in library() if n.startswith("relocation")]
 
 
 # -- config files -------------------------------------------------------

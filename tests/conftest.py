@@ -7,13 +7,37 @@ import pytest
 
 from ammflow.amm import AssetId, NumericMode, PoolState
 from ammflow.cli import main
+from ammflow.scenarios import library
 
 TOKA = AssetId("TOKA", 18)
 TOKB = AssetId("TOKB", 18)
 
+# limit-order fills run in both flash variants:
+# (making, taking, pool_reserves, fee_bps)
+PEB_PARAMS = [
+    ("1000", "990", ("1000000", "1000000"), 30),
+    ("1000", "985", ("200000", "200000"), 30),
+    ("1000", "990", ("1000000", "1000000"), 0),
+    ("500", "490", ("1000000", "1000000"), 30),
+    ("2500", "2450", ("1000000", "1000000"), 30),
+    ("100", "98", ("50000", "50000"), 30),
+    ("1000", "950", ("100000", "100000"), 30),
+    ("1000", "990", ("1000000", "1500000"), 30),
+    ("1000", "1980", ("1000000", "2000000"), 30),
+    ("333", "329", ("750000", "750000"), 10),
+    ("1000", "980", ("1000000", "1000000"), 100),
+    ("12345", "12000", ("9000000", "9000000"), 30),
+]
+
 
 def make_pool(pool_id, r0, r1, fee_bps=0, mode=NumericMode.RATIONAL):
     return PoolState(pool_id, TOKA, TOKB, r0, r1, fee_bps, mode)
+
+
+def library_relocations():
+    """Fresh runs of the library's relocations: the runs with a plan."""
+    runs = [make() for make in library().values()]
+    return [run for run in runs if run.plan is not None]
 
 
 @pytest.fixture

@@ -9,19 +9,14 @@ import sys
 import time
 from fractions import Fraction
 
+from ammflow import claims
 from ammflow.calibration import (PUBLISHED_OBSERVATIONS, calibrate_reserves,
                                  replay_and_validate)
-from ammflow.engine import (Address, WorldState, execute_bundle, net_deltas)
-from ammflow.graph import (attribute, build_graph, taint_haircut,
-                           taint_poison, trace_canonical_form)
+from ammflow.graph import attribute, build_graph
 from ammflow.numeric import exact_sign, make_exact
-from ammflow.planner import (build_relocation_bundle, plan_relocation,
-                             solve_flash_amount)
-from ammflow.scenarios import (build_benign_twin, build_peb_scenario,
-                               build_relocation_scenario, library,
-                               relocation_scenario_names)
-from ammflow.semantic import recover_migrations
-from conftest import TOKA, make_pool
+from ammflow.planner import solve_flash_amount
+from ammflow.scenarios import build_peb_scenario, build_relocation_scenario
+from conftest import PEB_PARAMS, TOKA, library_relocations, make_pool
 
 
 VERDICTS: list[str] = []
@@ -34,51 +29,28 @@ def verdict(number: int, description: str, ok: bool) -> None:
     assert ok, line
 
 
-def run_relocation(pool1, pool2, a):
-    plan = plan_relocation(pool1, pool2, TOKA, "P", "B", "O", a)
-    world = WorldState(mode=pool1.mode)
-    for aid, label in (("P", "Principal"), ("B", "Beneficiary"),
-                       ("O", "Operator"), ("flash", "FlashProvider")):
-        world.add_address(Address(aid, label))
-    world.add_pool(pool1)
-    world.add_pool(pool2)
-    world.set_balance("P", TOKA, a)
-    world.set_balance("flash", TOKA,
-                      pool1.reserve_of(TOKA) + pool2.reserve_of(TOKA))
-    world.approve("P", "O", TOKA, a)
-    after, trace = execute_bundle(
-        world, build_relocation_bundle(plan, pool1, pool2), "O")
-    return plan, world, after, trace
+def criterion_1_relocations(count: int):
+    """Criterion 1's seeded zero-fee relocations: reserves 50-5000 and
+    a <= pool 1's asset reserve / 10."""
+    rng = random.Random(1)
+    for _ in range(count):
+        r = [rng.randint(50, 5000) for _ in range(4)]
+        yield build_relocation_scenario(
+            reserves1=(str(r[0]), str(r[1])), reserves2=(str(r[2]), str(r[3])),
+            a=str(rng.randint(1, r[0] // 10)))
 
 
 def test_criterion_1_zero_fee_constructive_proof():
-    rng = random.Random(1)
     started = time.monotonic()
-    ok = True
-    for _ in range(1000):
-        pool1 = make_pool("pool1", Fraction(rng.randint(50, 5000)),
-                          Fraction(rng.randint(50, 5000)))
-        pool2 = make_pool("pool2", Fraction(rng.randint(50, 5000)),
-                          Fraction(rng.randint(50, 5000)))
-        a = Fraction(rng.randint(1, int(pool1.reserve0) // 10))
-        _, world, after, trace = run_relocation(pool1, pool2, a)
-        deltas = net_deltas(trace)
-        ok = ok and deltas[("P", "TOKA")] == -a
-        ok = ok and deltas[("B", "TOKA")] == a
-        ok = ok and deltas.get(("O", "TOKA"), 0) == 0
-        ok = ok and deltas.get(("O", "TOKB"), 0) == 0
-        ok = ok and deltas.get(("flash", "TOKA"), 0) == 0
-        for pid in ("pool1", "pool2"):
-            ok = ok and after.pools[pid].reserve0 == \
-                world.pools[pid].reserve0
-            ok = ok and after.pools[pid].reserve1 == \
-                world.pools[pid].reserve1
-        if not ok:
+    failed = []
+    for run in criterion_1_relocations(1000):
+        failed = claims.zero_fee_relocation_exact(run)
+        if failed:
             break
     elapsed = time.monotonic() - started
-    ok = ok and elapsed < 10.0
     verdict(1, "1000 random zero-fee relocations migrate exactly a and "
-               f"restore both pools ({elapsed:.2f}s)", ok)
+               f"restore both pools ({elapsed:.2f}s)",
+            not failed and elapsed < 10.0)
 
 
 def test_transfer_layer_bounds_on_criterion_1_relocations():
@@ -86,20 +58,15 @@ def test_transfer_layer_bounds_on_criterion_1_relocations():
     minimum is the part of a that extraction's repayment y does not
     cover, the maximum is a, and the verdict is NOT RECOVERABLE.  The
     minimum is positive wherever y < a.  Criterion 1's first 200."""
-    rng = random.Random(1)
     positive_min = 0
-    for _ in range(200):
-        pool1 = make_pool("pool1", Fraction(rng.randint(50, 5000)),
-                          Fraction(rng.randint(50, 5000)))
-        pool2 = make_pool("pool2", Fraction(rng.randint(50, 5000)),
-                          Fraction(rng.randint(50, 5000)))
-        a = Fraction(rng.randint(1, int(pool1.reserve0) // 10))
-        plan, _, _, trace = run_relocation(pool1, pool2, a)
+    for run in criterion_1_relocations(200):
+        _, trace = run.execute()
+        plan = run.plan
         result = attribute(build_graph(trace, TOKA), "P", "B")
-        uncovered = a - plan.y
+        uncovered = plan.a - plan.y
         assert result.p_to_b_min == \
             (float(uncovered) if exact_sign(uncovered) > 0 else 0)
-        assert result.p_to_b_max == a
+        assert result.p_to_b_max == plan.a
         assert not result.recoverable
         positive_min += result.p_to_b_min > 0
     # both sides of y = a occur in the sample
@@ -123,115 +90,48 @@ def test_criterion_2_consistency_solver():
 def test_criterion_3_reserve_calibration_replication():
     calibrated = calibrate_reserves(PUBLISHED_OBSERVATIONS)
     report = replay_and_validate(calibrated, PUBLISHED_OBSERVATIONS)
-    within_tol = all(report[f"{k}_rel_err"] <= 1e-3
-                     for k in ("b", "b_prime", "a_prime", "x_prime"))
     eta_ok = 0.934 <= report["eta_replayed"] <= 0.937
     verdict(3, "calibrated reserves replay the published migration within "
                f"1e-3 (eta = {report['eta_replayed']:.4f})",
-            within_tol and eta_ok)
+            claims.calibration_replays(PUBLISHED_OBSERVATIONS) == []
+            and eta_ok)
 
 
 def test_criterion_4_attribution_vs_semantic_observer():
     ok = True
-    for name in relocation_scenario_names():
-        run = library()[name]()
-        world_before = run.world.copy()
-        world_after, trace = run.execute()
-        graph = build_graph(trace, run.plan.asset)
-        result = attribute(graph, run.principal, run.beneficiary)
-        ok = ok and not result.recoverable and result.p_to_b_min == 0
-        report = recover_migrations(trace, world_before, world_after)
-        found = [m for m in report.migrations
-                 if m.principal == run.principal
-                 and m.beneficiary == run.beneficiary]
-        ok = ok and len(found) == 1
-        ok = ok and found[0].amount == run.plan.predicted_a_prime
-
+    for run in library_relocations():
+        ok = ok and claims.observer_gap(run) == []
+        _, trace = run.execute()
+        ok = ok and attribute(build_graph(trace, run.plan.asset),
+                              run.principal, run.beneficiary).p_to_b_min == 0
     peb = build_peb_scenario(name="peb")
-    world_before = peb.world.copy()
-    world_after, trace = peb.execute()
-    ok = ok and trace.initiator != "P"
-    for sym in {e.asset.symbol for e in trace.events}:
-        asset = world_before.assets[sym]
-        ok = ok and not any(e.src == "P" and e.dst == "B"
-                            for e in build_graph(trace, asset).edges)
-    roles = recover_migrations(trace, world_before, world_after).roles
-    ok = ok and roles.get("P") == "Principal" \
-        and roles.get("E") == "Executor" \
-        and roles.get("B") == "Beneficiary"
+    ok = ok and claims.observer_gap(peb) == [] \
+        and claims.peb_separation(peb) == []
     verdict(4, "transfer layer cannot attribute any relocation (min = 0) "
                "while the semantic observer recovers every migration and "
                "the P/E/B roles", ok)
 
 
 def test_criterion_5_benign_twin_indistinguishability():
-    ok = True
-    for name in relocation_scenario_names():
-        run = library()[name]()
-        _, trace = run.execute()
-        _, twin_trace = build_benign_twin(library()[name]()).execute()
-        ok = ok and trace_canonical_form(trace) == \
-            trace_canonical_form(twin_trace)
-        _, perturbed_trace = build_benign_twin(library()[name](),
-                                               perturb=True).execute()
-        ok = ok and trace_canonical_form(trace) != \
-            trace_canonical_form(perturbed_trace)
+    ok = all(claims.twin_indistinguishable(run) == []
+             for run in library_relocations())
     verdict(5, "every relocation trace is canonically equal to its benign "
                "twin; a one-edge perturbation breaks equality", ok)
 
 
 def test_criterion_6_taint_rule_divergence():
-    ok = True
-    for name in relocation_scenario_names():
-        run = library()[name]()
-        if run.principal == run.initiator:
-            # a flagged source stays fully tainted by definition, so the
-            # dilution claim only applies when the roles are separated
-            continue
-        _, trace = run.execute()
-        graph = build_graph(trace, run.plan.asset)
-        marks = taint_poison(graph, {run.principal})
-        fractions = taint_haircut(graph, {run.principal})
-        ok = ok and marks[run.beneficiary]
-        ok = ok and 0 < fractions[run.beneficiary] < 1
-        if "zero_fee" in name:
-            # the restored pool holds nothing afterwards: haircut clears
-            # it while poison keeps the mark
-            poison_positive = {n for n, m in marks.items() if m}
-            haircut_positive = {n for n, f in fractions.items() if f > 0}
-            ok = ok and poison_positive != haircut_positive
+    ok = all(claims.taint_divergence(run) == []
+             for run in library_relocations())
     verdict(6, "poison marks the beneficiary outright while haircut "
                "dilutes below 1 and the positive sets diverge", ok)
 
 
 def test_criterion_7_flash_loan_flash_swap_equivalence():
-    params = [
-        ("1000", "990", ("1000000", "1000000"), 30),
-        ("1000", "985", ("200000", "200000"), 30),
-        ("1000", "990", ("1000000", "1000000"), 0),
-        ("500", "490", ("1000000", "1000000"), 30),
-        ("2500", "2450", ("1000000", "1000000"), 30),
-        ("100", "98", ("50000", "50000"), 30),
-        ("1000", "950", ("100000", "100000"), 30),
-        ("1000", "990", ("1000000", "1500000"), 30),
-        ("1000", "1980", ("1000000", "2000000"), 30),
-        ("333", "329", ("750000", "750000"), 10),
-        ("1000", "980", ("1000000", "1000000"), 100),
-        ("12345", "12000", ("9000000", "9000000"), 30),
-    ]
-    ok = True
-    for making, taking, reserves, fee in params:
-        traces = []
-        for variant in ("flash_loan", "flash_swap"):
-            run = build_peb_scenario(name="v", variant=variant,
-                                     making=making, taking=taking,
-                                     pool_reserves=reserves, fee_bps=fee)
-            _, trace = run.execute()
-            traces.append({k: v for k, v in net_deltas(trace).items()
-                           if exact_sign(v) != 0})
-        ok = ok and traces[0] == traces[1]
+    ok = all(claims.flash_equivalence(making=making, taking=taking,
+                                      pool_reserves=reserves, fee_bps=fee)
+             == [] for making, taking, reserves, fee in PEB_PARAMS)
     verdict(7, f"flash-loan and flash-swap fills net identically across "
-               f"{len(params)} parameterizations", ok)
+               f"{len(PEB_PARAMS)} parameterizations", ok)
 
 
 def test_criterion_8_role_separation_not_required():
@@ -243,18 +143,9 @@ def test_criterion_8_role_separation_not_required():
         run = build_relocation_scenario(
             name="op", operator_is_principal=True,
             reserves1=(r(), r()), reserves2=(r(), r()), a=a)
-        world_before = run.world.copy()
-        world_after, trace = run.execute()
-        graph = build_graph(trace, run.plan.asset)
-        result = attribute(graph, "P", "B")
         # the direct P -> B edge can force a positive minimum, but the
         # delivered amount is never pinned to a positive value, so the
         # transfer-layer verdict stays NOT RECOVERABLE
-        ok = ok and not result.recoverable
-        ok = ok and (result.p_to_b_min < result.p_to_b_max
-                     or result.p_to_b_max == 0)
-        report = recover_migrations(trace, world_before, world_after)
-        ok = ok and any(m.principal == "P" and m.beneficiary == "B"
-                        for m in report.migrations)
+        ok = ok and claims.observer_gap(run) == []
     verdict(8, "with the principal acting as its own operator the "
                "transfer-layer verdict stays NOT RECOVERABLE", ok)

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from ammflow import claims
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -418,8 +420,9 @@ def run_python(*args):
 
 
 def test_cold_import_loads_neither_click_nor_yaml():
-    proc = run_python("-c", "import sys, ammflow.cli; "
-                      "print(sorted({'click', 'yaml'} & set(sys.modules)))")
+    # nor the claims, which only selftest reads
+    proc = run_python("-c", "import sys, ammflow.cli; print(sorted({"
+                      "'click', 'yaml', 'ammflow.claims'} & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
@@ -435,6 +438,20 @@ def test_selftest(cli):
     result = cli(["selftest"])
     assert result.exit_code == 0, result.stderr
     assert "all checks passed" in result.stdout
+    assert "FAIL" not in result.stdout
+
+
+def test_selftest_reports_a_violated_claim(cli, monkeypatch):
+    def taint_divergence(run):
+        return ["haircut_dilutes_beneficiary"]
+
+    monkeypatch.setattr(claims, "taint_divergence", taint_divergence)
+    result = cli(["selftest"])
+    assert result.exit_code == 1
+    assert "FAIL taint_divergence on relocation_sym_zero_fee: " \
+        "haircut_dilutes_beneficiary\n" in result.stdout
+    assert "PASS observer_gap on relocation_sym_zero_fee\n" in result.stdout
+    assert "all checks passed" not in result.stdout
 
 
 def test_simulate_rerun_byte_identical(cli, tmp_path):

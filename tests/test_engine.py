@@ -119,6 +119,33 @@ class TestExecuteBundle:
                 FlashSwapRepay("pool", "E", TOKA, repay)], "E")
         assert snapshot(world) == before
 
+    @pytest.mark.parametrize("action", [
+        Swap("E", "pool", TOKA, Fraction(3, 2), "E"),
+        Swap("E", "pool", TOKA, 2.0, "E"),
+        Transfer("E", "B", TOKA, Fraction(1, 2)),
+        FlashSwapBorrow("pool", "E", TOKB, True)])
+    def test_integer_mode_refuses_non_int_amounts(self, action):
+        # the pool floors a fractional input to whole units while the
+        # caller is charged all of it: 3/2 TOKA in took 1/2 out of supply
+        world = basic_world("E", "B", mode=NumericMode.INTEGER)
+        world.add_pool(make_pool("pool", 1000, 1000, 30, NumericMode.INTEGER))
+        world.set_balance("E", TOKA, 10)
+        before = snapshot(world)
+        with pytest.raises(EngineError, match="must be ints"):
+            execute_bundle(world, [action], "E")
+        assert snapshot(world) == before
+        assert world.total_supply(TOKA) == 1010
+
+    @pytest.mark.parametrize("action", [
+        Swap("E", "nopool", TOKA, Fraction(1), "E"),
+        FlashSwapBorrow("nopool", "E", TOKA, Fraction(1)),
+        FlashSwapRepay("nopool", "E", TOKA, Fraction(1))])
+    def test_unknown_pool_is_an_engine_error(self, action):
+        world = basic_world("E")
+        world.set_balance("E", TOKA, Fraction(10))
+        with pytest.raises(EngineError, match="no pool 'nopool'"):
+            execute_bundle(world, [action], "E")
+
     def test_transfer_from_needs_allowance(self):
         world = basic_world("P", "O")
         world.set_balance("P", TOKA, Fraction(10))

@@ -9,7 +9,7 @@ from ammflow.graph import (GraphEdge, TransferGraph, attribute, build_graph,
 from ammflow.numeric import QuadExact
 from ammflow.scenarios import (build_peb_scenario, build_relocation_scenario,
                                library)
-from conftest import TOKA
+from conftest import TOKA, library_relocations
 
 
 def graph_of(*edges):
@@ -245,9 +245,8 @@ class TestTaint:
     def test_zero_fee_flash_provider_stays_clean(self):
         # a fee-free loop returns the flash capital untouched; an operator
         # that is the principal repays from a flagged source, so it is out
-        runs = [make() for make in library().values()]
-        relocations = [run for run in runs if run.is_relocation
-                       and run.plan.operator != run.plan.principal
+        relocations = [run for run in library_relocations()
+                       if run.plan.operator != run.plan.principal
                        and all(pool.fee_bps == 0
                                for pool in run.world.pools.values())]
         assert len(relocations) >= 2

@@ -81,6 +81,24 @@ class TestSolveFlashAmount:
         assert abs(x / 10**18 - 17.912878) < 1e-6
 
 
+    def test_integer_outcome_repays_or_is_a_planner_error(self):
+        # small pools where a + 1 can floor to zero counter units, which
+        # once leaked ZeroInput out of the first probe
+        pools = [(r_a, r_b) for r_a in range(2, 12) for r_b in range(1, 8)]
+        refused = 0
+        for r1 in pools:
+            pool1 = make_pool("pool1", *r1, 30, NumericMode.INTEGER)
+            for r2 in pools:
+                pool2 = make_pool("pool2", *r2, 30, NumericMode.INTEGER)
+                for a in (1, 2, 3):
+                    try:
+                        x = solve_flash_amount(pool1, pool2, TOKA, a)
+                    except PlannerError:
+                        refused += 1
+                        continue
+                    assert dislocation_output(pool1, pool2, TOKA, a, x) >= x
+        assert 0 < refused < len(pools) ** 2 * 3
+
 class TestSolveExtraction:
     def dislocated(self, sym_pools):
         a = Fraction(10)

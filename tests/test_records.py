@@ -76,7 +76,7 @@ RECORDS = [
     (ScenarioRun, (("name", "s"), ("world", WORLD), ("bundle", []),
                    ("initiator", "E")),
      {"principal": None, "beneficiary": None, "plan": None,
-      "route_via_settlement": True, "is_relocation": False}),
+      "route_via_settlement": True}),
 ]
 IDS = [record.__name__ for record, _, _ in RECORDS]
 

@@ -8,24 +8,8 @@ from ammflow.numeric import exact_sign
 from ammflow.scenarios import (ConfigError, build_benign_twin,
                                build_peb_scenario,
                                build_relocation_scenario, library,
-                               load_scenario_config,
-                               relocation_scenario_names)
-
-PEB_PARAMS = [
-    # (making, taking, pool_reserves, fee_bps)
-    ("1000", "990", ("1000000", "1000000"), 30),
-    ("1000", "985", ("200000", "200000"), 30),
-    ("1000", "990", ("1000000", "1000000"), 0),
-    ("500", "490", ("1000000", "1000000"), 30),
-    ("2500", "2450", ("1000000", "1000000"), 30),
-    ("100", "98", ("50000", "50000"), 30),
-    ("1000", "950", ("100000", "100000"), 30),
-    ("1000", "990", ("1000000", "1500000"), 30),
-    ("1000", "1980", ("1000000", "2000000"), 30),
-    ("333", "329", ("750000", "750000"), 10),
-    ("1000", "980", ("1000000", "1000000"), 100),
-    ("12345", "12000", ("9000000", "9000000"), 30),
-]
+                               load_scenario_config)
+from conftest import PEB_PARAMS, library_relocations
 
 
 def nonzero_deltas(trace):
@@ -70,9 +54,9 @@ class TestPebVariantEquivalence:
 
 
 class TestBenignTwin:
-    @pytest.mark.parametrize("name", relocation_scenario_names())
-    def test_twin_is_isomorphic(self, name):
-        run = library()[name]()
+    @pytest.mark.parametrize("run", library_relocations(),
+                             ids=lambda run: run.name)
+    def test_twin_is_isomorphic(self, run):
         twin = build_benign_twin(run)
         _, trace = run.execute()
         _, twin_trace = twin.execute()
@@ -80,10 +64,10 @@ class TestBenignTwin:
         assert {"P", "B", "O"} & set(
             e.src for e in twin_trace.events) == set()
 
-    @pytest.mark.parametrize("name", relocation_scenario_names())
-    def test_perturbed_twin_breaks_isomorphism(self, name):
-        run = library()[name]()
-        perturbed = build_benign_twin(library()[name](), perturb=True)
+    @pytest.mark.parametrize("run", library_relocations(),
+                             ids=lambda run: run.name)
+    def test_perturbed_twin_breaks_isomorphism(self, run):
+        perturbed = build_benign_twin(run, perturb=True)
         _, trace = run.execute()
         _, perturbed_trace = perturbed.execute()
         assert trace_canonical_form(trace) != \
