@@ -191,9 +191,10 @@ class PoolState:
         return new
 
 
-def swap_exact_in(pool: PoolState, input_asset: AssetId,
-                  amount_in) -> tuple[ExactNumber, PoolState]:
-    """Swap amount_in of input_asset into the pool; return (out, new pool)."""
+def _price(pool: PoolState, input_asset: AssetId, amount_in):
+    """The one copy of the swap pricing and its checks: returns
+    (amount_in, r_in, out, r_out - out), amount_in as the pool takes it
+    (an int in integer mode)."""
     if not pool.has_asset(input_asset):
         raise UnknownAsset(f"{input_asset.symbol} not in pool {pool.pool_id}")
     if exact_sign(amount_in) <= 0:
@@ -211,8 +212,21 @@ def swap_exact_in(pool: PoolState, input_asset: AssetId,
     rest = r_out - out
     if not exact_sign(rest) > 0:
         raise OutputExceedsReserve("swap would drain the pool")
-    new_pool = pool.with_reserves(input_asset, r_in + amount_in, rest)
-    return out, new_pool
+    return amount_in, r_in, out, rest
+
+
+def amount_out(pool: PoolState, input_asset: AssetId,
+               amount_in) -> ExactNumber:
+    """Output of swapping amount_in of input_asset into the pool, without
+    building the pool the swap would leave: the quote solvers probe."""
+    return _price(pool, input_asset, amount_in)[2]
+
+
+def swap_exact_in(pool: PoolState, input_asset: AssetId,
+                  amount_in) -> tuple[ExactNumber, PoolState]:
+    """Swap amount_in of input_asset into the pool; return (out, new pool)."""
+    amount_in, r_in, out, rest = _price(pool, input_asset, amount_in)
+    return out, pool.with_reserves(input_asset, r_in + amount_in, rest)
 
 
 def keeps_fee_adjusted_k(pool: PoolState, input_asset: AssetId, amount_in,

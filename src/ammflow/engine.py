@@ -340,9 +340,17 @@ def _apply_action(ex: _Execution, idx: int, act: Action) -> None:
             and any(type(v) is not int for v in _amounts(act)):
         # a pool would floor a fraction of a unit that its payer paid whole
         raise EngineError(f"integer-mode amounts must be ints: {act}")
-    if isinstance(act, (Swap, FlashSwapBorrow, FlashSwapRepay)) \
-            and act.pool not in world.pools:
-        raise EngineError(f"no pool {act.pool!r}")
+    if isinstance(act, (Swap, FlashSwapBorrow, FlashSwapRepay)):
+        if act.pool not in world.pools:
+            raise EngineError(f"no pool {act.pool!r}")
+        asset = act.input_asset if isinstance(act, Swap) else act.asset
+        if not world.pools[act.pool].has_asset(asset):
+            raise EngineError(
+                f"pool {act.pool!r} does not trade {asset.symbol}")
+        # a positive amount keeps both reserves of a valid pool positive,
+        # which is the contract of PoolState.with_reserves
+        if exact_sign(_amounts(act)[0]) <= 0:
+            raise EngineError(f"{type(act).__name__} amount must be positive")
     if isinstance(act, Transfer):
         ex.call(idx, "transfer", act.src, act.dst)
         ex.move(act.src, act.dst, act.asset, act.amount, idx)
@@ -380,11 +388,6 @@ def _apply_action(ex: _Execution, idx: int, act: Action) -> None:
         # an over-repayment is a gift, not credit against a later borrow
         left = debt - act.amount
         ex.flash_debts[key] = left if exact_sign(left) > 0 else 0
-    elif isinstance(act, (FlashSwapBorrow, FlashSwapRepay)) \
-            and exact_sign(act.amount) <= 0:
-        # a positive amount keeps both reserves of a valid pool positive,
-        # which is the contract of PoolState.with_reserves
-        raise EngineError("flash swap amount must be positive")
     elif isinstance(act, FlashSwapBorrow):
         pool = world.pools[act.pool]
         reserve = pool.reserve_of(act.asset)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .amm import (BPS_DENOM, AssetId, NumericMode, PoolState, ZeroInput,
-                  solve_input_for_output, swap_exact_in)
+                  amount_out, solve_input_for_output, swap_exact_in)
 from .engine import (Action, FlashBorrow, FlashRepay, FlashSwapBorrow,
                      FlashSwapRepay, Swap, Transfer, TransferFrom)
 from .numeric import (ExactNumber, ExactSqrtError, exact_sign, exact_sqrt,
@@ -98,9 +98,7 @@ def dislocation_output(pool1: PoolState, pool2: PoolState, asset: AssetId,
                        a, x) -> ExactNumber:
     """Amount of the migrated asset recovered by the phase-1 loop."""
     counter = _check_pair(pool1, pool2, asset)
-    b, _ = swap_exact_in(pool1, asset, a + x)
-    out, _ = swap_exact_in(pool2, counter, b)
-    return out
+    return amount_out(pool2, counter, amount_out(pool1, asset, a + x))
 
 
 def solve_flash_amount(pool1: PoolState, pool2: PoolState, asset: AssetId,
@@ -111,7 +109,9 @@ def solve_flash_amount(pool1: PoolState, pool2: PoolState, asset: AssetId,
     each pool's own fee factor folded in, so the loop output equals x.
     Integer mode bisects for an x whose floored loop output covers x while
     the output at x + 1 does not cover x + 1; the floors can leave that x
-    far from the continuous root.  Raises NoPositiveRoot when x = 1 does
+    far from the continuous root.  That x is admissible (its loop repays
+    it), but the floors make admissibility non-monotone, so it is often
+    not the largest admissible x.  Raises NoPositiveRoot when x = 1 does
     not repay itself, or when a + 1 buys no counter unit.
     """
     _check_pair(pool1, pool2, asset)
@@ -172,9 +172,8 @@ def extraction_result(pool1_after: PoolState, pool2_after: PoolState,
                       asset: AssetId, y) -> tuple[ExactNumber, ExactNumber]:
     """Replay phase 2 for a given repayment y; returns (b', gross out)."""
     counter = _check_pair(pool1_after, pool2_after, asset)
-    b_prime, _ = swap_exact_in(pool2_after, asset, y)
-    out, _ = swap_exact_in(pool1_after, counter, b_prime)
-    return b_prime, out
+    b_prime = amount_out(pool2_after, asset, y)
+    return b_prime, amount_out(pool1_after, counter, b_prime)
 
 
 def _extraction_optimum(pool1_after: PoolState, pool2_after: PoolState,
@@ -259,8 +258,7 @@ def solve_extraction(pool1_after: PoolState, pool2_after: PoolState,
             ) from exc
         if exact_sign(y) <= 0:
             raise TargetExceedsMaxProfit("no positive extraction root")
-        b_prime, _ = swap_exact_in(pool2_after, asset, y)
-        return y, b_prime
+        return y, amount_out(pool2_after, asset, y)
 
     y_star, _, out = _extraction_optimum(pool1_after, pool2_after, asset)
     if out - y_star < target:
@@ -279,8 +277,7 @@ def solve_extraction(pool1_after: PoolState, pool2_after: PoolState,
         y = solve_input_for_output(
             pool2_after, counter,
             solve_input_for_output(pool1_after, asset, target + y + 1))
-    b_prime, _ = swap_exact_in(pool2_after, asset, y)
-    return y, b_prime
+    return y, amount_out(pool2_after, asset, y)
 
 
 def argmax_extraction_int(pool1_after: PoolState, pool2_after: PoolState,

@@ -10,8 +10,8 @@ from __future__ import annotations
 import re
 from typing import Callable, Optional
 
-from .amm import AmmError, AssetId, NumericMode, PoolState, format_amount, \
-    parse_amount, solve_input_for_output, swap_exact_in
+from .amm import AmmError, AssetId, NumericMode, PoolState, amount_out, \
+    format_amount, parse_amount, solve_input_for_output
 from .engine import (Action, Address, ExecutionTrace, FillLimitOrder,
                      FlashBorrow, FlashRepay, FlashSwapBorrow, FlashSwapRepay,
                      INFRA_LABELS, LimitOrderIntent, Swap, Transfer,
@@ -283,7 +283,7 @@ def build_benign_arbitrage(*, name: str = "benign_arbitrage",
     world.add_pool(pool2)
     stake = parse_amount("5", tok_a, mode)
     world.set_balance("trader", tok_a, stake)
-    out_b, _ = swap_exact_in(pool1, tok_a, stake)
+    out_b = amount_out(pool1, tok_a, stake)
     bundle = [
         Swap("trader", "pool1", tok_a, stake, "trader"),
         Swap("trader", "pool2", tok_b, out_b, "trader"),

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ammflow import engine, planner
-from ammflow.amm import (BPS_DENOM, AssetId, NumericMode,
+from ammflow.amm import (BPS_DENOM, AmmError, AssetId, NumericMode,
                          OutputNotLessThanReserve, PoolState, UnknownAsset,
-                         ZeroInput, format_amount, parse_amount,
+                         ZeroInput, amount_out, format_amount, parse_amount,
                          solve_input_for_output, spot_price, swap_exact_in)
 from conftest import TOKA, TOKB, make_pool
 
@@ -271,6 +271,31 @@ def test_with_reserves_equals_replace(mode, fee_bps, asset_in, data):
     with pytest.raises(dataclasses.FrozenInstanceError):
         copy.reserve0 = r0
     assert pool == PoolState("p", TOKA, TOKB, r0, r1, fee_bps, mode)
+
+
+def signed_amounts(mode):
+    if mode is NumericMode.INTEGER:
+        return st.integers(-(10 ** 30), 10 ** 30)
+    return st.fractions(-(10 ** 9), 10 ** 9, max_denominator=10 ** 9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(NumericMode), st.sampled_from([0, 5, 30, 100]),
+       st.sampled_from([TOKA, TOKB, AssetId("TOKC")]), st.data())
+def test_quote_is_the_swap_output(mode, fee_bps, asset_in, data):
+    # the quote prices exactly as the swap does, and refuses what the
+    # swap refuses with the same exception class
+    r0, r1 = (data.draw(reserves(mode)) for _ in range(2))
+    amount = data.draw(signed_amounts(mode))
+    pool = PoolState("p", TOKA, TOKB, r0, r1, fee_bps, mode)
+    try:
+        want = swap_exact_in(pool, asset_in, amount)[0]
+    except AmmError as exc:
+        with pytest.raises(AmmError) as quoted:
+            amount_out(pool, asset_in, amount)
+        assert type(quoted.value) is type(exc)
+    else:
+        assert amount_out(pool, asset_in, amount) == want
 
 
 def test_integer_relocation_copies_no_pool_through_replace(monkeypatch):

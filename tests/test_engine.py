@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ammflow.amm import AmmError, NumericMode, PoolState
+from ammflow.amm import AssetId, NumericMode, PoolState
 from ammflow.engine import (Address, EngineError, FillLimitOrder, FlashBorrow,
                             FlashRepay, FlashSwapBorrow, FlashSwapRepay,
                             InsufficientAllowance, InsufficientBalance,
@@ -14,6 +14,7 @@ from ammflow.engine import (Address, EngineError, FillLimitOrder, FlashBorrow,
                             TransferFrom, UnrepaidFlashDebt, WorldState,
                             execute_bundle, net_deltas, trace_from_dict,
                             trace_to_dict, trace_to_json)
+from ammflow.scenarios import library
 from conftest import TOKA, TOKB, make_pool
 
 GOLDEN = Path(__file__).parent / "data" / "relocation_sym_trace.json"
@@ -326,7 +327,7 @@ def test_derived_pool_states_stay_valid(mode, fee_bps, swaps, borrow, repay,
     before = snapshot(world)
     try:
         after, trace = execute_bundle(world, bundle, "E")
-    except (EngineError, AmmError):
+    except EngineError:
         assert snapshot(world) == before
         return
     assert snapshot(world) == before
@@ -336,6 +337,26 @@ def test_derived_pool_states_stay_valid(mode, fee_bps, swaps, borrow, repay,
     for asset in (TOKA, TOKB):
         assert after.total_supply(asset) == world.total_supply(asset)
     assert all(ev.amount >= 0 for ev in trace.events)
+
+
+TOKC = AssetId("TOKC", 18)
+
+
+@pytest.mark.parametrize("action", [
+    Swap("O", "pool1", TOKC, 1, "O"),
+    FlashSwapBorrow("pool1", "O", TOKC, 1),
+    FlashSwapRepay("pool1", "O", TOKC, 1),
+    Swap("O", "pool1", TOKA, 0, "O"),
+    Swap("O", "pool1", TOKA, -1, "O")])
+def test_malformed_pool_actions_are_engine_errors(action):
+    # an asset the pool does not trade, or a swap amount that is not
+    # positive, is refused by the engine rather than escaping from the
+    # pool math as an AmmError
+    world = library()["relocation_sym_zero_fee"]().world
+    before = snapshot(world)
+    with pytest.raises(EngineError):
+        execute_bundle(world, [action], "O")
+    assert snapshot(world) == before
 
 
 def test_insufficient_balance_rolls_back_mid_bundle():

@@ -338,3 +338,25 @@ class TestPlanAndBundle:
             etas.append(plan.predicted_a_prime / a)
         assert etas[0] == pytest.approx(1.0, abs=1e-9)
         assert all(lo > hi for lo, hi in zip(etas, etas[1:]))
+
+
+def test_integer_solvers_build_no_pool(monkeypatch):
+    # the solvers quote: probing a swap must not build the pool it leaves
+    pool1 = PoolState("pool1", TOKA, TOKB, 1000 * 10**18,
+                      3_000_000 * 10**6, 30, NumericMode.INTEGER)
+    pool2 = PoolState("pool2", TOKA, TOKB, 300 * 10**18,
+                      903_000 * 10**6, 30, NumericMode.INTEGER)
+    a = 10 * 10**18
+    x = solve_flash_amount(pool1, pool2, TOKA, a)
+    b, pool1_after = swap_exact_in(pool1, TOKA, a + x)
+    _, pool2_after = swap_exact_in(pool2, TOKB, b)
+    calls = []
+    real = PoolState.with_reserves
+    monkeypatch.setattr(PoolState, "with_reserves", lambda *args:
+                        calls.append(args) or real(*args))
+    assert solve_flash_amount(pool1, pool2, TOKA, a) == x
+    best = max_extractable(pool1_after, pool2_after, TOKA)
+    assert best > 0
+    y, _ = solve_extraction(pool1_after, pool2_after, TOKA, best // 2)
+    assert y > 0
+    assert calls == []
