@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .numeric import ExactNumber, exact_sign
+from .numeric import ExactNumber, exact_div, exact_sign
 
 BPS_DENOM = 10_000
 
@@ -195,20 +195,15 @@ def _price(pool: PoolState, input_asset: AssetId, amount_in):
     """The one copy of the swap pricing and its checks: returns
     (amount_in, r_in, out, r_out - out), amount_in as the pool takes it
     (an int in integer mode)."""
-    if not pool.has_asset(input_asset):
-        raise UnknownAsset(f"{input_asset.symbol} not in pool {pool.pool_id}")
+    r_in = pool.reserve_of(input_asset)  # UnknownAsset if foreign
     if exact_sign(amount_in) <= 0:
         raise ZeroInput("swap input must be positive")
-    r_in = pool.reserve_of(input_asset)
     r_out = pool.reserve_of(pool.other_asset(input_asset))
-    gamma_num = BPS_DENOM - pool.fee_bps
-    if pool.mode is NumericMode.INTEGER:
-        amount_in = int(amount_in)
-        out = (amount_in * gamma_num * r_out) // (
-            r_in * BPS_DENOM + amount_in * gamma_num)
-    else:
-        eff = amount_in * Fraction(gamma_num, BPS_DENOM)
-        out = r_out * eff / (r_in + eff)
+    integer = pool.mode is NumericMode.INTEGER
+    amount_in = int(amount_in) if integer else amount_in
+    eff = amount_in * (BPS_DENOM - pool.fee_bps)
+    num, den = eff * r_out, r_in * BPS_DENOM + eff
+    out = num // den if integer else exact_div(num, den)
     rest = r_out - out
     if not exact_sign(rest) > 0:
         raise OutputExceedsReserve("swap would drain the pool")
@@ -239,43 +234,35 @@ def keeps_fee_adjusted_k(pool: PoolState, input_asset: AssetId, amount_in,
     """
     r_in = pool.reserve_of(input_asset)
     r_out = pool.reserve_of(pool.other_asset(input_asset))
-    gamma_num = BPS_DENOM - pool.fee_bps
     if pool.mode is NumericMode.INTEGER:
-        return (r_in * BPS_DENOM + int(amount_in) * gamma_num) * r_out \
-            >= k_before * BPS_DENOM
-    adj = r_in + amount_in * Fraction(gamma_num, BPS_DENOM)
-    return exact_sign(adj * r_out - k_before) >= 0
+        amount_in = int(amount_in)
+    # (r_in + in*g/D) * r_out >= k_before, scaled by D
+    adjusted = r_in * BPS_DENOM + amount_in * (BPS_DENOM - pool.fee_bps)
+    return exact_sign(adjusted * r_out - k_before * BPS_DENOM) >= 0
 
 
 def solve_input_for_output(pool: PoolState, output_asset: AssetId,
                            amount_out) -> ExactNumber:
     """Minimal input whose swap yields at least amount_out of output_asset."""
-    if not pool.has_asset(output_asset):
-        raise UnknownAsset(f"{output_asset.symbol} not in pool {pool.pool_id}")
+    r_out = pool.reserve_of(output_asset)  # UnknownAsset if foreign
     if exact_sign(amount_out) <= 0:
         raise ZeroInput("requested output must be positive")
-    r_out = pool.reserve_of(output_asset)
-    input_asset = pool.other_asset(output_asset)
-    r_in = pool.reserve_of(input_asset)
+    r_in = pool.reserve_of(pool.other_asset(output_asset))
     if not exact_sign(r_out - amount_out) > 0:
         raise OutputNotLessThanReserve(
             f"cannot take {amount_out} from reserve {r_out}")
-    gamma_num = BPS_DENOM - pool.fee_bps
-    if pool.mode is NumericMode.RATIONAL:
-        return r_in * amount_out / (r_out - amount_out) \
-            * Fraction(BPS_DENOM, gamma_num)
-    amount_out = int(amount_out)
-    # the floored swap yields at least amount_out exactly when
-    # in * gamma * (r_out - out) >= out * r_in * BPS_DENOM: the least such
-    # in is a ceiling
-    return -(-(r_in * amount_out * BPS_DENOM)
-             // ((r_out - amount_out) * gamma_num))
+    integer = pool.mode is NumericMode.INTEGER
+    amount_out = int(amount_out) if integer else amount_out
+    # the swap yields at least amount_out exactly when
+    # in*g*(r_out - out) >= out*r_in*D: the least such in is this
+    # quotient, a ceiling in integer mode
+    num = r_in * amount_out * BPS_DENOM
+    den = (r_out - amount_out) * (BPS_DENOM - pool.fee_bps)
+    return -(-num // den) if integer else exact_div(num, den)
 
 
 def spot_price(pool: PoolState, base_asset: AssetId) -> ExactNumber:
     """Quote-per-base reserve ratio (marginal price ignoring fees)."""
     r_base = pool.reserve_of(base_asset)
     r_quote = pool.reserve_of(pool.other_asset(base_asset))
-    if pool.mode is NumericMode.INTEGER:
-        return Fraction(r_quote, r_base)
-    return r_quote / r_base
+    return exact_div(r_quote, r_base)

@@ -147,8 +147,7 @@ def analyze(trace_path, principal, beneficiary):
     path = _input_file(trace_path, "trace file")
     try:
         trace = trace_from_dict(json.loads(path.read_text(encoding="utf-8")))
-    except (json.JSONDecodeError, KeyError, ValueError, TypeError,
-            AttributeError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise UsageFailure(f"bad trace file: {exc}") from exc
 
     results = {sym: attribute(graph, principal, beneficiary)
@@ -171,9 +170,8 @@ def calibrate(observations):
         try:
             obs = ObservationSet.from_dict(
                 json.loads(path.read_text(encoding="utf-8")))
-        except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-            raise UsageFailure(f"bad observations file: {exc}") \
-                from exc
+        except (KeyError, ValueError, TypeError, AttributeError) as exc:
+            raise UsageFailure(f"bad observations file: {exc}") from exc
     else:
         obs = PUBLISHED_OBSERVATIONS
     try:

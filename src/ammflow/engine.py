@@ -14,7 +14,7 @@ from typing import NamedTuple, Union
 
 from .amm import (AssetId, NumericMode, PoolState, checked,
                   keeps_fee_adjusted_k, swap_exact_in)
-from .numeric import ExactNumber, exact_sign, parse_exact
+from .numeric import MAX_AMOUNT, ExactNumber, exact_sign, parse_exact
 
 ROLE_LABELS = ("Principal", "Executor", "Beneficiary", "Operator",
                "PoolContract", "FlashProvider", "SettlementContract",
@@ -508,7 +508,7 @@ def trace_from_dict(data: dict) -> ExecutionTrace:
 
     The events must be in time order, with strictly increasing int seq.
     Addresses, ids and call fields must be strings, action indices ints
-    (not bools) and amounts non-negative; zero is legal, since integer
+    (not bools) and amounts in [0, 10**116); zero is legal, since integer
     swaps can floor an output to 0.
     """
     assets = {sym: AssetId(sym, dec) for sym, dec in data["assets"].items()}
@@ -516,8 +516,8 @@ def trace_from_dict(data: dict) -> ExecutionTrace:
                            initiator=_text(data, "initiator"))
     for ev in data["events"]:
         amount = parse_exact(ev["amount"])
-        if exact_sign(amount) < 0:
-            raise ValueError(f"negative amount {ev['amount']}")
+        if not 0 <= amount < MAX_AMOUNT:
+            raise ValueError(f"amount {ev['amount']} not in [0, 10**116)")
         trace.events.append(TransferEvent(
             ev["seq"], _text(ev, "from"), _text(ev, "to"),
             assets[ev["asset"]], amount, _index(ev)))

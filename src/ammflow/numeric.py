@@ -227,6 +227,11 @@ class QuadExact:
         return f"{self.p}+{self.q}*sqrt({self.d})"
 
 
+def exact_div(num: ExactNumber, den: ExactNumber) -> ExactNumber:
+    """num / den, exact also when both are ints."""
+    return Fraction(num) / den if isinstance(num, int) else num / den
+
+
 def exact_sign(value: ExactNumber) -> int:
     """Sign of any exact number (int, Fraction or QuadExact)."""
     if isinstance(value, int):
@@ -298,11 +303,28 @@ _QUAD_RE = re.compile(
     r"^(?P<p>-?\d+(?:/\d+)?)\+(?P<q>-?\d+(?:/\d+)?)\*sqrt\((?P<d>-?\d+(?:/\d+)?)\)$")
 
 
+MAX_AMOUNT = 10 ** 116  # 10**78 tokens at 38 decimals: parse_amount's most
+
+
+def _rational(text: str) -> Rational:
+    # Fraction builds 10**exp: first refuse an exponent that puts any
+    # nonzero value outside (10**-116, 10**116)
+    exp = text.upper().partition("E")[2]
+    if exp and abs(int(exp)) > len(text) + 116:
+        raise ValueError(f"exponent of {text!r} out of range")
+    try:
+        value = Fraction(text) if "/" in text or "." in text else int(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
+    if abs(value) >= MAX_AMOUNT:
+        raise ValueError(f"{text!r} is not below 10**116 in magnitude")
+    return value
+
+
 def parse_exact(text: str) -> ExactNumber:
-    """Inverse of str() for int, Fraction and QuadExact amounts."""
+    """Inverse of str() for int, Fraction and QuadExact amounts, each
+    rational part below MAX_AMOUNT in magnitude."""
     text = text.strip()
     m = _QUAD_RE.match(text)
-    if m:
-        return make_exact(Fraction(m.group("p")), Fraction(m.group("q")),
-                          Fraction(m.group("d")))
-    return Fraction(text) if "/" in text or "." in text else int(text)
+    return make_exact(*map(_rational, m.group("p", "q", "d"))) if m \
+        else _rational(text)

@@ -18,8 +18,8 @@ from .amm import (BPS_DENOM, AssetId, NumericMode, PoolState, ZeroInput,
                   amount_out, solve_input_for_output, swap_exact_in)
 from .engine import (Action, FlashBorrow, FlashRepay, FlashSwapBorrow,
                      FlashSwapRepay, Swap, Transfer, TransferFrom)
-from .numeric import (ExactNumber, ExactSqrtError, exact_sign, exact_sqrt,
-                      solve_quadratic)
+from .numeric import (ExactNumber, ExactSqrtError, exact_div, exact_sign,
+                      exact_sqrt, solve_quadratic)
 
 
 class PlannerError(Exception):
@@ -101,12 +101,31 @@ def dislocation_output(pool1: PoolState, pool2: PoolState, asset: AssetId,
     return amount_out(pool2, counter, amount_out(pool1, asset, a + x))
 
 
+def _loop_coeffs(first: PoolState, second: PoolState, asset: AssetId):
+    """(K, A2, B0) of the loop that swaps s of asset into `first`, then
+    the counter it yields into `second`: unfloored, it returns
+        out(s) = K*s / (B0 + A2*s),   K = g1*g2*r1_out*r2_out,
+        A2 = g1*r2_in + g1*g2*r1_out,  B0 = r1_in*r2_in,
+    with g the pools' fee factors and r their reserves of what goes in
+    and out.  Integer mode scales all three by BPS_DENOM**2 to ints.
+    """
+    counter = _check_pair(first, second, asset)
+    r1_in, r1_out = first.reserve_of(asset), first.reserve_of(counter)
+    r2_in, r2_out = second.reserve_of(counter), second.reserve_of(asset)
+    g1, g2 = BPS_DENOM - first.fee_bps, BPS_DENOM - second.fee_bps
+    coeffs = (g1 * g2 * r1_out * r2_out,
+              g1 * (BPS_DENOM * r2_in + g2 * r1_out),
+              BPS_DENOM ** 2 * r1_in * r2_in)
+    return coeffs if first.mode is NumericMode.INTEGER \
+        else tuple(exact_div(c, BPS_DENOM ** 2) for c in coeffs)
+
+
 def solve_flash_amount(pool1: PoolState, pool2: PoolState, asset: AssetId,
                        a) -> ExactNumber:
     """Flash amount x whose phase-1 loop output repays x exactly.
 
-    Rational mode returns the positive root of the loop's quadratic, with
-    each pool's own fee factor folded in, so the loop output equals x.
+    Rational mode returns the positive root of out(a + x) = x, with
+    out the loop of `_loop_coeffs`, so the loop output equals x.
     Integer mode bisects for an x whose floored loop output covers x while
     the output at x + 1 does not cover x + 1; the floors can leave that x
     far from the continuous root.  That x is admissible (its loop repays
@@ -117,22 +136,13 @@ def solve_flash_amount(pool1: PoolState, pool2: PoolState, asset: AssetId,
     _check_pair(pool1, pool2, asset)
     if exact_sign(a) <= 0:
         raise PlannerError("principal amount must be positive")
-    r_a1 = pool1.reserve_of(asset)
-    r_b1 = pool1.reserve_of(pool1.other_asset(asset))
-    r_a2 = pool2.reserve_of(asset)
-    r_b2 = pool2.reserve_of(pool2.other_asset(asset))
-
     if pool1.mode is NumericMode.RATIONAL:
-        g1 = Fraction(BPS_DENOM - pool1.fee_bps, BPS_DENOM)
-        g2 = Fraction(BPS_DENOM - pool2.fee_bps, BPS_DENOM)
-        w = g1 * g2 * r_b1
-        qa = r_b2 * g1 + w
-        qb = r_b2 * r_a1 + r_b2 * g1 * a + w * a - w * r_a2
-        qc = -w * r_a2 * a
-        # qc < 0, so the larger root is the only positive one
-        return solve_quadratic(qa, qb, qc)[1]
+        # A2*x^2 + (B0 + A2*a - K)*x - K*a = 0; its constant term is
+        # negative, so the larger root is the only positive one
+        k_top, a2, b0 = _loop_coeffs(pool1, pool2, asset)
+        return solve_quadratic(a2, b0 + a2 * a - k_top, -k_top * a)[1]
 
-    lo, hi = 1, int(r_a2)  # output < r_a2, so f(hi) < 0
+    lo, hi = 1, int(pool2.reserve_of(asset))  # output < r_a2: f(hi) < 0
     try:
         covered = dislocation_output(pool1, pool2, asset, a, lo) >= lo
     except ZeroInput:  # a + 1 buys no counter unit: x = 1 repays nothing
@@ -148,26 +158,6 @@ def solve_flash_amount(pool1: PoolState, pool2: PoolState, asset: AssetId,
     return lo
 
 
-def _extraction_coeffs(pool1_after: PoolState, pool2_after: PoolState,
-                       asset: AssetId):
-    """Coefficients of the phase-2 output relation.
-
-    With c1, c2 the post-dislocation reserves of pool 1 and c3, c4 those of
-    pool 2, and g1, g2 the pools' fee factors, the gross phase-2 output
-    (before integer flooring) satisfies
-        out(y) = K * y / (B0 + A2 * y),   K = c1*c3*g1*g2,
-        A2 = c2*g2 + c3*g1*g2,  B0 = c2*c4.
-    """
-    counter = _check_pair(pool1_after, pool2_after, asset)
-    c1 = pool1_after.reserve_of(asset)
-    c2 = pool1_after.reserve_of(counter)
-    c3 = pool2_after.reserve_of(counter)
-    c4 = pool2_after.reserve_of(asset)
-    g1 = Fraction(BPS_DENOM - pool1_after.fee_bps, BPS_DENOM)
-    g2 = Fraction(BPS_DENOM - pool2_after.fee_bps, BPS_DENOM)
-    return c1 * c3 * g1 * g2, c2 * g2 + c3 * g1 * g2, c2 * c4
-
-
 def extraction_result(pool1_after: PoolState, pool2_after: PoolState,
                       asset: AssetId, y) -> tuple[ExactNumber, ExactNumber]:
     """Replay phase 2 for a given repayment y; returns (b', gross out)."""
@@ -176,20 +166,26 @@ def extraction_result(pool1_after: PoolState, pool2_after: PoolState,
     return b_prime, amount_out(pool1_after, counter, b_prime)
 
 
-def _extraction_optimum(pool1_after: PoolState, pool2_after: PoolState,
-                        asset: AssetId) -> tuple[ExactNumber, ...]:
-    """(y, b', gross out) at the profit-maximising repayment; all zero when
-    the reverse loop nets nothing.
+def _net_profit(pool1_after: PoolState, pool2_after: PoolState,
+                asset: AssetId, y) -> ExactNumber:
+    """Phase-2 gross output less y."""
+    try:
+        _, out = extraction_result(pool1_after, pool2_after, asset, y)
+    except ZeroInput:  # y <= 0, or b' floors to zero: y buys nothing
+        return -y
+    return out - y
 
-    out(y) - y peaks at A2*y* = sqrt(K*B0) - B0.  Integer mode floors y*;
-    its floored profit there is within c1*g1/c2 + 2 units of the integer
-    maximum (one counter unit's worth of output plus two).
-    """
-    k_top, a2, b0 = _extraction_coeffs(pool1_after, pool2_after, asset)
+
+def _extraction_optimum(pool1_after: PoolState, pool2_after: PoolState,
+                        asset: AssetId) -> ExactNumber:
+    """The profit-maximising repayment y, or zero when the reverse loop
+    (pool 2, then pool 1) nets nothing.  out(y) - y peaks at
+    A2*y* = sqrt(K*B0) - B0; integer mode floors y*, whose floored profit
+    is within one counter unit's worth of output plus two units of the
+    integer maximum."""
+    k_top, a2, b0 = _loop_coeffs(pool2_after, pool1_after, asset)
     if pool1_after.mode is NumericMode.INTEGER:
-        # scaled by BPS_DENOM^2 the coefficients are integers, so the
-        # integer square root gives the exact floor of y*
-        k_top, a2, b0 = (int(c * BPS_DENOM ** 2) for c in (k_top, a2, b0))
+        # on the scaled ints, isqrt gives the exact floor of y*
         y = (math.isqrt(k_top * b0) - b0) // a2
     else:
         try:
@@ -199,13 +195,9 @@ def _extraction_optimum(pool1_after: PoolState, pool2_after: PoolState,
                 "extraction optimum leaves the exact field; use integer mode"
             ) from exc
         y = (root - b0) / a2
-    try:
-        b_prime, out = extraction_result(pool1_after, pool2_after, asset, y)
-    except ZeroInput:  # y <= 0, or b' floors to zero counter units
-        return 0, 0, 0
-    if exact_sign(out - y) <= 0:
-        return 0, 0, 0
-    return y, b_prime, out
+    nets = exact_sign(y) > 0 \
+        and exact_sign(_net_profit(pool1_after, pool2_after, asset, y)) > 0
+    return y if nets else 0
 
 
 def max_extractable(pool1_after: PoolState, pool2_after: PoolState,
@@ -215,16 +207,8 @@ def max_extractable(pool1_after: PoolState, pool2_after: PoolState,
     Evaluated at the closed-form optimum (floored in integer mode).
     Equal-price fresh pools admit no arbitrage and yield zero.
     """
-    y, _, out = _extraction_optimum(pool1_after, pool2_after, asset)
-    return out - y
-
-
-def _net_profit_int(pool1_after, pool2_after, asset, y) -> int:
-    try:
-        _, out = extraction_result(pool1_after, pool2_after, asset, y)
-    except ZeroInput:  # y <= 0, or b' floors to zero: y buys nothing
-        return -y
-    return out - y
+    return _net_profit(pool1_after, pool2_after, asset,
+                       _extraction_optimum(pool1_after, pool2_after, asset))
 
 
 def solve_extraction(pool1_after: PoolState, pool2_after: PoolState,
@@ -243,12 +227,12 @@ def solve_extraction(pool1_after: PoolState, pool2_after: PoolState,
     if exact_sign(target) < 0:
         raise PlannerError("extraction target must be non-negative")
 
-    k_top, a2, b0 = _extraction_coeffs(pool1_after, pool2_after, asset)
+    k_top, a2, b0 = _loop_coeffs(pool2_after, pool1_after, asset)
+    # out(y) - y = target  =>  A2*y^2 + (t*A2 + B0 - K)*y + t*B0 = 0
+    qb, qc = target * a2 + b0 - k_top, target * b0
     if pool1_after.mode is NumericMode.RATIONAL:
-        # out(y) - y = target  =>  A2*y^2 + (t*A2 + B0 - K)*y + t*B0 = 0
         try:
-            y = solve_quadratic(a2, target * a2 + b0 - k_top,
-                                target * b0)[0]
+            y = solve_quadratic(a2, qb, qc)[0]
         except ValueError as exc:
             raise TargetExceedsMaxProfit(
                 f"target {target} above the reverse-loop optimum") from exc
@@ -260,18 +244,15 @@ def solve_extraction(pool1_after: PoolState, pool2_after: PoolState,
             raise TargetExceedsMaxProfit("no positive extraction root")
         return y, amount_out(pool2_after, asset, y)
 
-    y_star, _, out = _extraction_optimum(pool1_after, pool2_after, asset)
-    if out - y_star < target:
+    best = max_extractable(pool1_after, pool2_after, asset)
+    if best < target:
         raise TargetExceedsMaxProfit(
-            f"target {target} above the reverse-loop optimum {out - y_star}")
-    # the same quadratic scaled by BPS_DENOM^2 to integers; start at the
-    # exact ceiling of its smaller root: the floored profit never exceeds
-    # the continuous one, so no smaller y reaches the target
-    k_top, a2, b0 = (int(c * BPS_DENOM ** 2) for c in (k_top, a2, b0))
-    qb = target * a2 + b0 - k_top
-    y = -((qb + math.isqrt(qb * qb - 4 * a2 * target * b0)) // (2 * a2))
+            f"target {target} above the reverse-loop optimum {best}")
+    # start at the exact ceiling of the smaller root: the floored profit
+    # never exceeds the continuous one, so no smaller y reaches the target
+    y = -((qb + math.isqrt(qb * qb - 4 * a2 * qc)) // (2 * a2))
     counter = pool1_after.other_asset(asset)
-    while _net_profit_int(pool1_after, pool2_after, asset, y) < target:
+    while _net_profit(pool1_after, pool2_after, asset, y) < target:
         # a larger y qualifies only if its floored output reaches
         # target + y + 1: step to the least y that delivers that much
         y = solve_input_for_output(
@@ -280,11 +261,7 @@ def solve_extraction(pool1_after: PoolState, pool2_after: PoolState,
     return y, amount_out(pool2_after, asset, y)
 
 
-def argmax_extraction_int(pool1_after: PoolState, pool2_after: PoolState,
-                          asset: AssetId) -> int:
-    """Integer y at the floored reverse-loop optimum; zero when no y nets a
-    profit."""
-    return _extraction_optimum(pool1_after, pool2_after, asset)[0]
+argmax_extraction_int = _extraction_optimum
 
 
 def plan_relocation(pool1: PoolState, pool2: PoolState, asset: AssetId,
@@ -303,7 +280,6 @@ def plan_relocation(pool1: PoolState, pool2: PoolState, asset: AssetId,
     """
     counter = _check_pair(pool1, pool2, asset)
     mode = pool1.mode
-    zero_fee = pool1.fee_bps == 0 and pool2.fee_bps == 0
 
     x = x_override if x_override is not None \
         else solve_flash_amount(pool1, pool2, asset, a)
@@ -318,24 +294,19 @@ def plan_relocation(pool1: PoolState, pool2: PoolState, asset: AssetId,
 
     if y_override is not None:
         y = y_override
-        b_prime, out = extraction_result(pool1_after, pool2_after, asset, y) \
-            if exact_sign(y) > 0 else (0, 0)
-    elif zero_fee and target is None and mode is NumericMode.RATIONAL:
+    elif target is not None:
+        raw_target = target + shortfall
+        y = solve_extraction(pool1_after, pool2_after, asset, raw_target)[0] \
+            if exact_sign(raw_target) > 0 else 0
+    elif mode is NumericMode.RATIONAL and pool1.fee_bps == pool2.fee_bps == 0:
         # fee-free phase 2 with y equal to the phase-1 withdrawal undoes
         # both pool moves exactly: b' = b and the loop nets exactly a
-        y, b_prime = x_recovered, b
-        _, out = extraction_result(pool1_after, pool2_after, asset, y)
-    elif target is None:
-        # the profit-maximising repayment; zero when the loop nets nothing
-        y, b_prime, out = _extraction_optimum(pool1_after, pool2_after, asset)
+        y = x_recovered
     else:
-        raw_target = target + shortfall
-        if exact_sign(raw_target) <= 0:
-            y = b_prime = out = 0
-        else:
-            y, b_prime = solve_extraction(pool1_after, pool2_after, asset,
-                                          raw_target)
-            _, out = extraction_result(pool1_after, pool2_after, asset, y)
+        # the profit-maximising repayment; zero when the loop nets nothing
+        y = _extraction_optimum(pool1_after, pool2_after, asset)
+    b_prime, out = extraction_result(pool1_after, pool2_after, asset, y) \
+        if exact_sign(y) > 0 else (0, 0)
 
     predicted = (out - y - shortfall) if exact_sign(y) > 0 else \
         (0 if mode is NumericMode.INTEGER else Fraction(0))

@@ -131,6 +131,25 @@ class TestSolveInputForOutput:
             assert out == want
 
 
+@pytest.mark.parametrize("mode", list(NumericMode))
+@pytest.mark.parametrize("call, error", [
+    (lambda pool: solve_input_for_output(pool, AssetId("TOKC"), 1),
+     UnknownAsset),
+    (lambda pool: solve_input_for_output(pool, TOKA, 0), ZeroInput),
+    (lambda pool: solve_input_for_output(pool, TOKA, -1), ZeroInput),
+    (lambda pool: pool.reserve_of(AssetId("TOKC")), UnknownAsset),
+    (lambda pool: pool.other_asset(AssetId("TOKC")), UnknownAsset),
+], ids=["inverse_foreign_asset", "inverse_zero_output",
+        "inverse_negative_output", "reserve_of_foreign_asset",
+        "other_asset_of_foreign_asset"])
+def test_refusals(mode, call, error):
+    pool = PoolState("p", TOKA, TOKB, 100, 100, 30, mode) \
+        if mode is NumericMode.INTEGER \
+        else make_pool("p", Fraction(100), Fraction(100), 30)
+    with pytest.raises(error):
+        call(pool)
+
+
 class TestSpotPrice:
     def test_symmetric(self, sym_pool):
         assert spot_price(sym_pool, TOKA) == 1

@@ -211,13 +211,17 @@ class TestAnalyze:
         one_event("call", "callee", ["B"]),
         one_event("event", "action_index", "x"),
         one_event("call", "action_index", True),
+        one_event("event", "amount", "1/0"),
+        one_event("event", "amount", "9" * 400),
+        one_event("event", "amount", "1.5e999999999"),
     ], ids=["root_is_a_list", "assets_not_a_mapping", "events_not_a_list",
             "amount_not_a_number", "seq_reversed", "seq_duplicate",
             "seq_a_string", "bundle_id_an_int", "initiator_a_list",
             "from_an_int", "to_null", "amount_negative",
             "amount_negative_radical", "kind_an_int", "caller_a_list",
             "callee_a_list", "event_action_index_a_string",
-            "call_action_index_a_bool"])
+            "call_action_index_a_bool", "amount_zero_denominator",
+            "amount_400_digits", "amount_exponent_999999999"])
     def test_malformed_trace_exits_2(self, cli, tmp_path, body):
         trace = tmp_path / "bad.json"
         trace.write_text(json.dumps(body), encoding="utf-8")
@@ -333,9 +337,11 @@ class TestCalibrate:
 
     def test_bad_file_exits_2(self, cli, tmp_path):
         path = tmp_path / "obs.json"
-        path.write_text("not json", encoding="utf-8")
-        result = cli(["calibrate", "--observations", str(path)])
-        assert result.exit_code == 2
+        for body in ("not json", "[1, 2]"):  # the second is not an object
+            path.write_text(body, encoding="utf-8")
+            result = cli(["calibrate", "--observations", str(path)])
+            assert result.exit_code == 2, body
+            assert "bad observations file" in result.stderr
 
 
 class TestReport:

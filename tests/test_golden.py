@@ -1,13 +1,23 @@
-"""Byte-identity of the library run directories.
+"""Byte-identity of the library run directories and of seeded plans.
 
-Each digest covers every file of one `ammflow simulate` run directory:
-its relative path and its bytes, in sorted path order.  A digest changes
-only when an output byte changes, so a change that is meant to keep the
-outputs must leave this table alone.
+Each library digest covers every file of one `ammflow simulate` run
+directory: its relative path and its bytes, in sorted path order.  A
+digest changes only when an output byte changes, so a change that is
+meant to keep the outputs must leave this table alone.
+
+The library runs pass `x_override` and `y_override` (integer) or take
+the zero-fee undo (rational), so they never reach the integer flash
+bisection, the extraction optimum or the target roots.
+`PLANNER_DIGEST` pins those through seeded plans.
 """
 
 import hashlib
+import json
+import random
+from fractions import Fraction
 
+from ammflow.amm import AssetId, NumericMode, PoolState
+from ammflow.planner import PlannerError, plan_relocation
 from ammflow.scenarios import library
 
 GOLDEN = {
@@ -45,3 +55,56 @@ def test_library_run_directories_match_golden_digests(cli, tmp_path):
     assert result.exit_code == 0, result.stderr
     digests = {name: run_digest(out / name) for name in GOLDEN}
     assert digests == GOLDEN
+
+
+PLANNER_DIGEST = \
+    "264ebcf46744890d855deaa97c29df438e7ddb7b2169b761cb89545d3f35ca93"
+
+
+def seeded_plan_inputs():
+    """(pool1, pool2, asset, a, target) for 200 integer and 200 rational
+    zero-fee plans; every other plan asks for a target.
+
+    Integer inputs have the shape of the published migration record: an
+    18-decimal asset against a 6-decimal counter, 30 bps, pools within
+    1.5% of one price.  Rational inputs draw reserves in 50-5000 and
+    a <= reserve/10; their target is a, the double root.
+    """
+    rng = random.Random(20_260_117)
+    weth, usdt = AssetId("WETH", 18), AssetId("USDT", 6)
+    eth, usd = 10 ** 18, 10 ** 6
+    for i in range(200):
+        price = rng.uniform(1000, 4000)
+        ra1 = rng.randint(500 * eth, 5000 * eth)
+        ra2 = rng.randint(100 * eth, 1000 * eth)
+        price2 = price * (1 + rng.uniform(-0.015, 0.015))
+        rb1 = int(ra1 * price) * usd // eth
+        rb2 = int(ra2 * price2) * usd // eth
+        a = rng.randint(1 * eth, 20 * eth)
+        yield (PoolState("pool1", weth, usdt, ra1, rb1, 30,
+                         NumericMode.INTEGER),
+               PoolState("pool2", weth, usdt, ra2, rb2, 30,
+                         NumericMode.INTEGER),
+               weth, a, a * rng.randint(1, 9) // 10 if i % 2 else None)
+    toka, tokb = AssetId("TOKA", 18), AssetId("TOKB", 18)
+    for i in range(200):
+        r = [Fraction(rng.randint(50, 5000)) for _ in range(4)]
+        a = Fraction(rng.randint(1, int(r[0]) // 10))
+        yield (PoolState("pool1", toka, tokb, r[0], r[1]),
+               PoolState("pool2", toka, tokb, r[2], r[3]),
+               toka, a, a if i % 2 else None)
+
+
+def test_seeded_plans_match_planner_digest():
+    h = hashlib.sha256()
+    for pool1, pool2, asset, a, target in seeded_plan_inputs():
+        try:
+            plan = plan_relocation(pool1, pool2, asset, "P", "B", "O", a,
+                                   target=target)
+        except PlannerError as exc:
+            record = [type(exc).__name__]
+        else:
+            record = [plan.to_dict(), str(plan.extraction_out),
+                      str(plan.b_prime)]
+        h.update(json.dumps(record).encode() + b"\0")
+    assert h.hexdigest() == PLANNER_DIGEST

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ammflow.amm import BPS_DENOM, NumericMode, PoolState, swap_exact_in
+from ammflow.amm import (BPS_DENOM, AssetId, NumericMode, PoolState,
+                         swap_exact_in)
 from ammflow.engine import (Address, WorldState, execute_bundle, net_deltas)
 from ammflow.numeric import exact_sign, make_exact
 from ammflow.planner import (ExtractionStyle, FundingPolicy, NoPositiveRoot,
@@ -149,6 +150,28 @@ class TestMaxExtractable:
             return out - y
         grid = max(profit(Fraction(i, 100)) for i in range(1, 2000))
         assert grid <= best < grid + Fraction(1, 1000)
+
+
+TOKC = AssetId("TOKC")
+A_C_POOL = PoolState("pool2", TOKA, TOKC, Fraction(100), Fraction(100))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda p1, p2: solve_flash_amount(p1, p2, TOKC, Fraction(1)),
+     "both pools must trade the migrated asset"),
+    (lambda p1, p2: max_extractable(p1, p2, TOKC),
+     "both pools must trade the migrated asset"),
+    (lambda p1, p2: solve_flash_amount(p1, A_C_POOL, TOKA, Fraction(1)),
+     "pools must trade the same asset pair"),
+    (lambda p1, p2: max_extractable(p1, A_C_POOL, TOKA),
+     "pools must trade the same asset pair"),
+    (lambda p1, p2: solve_extraction(p1, p2, TOKA, Fraction(-1)),
+     "extraction target must be non-negative"),
+], ids=["flash_foreign_asset", "optimum_foreign_asset", "flash_other_pair",
+        "optimum_other_pair", "extraction_negative_target"])
+def test_planner_refusals(sym_pools, call, message):
+    with pytest.raises(PlannerError, match=message):
+        call(*sym_pools)
 
 
 def int_profit(c1, c2, c3, c4, f1, f2, y):
