@@ -14,7 +14,8 @@ from typing import NamedTuple, Union
 
 from .amm import (AssetId, NumericMode, PoolState, checked,
                   keeps_fee_adjusted_k, swap_exact_in)
-from .numeric import MAX_AMOUNT, ExactNumber, exact_sign, parse_exact
+from .numeric import (MAX_AMOUNT, ExactNumber, exact_div, exact_sign,
+                      parse_exact)
 
 ROLE_LABELS = ("Principal", "Executor", "Beneficiary", "Operator",
                "PoolContract", "FlashProvider", "SettlementContract",
@@ -305,10 +306,11 @@ def _apply_fill(ex: _Execution, idx: int, act: FillLimitOrder) -> None:
     if exact_sign(act.fill_amount) <= 0:
         raise EngineError("fill amount must be positive")
     making = act.fill_amount
-    taking = making * order.taking_amount / order.making_amount
     if ex.world.mode is NumericMode.INTEGER:
         taking = -(-int(making) * int(order.taking_amount)
                    // int(order.making_amount))  # ceil, never underpay maker
+    else:
+        taking = exact_div(making * order.taking_amount, order.making_amount)
     allowance = ex.world.allowance(order.maker, order.settlement,
                                    order.maker_asset)
     if exact_sign(allowance - making) < 0:

@@ -93,12 +93,26 @@ class QuadExact:
         return None
 
     # -- arithmetic -----------------------------------------------------
+    # Each result part is one normalising Fraction(numerator, denominator)
+    # built from integers: p = a/b, q = c/e and d = f/g for self, and
+    # r = u/v, s = w/z for an operand r + s*sqrt(d) (an int n is n/1).
 
-    def __add__(self, other):
+    def _sum(self, k, other, l):
+        """k*self + l*other for k, l in {1, -1}."""
         m = self._match(other)
         if m is None:
             return NotImplemented
-        return self._in_field(self.p + m[0], self.q + m[1])
+        (r, s), p, q = m, self.p, self.q
+        b, v = p.denominator, r.denominator
+        p = Fraction(k * p.numerator * v + l * r.numerator * b, b * v)
+        if not s:
+            return QuadExact(p, q if k > 0 else -q, self.d)
+        e, z = q.denominator, s.denominator
+        n = k * q.numerator * z + l * s.numerator * e
+        return QuadExact(p, Fraction(n, e * z), self.d) if n else p
+
+    def __add__(self, other):
+        return self._sum(1, other, 1)
 
     __radd__ = __add__
 
@@ -106,56 +120,66 @@ class QuadExact:
         return QuadExact(-self.p, -self.q, self.d)
 
     def __sub__(self, other):
-        m = self._match(other)
-        if m is None:
-            return NotImplemented
-        return self._in_field(self.p - m[0], self.q - m[1])
+        return self._sum(1, other, -1)
 
     def __rsub__(self, other):
-        m = self._match(other)
-        if m is None:
-            return NotImplemented
-        return self._in_field(m[0] - self.p, m[1] - self.q)
+        return self._sum(-1, other, 1)
+
+    def _product(self, a, b, c, e, u, v, w, z, n=1):
+        """(a/b + c/e*sqrt(d)) * (u/v + w/z*sqrt(d)) / n"""
+        f, g = self.d.numerator, self.d.denominator
+        den = b * v * e * z * n
+        qn = a * w * e * v + c * u * b * z
+        p = Fraction(a * u * e * z * g + c * w * f * b * v, den * g)
+        return QuadExact(p, Fraction(qn, den), self.d) if qn else p
+
+    def _inverse(self, r, s):
+        """Integers pn, qn, n with 1/(r + s*sqrt(d)) = (pn + qn*sqrt(d))/n."""
+        # with r = u/v, s = w/z the norm r^2 - s^2 d is n/(v^2 z^2 g)
+        u, v, w, z = r.numerator, r.denominator, s.numerator, s.denominator
+        f, g = self.d.numerator, self.d.denominator
+        n = u * u * z * z * g - w * w * v * v * f
+        if n == 0:
+            raise ZeroDivisionError("division by zero field element")
+        return u * v * z * z * g, -w * v * v * z * g, n
 
     def __mul__(self, other):
         m = self._match(other)
         if m is None:
             return NotImplemented
-        p2, q2 = m
-        if q2 == 0:
-            return self._in_field(self.p * p2, self.q * p2)
-        return self._in_field(self.p * p2 + self.q * q2 * self.d,
-                              self.p * q2 + self.q * p2)
+        (r, s), p, q = m, self.p, self.q
+        a, b, c, e = p.numerator, p.denominator, q.numerator, q.denominator
+        u, v = r.numerator, r.denominator
+        if s:
+            return self._product(a, b, c, e, u, v, s.numerator, s.denominator)
+        p = Fraction(a * u, b * v)
+        return QuadExact(p, Fraction(c * u, e * v), self.d) if u else p
 
     __rmul__ = __mul__
-
-    def _inverse(self):
-        # with p = a/b, q = c/e, d = f/g the norm p^2 - q^2 d is n/(b^2 e^2 g)
-        a, b = self.p.numerator, self.p.denominator
-        c, e = self.q.numerator, self.q.denominator
-        f, g = self.d.numerator, self.d.denominator
-        n = a * a * e * e * g - c * c * b * b * f
-        if n == 0:
-            raise ZeroDivisionError("division by zero field element")
-        return QuadExact(Fraction(a * b * e * e * g, n),
-                         Fraction(-c * b * b * e * g, n), self.d)
 
     def __truediv__(self, other):
         m = self._match(other)
         if m is None:
             return NotImplemented
-        p2, q2 = m
-        if q2 == 0:
-            if p2 == 0:
-                raise ZeroDivisionError("division by zero")
-            return QuadExact(self.p / p2, self.q / p2, self.d)
-        return self * QuadExact(p2, q2, self.d)._inverse()
+        (r, s), p, q = m, self.p, self.q
+        a, b, c, e = p.numerator, p.denominator, q.numerator, q.denominator
+        if s:
+            pn, qn, n = self._inverse(r, s)
+            return self._product(a, b, c, e, pn, 1, qn, 1, n)
+        u, v = r.numerator, r.denominator
+        if u == 0:
+            raise ZeroDivisionError("division by zero")
+        return QuadExact(Fraction(a * v, b * u), Fraction(c * v, e * u),
+                         self.d)
 
     def __rtruediv__(self, other):
         m = self._match(other)
         if m is None:
             return NotImplemented
-        return self._in_field(m[0], m[1]) * self._inverse()
+        r, s = m
+        pn, qn, n = self._inverse(self.p, self.q)
+        return self._product(r.numerator, r.denominator, s.numerator,
+                             s.denominator, pn, 1, qn, 1, n)
 
     # -- ordering -------------------------------------------------------
 

@@ -308,10 +308,12 @@ def plan_relocation(pool1: PoolState, pool2: PoolState, asset: AssetId,
     b_prime, out = extraction_result(pool1_after, pool2_after, asset, y) \
         if exact_sign(y) > 0 else (0, 0)
 
-    predicted = (out - y - shortfall) if exact_sign(y) > 0 else \
-        (0 if mode is NumericMode.INTEGER else Fraction(0))
-    if exact_sign(predicted) < 0:
+    # what is left after the flash repayment; -shortfall when y is 0
+    net = out - y - shortfall
+    if exact_sign(net) < 0:
         raise PlannerError("extraction does not cover the flash shortfall")
+    predicted = net if exact_sign(y) > 0 else \
+        (0 if mode is NumericMode.INTEGER else Fraction(0))
     return RelocationPlan(
         principal=principal, beneficiary=beneficiary, operator=operator,
         flash_provider=flash_provider, pool1=pool1.pool_id,

@@ -227,6 +227,27 @@ class TestFillLimitOrder:
             execute_bundle(
                 world, [FillLimitOrder(order, "E", Fraction(101))], "E")
 
+    def test_rational_fill_of_int_amounts_is_exact(self):
+        # 2 of a 3 -> 7 order costs the taker exactly 14/3, not a float
+        world = basic_world("P", "E", "B", "settlement")
+        world.set_balance("P", TOKA, 3)
+        world.set_balance("E", TOKB, 7)
+        world.approve("P", "settlement", TOKA, 3)
+        order = LimitOrderIntent(maker="P", maker_asset=TOKA,
+                                 taker_asset=TOKB, making_amount=3,
+                                 taking_amount=7, receiver="B",
+                                 settlement="settlement")
+        after, trace = execute_bundle(
+            world, [FillLimitOrder(order, "E", 2)], "E")
+        amounts = [e.amount for e in trace.events]
+        assert amounts == [Fraction(14, 3), 2, 2]
+        assert after.balance("E", TOKB) == Fraction(7, 3)
+        assert after.balance("B", TOKB) == Fraction(14, 3)
+        assert after.balance("P", TOKA) == 1
+        assert after.balance("E", TOKA) == 2
+        assert not any(isinstance(v, float)
+                       for v in [*amounts, *after.balances.values()])
+
 
 def random_case(rng):
     world = basic_world("a0", "a1", "a2")

@@ -268,7 +268,7 @@ def test_sign_matches_fraction_reference(x):
 @settings(max_examples=300, deadline=None)
 @given(elements())
 def test_inverse_is_exact(x):
-    one = x * x._inverse()
+    one = x * (1 / x)
     assert one == 1
     assert type(one) is Fraction
 
@@ -281,7 +281,7 @@ def test_sign_of_pell_units(p, q, d):
     x = QuadExact(Fraction(p), Fraction(q), Fraction(d))
     assert exact_sign(x) == 1
     assert exact_sign(-x) == -1
-    assert x * x._inverse() == 1
+    assert x * (1 / x) == 1
 
 
 def test_float_loses_the_sign_of_the_61_unit():
@@ -290,10 +290,9 @@ def test_float_loses_the_sign_of_the_61_unit():
     assert x > 0
 
 
-def test_signs_build_no_fractions(monkeypatch):
-    x = QuadExact(Fraction(1766319049), Fraction(-226153980), Fraction(61))
-    y = QuadExact(Fraction(-7, 3), Fraction(11, 5), Fraction(26, 3))
-    neg, frac, zero = -x, Fraction(-3, 7), Fraction(0)
+@pytest.fixture
+def fractions_built(monkeypatch):
+    """Arguments of every Fraction built from here on."""
     built = []
     real = Fraction.__new__
     monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kwargs:
@@ -301,6 +300,26 @@ def test_signs_build_no_fractions(monkeypatch):
     Fraction(1, 2)
     assert len(built) == 1  # the counter sees every Fraction built
     built.clear()
+    return built
+
+
+def test_signs_build_no_fractions(fractions_built):
+    x = QuadExact(Fraction(1766319049), Fraction(-226153980), Fraction(61))
+    y = QuadExact(Fraction(-7, 3), Fraction(11, 5), Fraction(26, 3))
+    neg, frac, zero = -x, Fraction(-3, 7), Fraction(0)
+    fractions_built.clear()
     assert [x.sign(), neg.sign(), y.sign()] == [1, -1, 1]
     assert [exact_sign(x), exact_sign(frac), exact_sign(zero)] == [1, -1, 0]
-    assert built == []
+    assert fractions_built == []
+
+
+def test_field_ops_build_one_fraction_per_part(fractions_built):
+    x = QuadExact(Fraction(-7, 3), Fraction(11, 5), Fraction(26, 3))
+    y = QuadExact(Fraction(5, 2), Fraction(-3, 4), x.d)
+    conj = QuadExact(x.p, -x.q, x.d)  # x*conj and x/x are rational
+    for other in (y, conj, x, 7, -1, Fraction(-2, 9)):
+        for name in TEXTBOOK:
+            fractions_built.clear()
+            result = getattr(x, name)(other)
+            parts = 2 if isinstance(result, QuadExact) else 1
+            assert len(fractions_built) <= parts, (name, other)

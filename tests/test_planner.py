@@ -336,6 +336,19 @@ class TestPlanAndBundle:
                             x_override=int(1.1 * solve_flash_amount(
                                 pool1, pool2, TOKA, a)))
 
+    def test_zero_extraction_refuses_flash_shortfall(self):
+        # with y = 0 nothing repays the shortfall of an oversized flash
+        # amount, so the plan is refused instead of failing in the engine
+        pool1 = PoolState("pool1", TOKA, TOKB, 1000 * 10**18, 1000 * 10**18,
+                          30, NumericMode.INTEGER)
+        pool2 = PoolState("pool2", TOKA, TOKB, 1000 * 10**18, 1000 * 10**18,
+                          30, NumericMode.INTEGER)
+        a = 10 * 10**18
+        x = solve_flash_amount(pool1, pool2, TOKA, a)
+        with pytest.raises(PlannerError, match="flash shortfall"):
+            plan_relocation(pool1, pool2, TOKA, "P", "B", "O", a,
+                            x_override=x + x // 10, y_override=0)
+
     def test_integer_target_is_delivered(self):
         # 18-decimal asset against a 6-decimal counter near 3000, 30 bps
         pool1 = PoolState("pool1", TOKA, TOKB, 1000 * 10**18,
