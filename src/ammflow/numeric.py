@@ -49,67 +49,89 @@ def make_exact(p: Rational, q: Rational = 0, d: Rational = 0) -> ExactNumber:
     if d < 0:
         raise ValueError("negative radicand")
     root = rational_sqrt(d)
-    if root is not None:
-        return p + q * root
-    return QuadExact(p, q, d)
+    return QuadExact(p, q, d) if root is None else p + q * root
+
+
+def _element(a: int, b: int, n: int, field: tuple) -> ExactNumber:
+    """(a + b*sqrt(d))/n over field = (d, f, g), in normal form and without
+    the constructor's checks; the Fraction a/n when b is 0."""
+    if not b:
+        return Fraction(a, n)
+    if n < 0:
+        a, b, n = -a, -b, -n
+    c = math.gcd(a, b, n)
+    if c != 1:
+        a, b, n = a // c, b // c, n // c
+    x = object.__new__(QuadExact)
+    x.a, x.b, x.n, x.field = a, b, n, field
+    return x
+
+
+def _sign(a: int, b: int, f: int, g: int) -> int:
+    """Sign of a + b*sqrt(f/g) for a non-square f/g: with a and b of
+    opposite signs, the larger of a^2 and b^2*f/g decides."""
+    s = (a or b) if (a > 0) == (b > 0) else \
+        (a if a * a * g > b * b * f else b)
+    return (s > 0) - (s < 0)
 
 
 class QuadExact:
-    """Exact element p + q*sqrt(d) of a real quadratic field.
+    """Exact element (a + b*sqrt(d))/n of a real quadratic field.
 
-    Invariant: p and q are Fractions with q != 0, and d is a positive
-    Fraction that is not a perfect square.  Every constructor call keeps
-    it, so arithmetic inside the field builds results without testing d
-    again, and elements derived from one another share the same d object,
-    which serves as the field's identity.
+    Invariant: a, b and n are ints in normal form (n > 0, b != 0, no
+    common factor), so equal elements over one d hold equal ints; d = f/g
+    is a positive non-square Fraction, and ``field`` = (d, f, g) is shared
+    by elements derived from one another as the field's identity.
     """
 
-    __slots__ = ("p", "q", "d")
+    __slots__ = ("a", "b", "n", "field")
 
-    def __init__(self, p: Fraction, q: Fraction, d: Fraction):
-        self.p = p
-        self.q = q
-        self.d = d
+    def __new__(cls, p: Rational, q: Rational, d: Rational):
+        p, q, d = Fraction(p), Fraction(q), Fraction(d)
+        f, g = d.numerator, d.denominator
+        if not q or f <= 0 or math.isqrt(f * g) ** 2 == f * g:
+            raise ValueError(f"{q}*sqrt({d}) is not irrational")
+        return _element(p.numerator * q.denominator,
+                        q.numerator * p.denominator,
+                        p.denominator * q.denominator, (d, f, g))
+
+    p = property(lambda self: Fraction(self.a, self.n))  # rational part
+    q = property(lambda self: Fraction(self.b, self.n))  # sqrt(d) coefficient
+    d = property(lambda self: self.field[0])
 
     # -- coercion -------------------------------------------------------
 
-    def _in_field(self, p: Fraction, q: Fraction) -> ExactNumber:
-        """p + q*sqrt(self.d); d is already known to be a non-square."""
-        return p if q == 0 else QuadExact(p, q, self.d)
-
-    def _match(self, other) -> tuple[Rational, Rational] | None:
-        """Express other in this element's field; None if impossible."""
-        if isinstance(other, (int, Fraction)):
-            return other, 0
+    def _match(self, other) -> tuple[int, int, int] | None:
+        """Ints (u, w, m) with other = (u + w*sqrt(d))/m in this element's
+        field; None if impossible."""
+        if isinstance(other, int):
+            return other, 0, 1
+        if isinstance(other, Fraction):
+            return other.numerator, 0, other.denominator
         if not isinstance(other, QuadExact):
             raise TypeError(
                 f"cannot coerce {type(other).__name__} to exact number")
-        if other.d is self.d or other.d == self.d:
-            return other.p, other.q
-        # sqrt(d) = r * sqrt(self.d) when d/self.d is a perfect square
+        if other.field is self.field or other.d == self.d:
+            return other.a, other.b, other.n
+        # sqrt(d) = (s/t) * sqrt(self.d) when d/self.d is a perfect square
         ratio = rational_sqrt(other.d / self.d)
-        if ratio is not None:
-            return other.p, other.q * ratio
-        return None
+        if ratio is None:
+            return None
+        s, t = ratio.numerator, ratio.denominator
+        return other.a * t, other.b * s, other.n * t
 
     # -- arithmetic -----------------------------------------------------
-    # Each result part is one normalising Fraction(numerator, denominator)
-    # built from integers: p = a/b, q = c/e and d = f/g for self, and
-    # r = u/v, s = w/z for an operand r + s*sqrt(d) (an int n is n/1).
+    # self = (a + b*sqrt(d))/n and an operand (u + w*sqrt(d))/m, with
+    # d = f/g; every result is one _element call on ints.
 
     def _sum(self, k, other, l):
         """k*self + l*other for k, l in {1, -1}."""
         m = self._match(other)
         if m is None:
             return NotImplemented
-        (r, s), p, q = m, self.p, self.q
-        b, v = p.denominator, r.denominator
-        p = Fraction(k * p.numerator * v + l * r.numerator * b, b * v)
-        if not s:
-            return QuadExact(p, q if k > 0 else -q, self.d)
-        e, z = q.denominator, s.denominator
-        n = k * q.numerator * z + l * s.numerator * e
-        return QuadExact(p, Fraction(n, e * z), self.d) if n else p
+        (u, w, m), n = m, self.n
+        return _element(k * self.a * m + l * u * n,
+                        k * self.b * m + l * w * n, n * m, self.field)
 
     def __add__(self, other):
         return self._sum(1, other, 1)
@@ -117,7 +139,7 @@ class QuadExact:
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExact(-self.p, -self.q, self.d)
+        return _element(-self.a, -self.b, self.n, self.field)
 
     def __sub__(self, other):
         return self._sum(1, other, -1)
@@ -125,35 +147,26 @@ class QuadExact:
     def __rsub__(self, other):
         return self._sum(-1, other, 1)
 
-    def _product(self, a, b, c, e, u, v, w, z, n=1):
-        """(a/b + c/e*sqrt(d)) * (u/v + w/z*sqrt(d)) / n"""
-        f, g = self.d.numerator, self.d.denominator
-        den = b * v * e * z * n
-        qn = a * w * e * v + c * u * b * z
-        p = Fraction(a * u * e * z * g + c * w * f * b * v, den * g)
-        return QuadExact(p, Fraction(qn, den), self.d) if qn else p
+    def _product(self, a, b, n, u, w, m):
+        """(a + b*sqrt(d))/n * (u + w*sqrt(d))/m"""
+        _, f, g = field = self.field
+        return _element(a * u * g + b * w * f, (a * w + b * u) * g,
+                        n * m * g, field)
 
-    def _inverse(self, r, s):
-        """Integers pn, qn, n with 1/(r + s*sqrt(d)) = (pn + qn*sqrt(d))/n."""
-        # with r = u/v, s = w/z the norm r^2 - s^2 d is n/(v^2 z^2 g)
-        u, v, w, z = r.numerator, r.denominator, s.numerator, s.denominator
-        f, g = self.d.numerator, self.d.denominator
-        n = u * u * z * z * g - w * w * v * v * f
-        if n == 0:
-            raise ZeroDivisionError("division by zero field element")
-        return u * v * z * z * g, -w * v * v * z * g, n
+    def _inverse(self, u, w, m):
+        """Ints (pn, qn, k), k != 0 for w != 0, with m/(u + w*sqrt(d)) =
+        (pn + qn*sqrt(d))/k."""
+        _, f, g = self.field
+        return m * g * u, -m * g * w, u * u * g - w * w * f
 
     def __mul__(self, other):
         m = self._match(other)
         if m is None:
             return NotImplemented
-        (r, s), p, q = m, self.p, self.q
-        a, b, c, e = p.numerator, p.denominator, q.numerator, q.denominator
-        u, v = r.numerator, r.denominator
-        if s:
-            return self._product(a, b, c, e, u, v, s.numerator, s.denominator)
-        p = Fraction(a * u, b * v)
-        return QuadExact(p, Fraction(c * u, e * v), self.d) if u else p
+        u, w, m = m
+        if w:
+            return self._product(self.a, self.b, self.n, u, w, m)
+        return _element(self.a * u, self.b * u, self.n * m, self.field)
 
     __rmul__ = __mul__
 
@@ -161,49 +174,33 @@ class QuadExact:
         m = self._match(other)
         if m is None:
             return NotImplemented
-        (r, s), p, q = m, self.p, self.q
-        a, b, c, e = p.numerator, p.denominator, q.numerator, q.denominator
-        if s:
-            pn, qn, n = self._inverse(r, s)
-            return self._product(a, b, c, e, pn, 1, qn, 1, n)
-        u, v = r.numerator, r.denominator
+        u, w, m = m
+        if w:
+            return self._product(self.a, self.b, self.n,
+                                 *self._inverse(u, w, m))
         if u == 0:
             raise ZeroDivisionError("division by zero")
-        return QuadExact(Fraction(a * v, b * u), Fraction(c * v, e * u),
-                         self.d)
+        return _element(self.a * m, self.b * m, self.n * u, self.field)
 
     def __rtruediv__(self, other):
         m = self._match(other)
         if m is None:
             return NotImplemented
-        r, s = m
-        pn, qn, n = self._inverse(self.p, self.q)
-        return self._product(r.numerator, r.denominator, s.numerator,
-                             s.denominator, pn, 1, qn, 1, n)
+        return self._product(*m, *self._inverse(self.a, self.b, self.n))
 
     # -- ordering -------------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign of p + q*sqrt(d), decided on integers."""
-        p, q, d = self.p, self.q, self.d
-        pn, qn = p.numerator, q.numerator
-        if pn == 0 or (pn > 0) == (qn > 0):
-            s = pn or qn
-            return (s > 0) - (s < 0)
-        # opposite signs: the larger of p^2 and q^2 d decides, over the
-        # common denominator pd^2 qd^2 dd
-        pd, qd = p.denominator, q.denominator
-        lhs = pn * pn * qd * qd * d.denominator
-        rhs = qn * qn * pd * pd * d.numerator
-        if lhs == rhs:
-            return 0
-        return 1 if (pn if lhs > rhs else qn) > 0 else -1
+        """Exact sign, decided on integers (n > 0)."""
+        _, f, g = self.field
+        return _sign(self.a, self.b, f, g)
 
     def _cmp(self, other) -> int | None:
         m = self._match(other)
         if m is None:
             return None
-        return exact_sign(self._in_field(self.p - m[0], self.q - m[1]))
+        (u, w, m), n, (_, f, g) = m, self.n, self.field
+        return _sign(self.a * m - u * n, self.b * m - w * n, f, g)
 
     def _compare(self, other, test):
         """Apply test (an operator-module comparison) to cmp(self, other)
@@ -231,10 +228,10 @@ class QuadExact:
 
     def __hash__(self):
         # equal elements (2*sqrt(2), 1*sqrt(8)) share p, q^2*d and sign(q)
-        return hash((self.p, self.q * self.q * self.d, self.q > 0))
+        return hash((self.p, self.q * self.q * self.d, self.b > 0))
 
     def __bool__(self):
-        return True  # q != 0 by construction, so never zero
+        return True  # b != 0 by construction, so never zero
 
     def __abs__(self):
         return self if self.sign() >= 0 else -self
@@ -242,7 +239,10 @@ class QuadExact:
     # -- misc -----------------------------------------------------------
 
     def __float__(self):
-        return float(self.p) + float(self.q) * math.sqrt(float(self.d))
+        return self.a / self.n + self.b / self.n * math.sqrt(self.d)
+
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return QuadExact, (self.p, self.q, self.d)
 
     def __repr__(self):
         return f"QuadExact({self.p!r}, {self.q!r}, {self.d!r})"
@@ -281,7 +281,7 @@ def exact_sqrt(value: ExactNumber) -> ExactNumber:
         root = rational_sqrt(f)
         if root is not None:
             return root
-        return QuadExact(Fraction(0), Fraction(1), f)
+        return QuadExact(0, 1, f)
     if isinstance(value, QuadExact):
         if value.sign() < 0:
             raise ExactSqrtError("negative radicand")
@@ -295,9 +295,7 @@ def exact_sqrt(value: ExactNumber) -> ExactNumber:
             if t is None or t == 0:
                 continue
             s = q / (2 * t)
-            cand = QuadExact(s, t, d)
-            if cand.sign() < 0:
-                cand = -cand
+            cand = abs(QuadExact(s, t, d))
             if cand * cand == value:
                 return cand
         raise ExactSqrtError("radical does not denest in this field")

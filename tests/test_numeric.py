@@ -1,5 +1,7 @@
+import copy
 import math
 import operator
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -105,6 +107,13 @@ def test_parse_exact_round_trip():
     assert parse_exact("2.5") == Fraction(5, 2)
 
 
+def test_copy_and_pickle_round_trip():
+    x = make_exact(Fraction(-5, 2), Fraction(1, 6), Fraction(21, 2))
+    for twin in (copy.copy(x), copy.deepcopy(x),
+                 pickle.loads(pickle.dumps(x))):
+        assert type(twin) is QuadExact and twin == x and str(twin) == str(x)
+
+
 @given(st.integers(-30, 30), st.integers(-30, 30).filter(bool),
        st.sampled_from(NON_SQUARES))
 def test_float_projection_and_sign_agree(p, q, d):
@@ -153,9 +162,10 @@ FRACTIONS = st.fractions(-30, 30, max_denominator=12)
 def operands(draw, x):
     """An operand for x and its (c, e) parts over x's sqrt(d): an int, a
     Fraction, an element of x's field sharing its d object or holding an
-    equal d, or one of Q(sqrt(k^2 d)), the same field."""
+    equal d, or one of Q(sqrt(k^2 d)) or Q(sqrt(k^2 d / j^2)), the same
+    field."""
     kind = draw(st.sampled_from(["int", "fraction", "shared_d", "equal_d",
-                                 "scaled_d"]))
+                                 "scaled_d", "ratio_d"]))
     if kind == "int":
         n = draw(st.integers(-30, 30))
         return n, n, 0
@@ -168,7 +178,10 @@ def operands(draw, x):
     if kind == "equal_d":
         return make_exact(c, e, int(x.d)), c, e
     k = draw(st.integers(2, 5))
-    return make_exact(c, e, k * k * x.d), c, e * k
+    if kind == "scaled_d":
+        return make_exact(c, e, k * k * x.d), c, e * k
+    j = draw(st.integers(2, 5))
+    return make_exact(c, e, Fraction(k * k, j * j) * x.d), c, e * k / j
 
 
 @settings(max_examples=300, deadline=None)
@@ -306,14 +319,24 @@ def fractions_built(monkeypatch):
 def test_signs_build_no_fractions(fractions_built):
     x = QuadExact(Fraction(1766319049), Fraction(-226153980), Fraction(61))
     y = QuadExact(Fraction(-7, 3), Fraction(11, 5), Fraction(26, 3))
+    z = QuadExact(Fraction(5, 2), Fraction(-3, 4), y.d)
     neg, frac, zero = -x, Fraction(-3, 7), Fraction(0)
+    # y against an int, a Fraction, and elements of its field
+    diffs = [(other, fraction_sign(y.p - c, y.q - e, y.d)) for other, c, e
+             in [(3, 3, 0), (-1, -1, 0), (frac, frac, 0), (z, z.p, z.q),
+                 (y, y.p, y.q)]]
     fractions_built.clear()
     assert [x.sign(), neg.sign(), y.sign()] == [1, -1, 1]
     assert [exact_sign(x), exact_sign(frac), exact_sign(zero)] == [1, -1, 0]
+    for other, diff in diffs:
+        for name, test in COMPARISONS.items():
+            assert getattr(y, name)(other) is test(diff, 0), (name, other)
     assert fractions_built == []
 
 
 def test_field_ops_build_one_fraction_per_part(fractions_built):
+    """A result inside the field builds no Fraction; a rational result
+    builds exactly one."""
     x = QuadExact(Fraction(-7, 3), Fraction(11, 5), Fraction(26, 3))
     y = QuadExact(Fraction(5, 2), Fraction(-3, 4), x.d)
     conj = QuadExact(x.p, -x.q, x.d)  # x*conj and x/x are rational
@@ -321,5 +344,46 @@ def test_field_ops_build_one_fraction_per_part(fractions_built):
         for name in TEXTBOOK:
             fractions_built.clear()
             result = getattr(x, name)(other)
-            parts = 2 if isinstance(result, QuadExact) else 1
-            assert len(fractions_built) <= parts, (name, other)
+            parts = 0 if isinstance(result, QuadExact) else 1
+            assert len(fractions_built) == parts, (name, other)
+    fractions_built.clear()
+    assert isinstance(-x, QuadExact) and fractions_built == []
+
+
+def assert_normal_form(value):
+    """n > 0, b != 0 and gcd(a, b, n) == 1, the ints a rebuild from p, q
+    and d would hold."""
+    if isinstance(value, QuadExact):
+        a, b, n = value.a, value.b, value.n
+        assert n > 0 and b != 0 and math.gcd(a, b, n) == 1, (a, b, n)
+        twin = QuadExact(value.p, value.q, value.d)
+        assert (twin.a, twin.b, twin.n) == (a, b, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(FRACTIONS, FRACTIONS.filter(bool), st.sampled_from(NON_SQUARES),
+       st.data())
+def test_results_are_in_normal_form(a, b, d, data):
+    x = make_exact(a, b, d)
+    assert_normal_form(x)
+    assert_normal_form(parse_exact(str(x)))
+    assert_normal_form(-x)
+    other, _, _ = data.draw(operands(x))
+    assert_normal_form(other)
+    for name in TEXTBOOK:
+        try:
+            assert_normal_form(getattr(x, name)(other))
+        except ZeroDivisionError:
+            pass
+
+
+@pytest.mark.parametrize("p, q, d", [
+    (1, 0, 2), (1, Fraction(0), 2),  # no radical part
+    (1, 1, 0), (1, 1, -2), (1, 1, Fraction(-1, 3)),  # d <= 0
+    (1, 1, 4), (1, 1, Fraction(9, 4)), (0, 2, 1),  # d a rational square
+])
+def test_constructor_refuses_broken_invariant(p, q, d):
+    with pytest.raises(ValueError):
+        QuadExact(p, q, d)
+    if d >= 0:  # make_exact demotes what the constructor refuses
+        assert not isinstance(make_exact(p, q, d), QuadExact)
