@@ -8,7 +8,9 @@ meant to keep the outputs must leave this table alone.
 The library runs pass `x_override` and `y_override` (integer) or take
 the zero-fee undo (rational), so they never reach the integer flash
 bisection, the extraction optimum or the target roots.
-`PLANNER_DIGEST` pins those through seeded plans.
+`PLANNER_DIGEST` pins those through seeded plans, and `ENGINE_DIGEST`
+pins the traces and final reserves of seeded relocations executed by
+the engine.
 """
 
 import hashlib
@@ -16,9 +18,10 @@ import json
 import random
 from fractions import Fraction
 
-from ammflow.amm import AssetId, NumericMode, PoolState
+from ammflow.amm import AssetId, NumericMode, PoolState, format_amount
+from ammflow.engine import execute_bundle, trace_to_json
 from ammflow.planner import PlannerError, plan_relocation
-from ammflow.scenarios import library
+from ammflow.scenarios import build_relocation_scenario, library
 
 GOLDEN = {
     "benign_arbitrage":
@@ -108,3 +111,51 @@ def test_seeded_plans_match_planner_digest():
                       str(plan.b_prime)]
         h.update(json.dumps(record).encode() + b"\0")
     assert h.hexdigest() == PLANNER_DIGEST
+
+
+ENGINE_DIGEST = \
+    "d99499c750a3cbc0bad5dcaad04cb2572fb6a0ac18e90cfe2ce621a0131ea9e2"
+
+
+def seeded_relocations():
+    """`build_relocation_scenario` options for 200 rational zero-fee
+    relocations with reserves in 50-5000 and a <= reserve/10, then 100
+    integer 30 bps relocations of an 18-decimal asset against a 6-decimal
+    counter, pools within 1.5% of one price: the shapes of the benchmark's
+    `sweep_rational` and `fee_integer` inputs."""
+    rng = random.Random(20_261_019)
+    for _ in range(200):
+        r = [rng.randint(50, 5000) for _ in range(4)]
+        yield dict(reserves1=(str(r[0]), str(r[1])),
+                   reserves2=(str(r[2]), str(r[3])),
+                   a=str(rng.randint(1, r[0] // 10)))
+    mode, weth, usdt = NumericMode.INTEGER, AssetId("WETH", 18), \
+        AssetId("USDT", 6)
+    eth, usd = 10 ** 18, 10 ** 6
+    for _ in range(100):
+        price = rng.uniform(1000, 4000)
+        price2 = price * (1 + rng.uniform(-0.015, 0.015))
+        ra1 = rng.randint(500 * eth, 5000 * eth)
+        ra2 = rng.randint(100 * eth, 1000 * eth)
+        rb1 = int(ra1 * price) * usd // eth
+        rb2 = int(ra2 * price2) * usd // eth
+        yield dict(mode=mode, fee_bps=30, asset=weth, counter=usdt,
+                   reserves1=(format_amount(ra1, weth, mode),
+                              format_amount(rb1, usdt, mode)),
+                   reserves2=(format_amount(ra2, weth, mode),
+                              format_amount(rb2, usdt, mode)),
+                   a=format_amount(rng.randint(1 * eth, 20 * eth), weth,
+                                   mode))
+
+
+def test_seeded_executions_match_engine_digest():
+    """Each relocation's executed trace and final pool reserves."""
+    h = hashlib.sha256()
+    for options in seeded_relocations():
+        run = build_relocation_scenario(**options)
+        after, trace = execute_bundle(run.world, run.bundle, run.initiator)
+        reserves = [[str(pool.reserve0), str(pool.reserve1)]
+                    for _, pool in sorted(after.pools.items())]
+        h.update(trace_to_json(trace, run.world.mode).encode()
+                 + json.dumps(reserves).encode() + b"\0")
+    assert h.hexdigest() == ENGINE_DIGEST
