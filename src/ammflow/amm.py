@@ -201,8 +201,10 @@ def _price(pool: PoolState, input_asset: AssetId, amount_in):
     r_out = pool.reserve_of(pool.other_asset(input_asset))
     integer = pool.mode is NumericMode.INTEGER
     amount_in = int(amount_in) if integer else amount_in
-    eff = amount_in * (BPS_DENOM - pool.fee_bps)
-    num, den = eff * r_out, r_in * BPS_DENOM + eff
+    # in*g*r_out / (r_in*D + in*g), g = D - fee; g/D is 1 at zero fee
+    fee = pool.fee_bps
+    eff = amount_in * (BPS_DENOM - fee) if fee else amount_in
+    num, den = eff * r_out, (r_in * BPS_DENOM if fee else r_in) + eff
     out = num // den if integer else exact_div(num, den)
     rest = r_out - out
     if not exact_sign(rest) > 0:
@@ -236,9 +238,11 @@ def keeps_fee_adjusted_k(pool: PoolState, input_asset: AssetId, amount_in,
     r_out = pool.reserve_of(pool.other_asset(input_asset))
     if pool.mode is NumericMode.INTEGER:
         amount_in = int(amount_in)
-    # (r_in + in*g/D) * r_out >= k_before, scaled by D
-    adjusted = r_in * BPS_DENOM + amount_in * (BPS_DENOM - pool.fee_bps)
-    return exact_sign(adjusted * r_out - k_before * BPS_DENOM) >= 0
+    # (r_in + in*g/D) * r_out >= k_before, scaled by D with a fee
+    if pool.fee_bps:
+        r_in, k_before = r_in * BPS_DENOM, k_before * BPS_DENOM
+        amount_in = amount_in * (BPS_DENOM - pool.fee_bps)
+    return exact_sign((r_in + amount_in) * r_out - k_before) >= 0
 
 
 def solve_input_for_output(pool: PoolState, output_asset: AssetId,
@@ -255,9 +259,10 @@ def solve_input_for_output(pool: PoolState, output_asset: AssetId,
     amount_out = int(amount_out) if integer else amount_out
     # the swap yields at least amount_out exactly when
     # in*g*(r_out - out) >= out*r_in*D: the least such in is this
-    # quotient, a ceiling in integer mode
-    num = r_in * amount_out * BPS_DENOM
-    den = (r_out - amount_out) * (BPS_DENOM - pool.fee_bps)
+    # quotient, a ceiling in integer mode; D and g scale only with a fee
+    num, den = r_in * amount_out, r_out - amount_out
+    if pool.fee_bps:
+        num, den = num * BPS_DENOM, den * (BPS_DENOM - pool.fee_bps)
     return -(-num // den) if integer else exact_div(num, den)
 
 

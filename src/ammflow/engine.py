@@ -258,8 +258,11 @@ class _Execution:
     def emit(self, src: str, dst: str, asset: AssetId, amount,
              action_index: int) -> None:
         self.seq += 1
-        self.trace.events.append(
-            TransferEvent(self.seq, src, dst, asset, amount, action_index))
+        # built like PoolState.with_reserves, skipping the frozen __init__
+        event = object.__new__(TransferEvent)
+        event.__dict__.update(seq=self.seq, src=src, dst=dst, asset=asset,
+                              amount=amount, action_index=action_index)
+        self.trace.events.append(event)
 
     def call(self, action_index: int, kind: str, caller: str,
              callee: str) -> None:

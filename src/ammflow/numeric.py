@@ -104,6 +104,8 @@ class QuadExact:
     def _match(self, other) -> tuple[int, int, int] | None:
         """Ints (u, w, m) with other = (u + w*sqrt(d))/m in this element's
         field; None if impossible."""
+        if type(other) is QuadExact and other.field is self.field:
+            return other.a, other.b, other.n
         if isinstance(other, int):
             return other, 0, 1
         if isinstance(other, Fraction):
@@ -111,7 +113,7 @@ class QuadExact:
         if not isinstance(other, QuadExact):
             raise TypeError(
                 f"cannot coerce {type(other).__name__} to exact number")
-        if other.field is self.field or other.d == self.d:
+        if other.d == self.d:
             return other.a, other.b, other.n
         # sqrt(d) = (s/t) * sqrt(self.d) when d/self.d is a perfect square
         ratio = rational_sqrt(other.d / self.d)

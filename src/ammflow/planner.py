@@ -101,23 +101,31 @@ def dislocation_output(pool1: PoolState, pool2: PoolState, asset: AssetId,
     return amount_out(pool2, counter, amount_out(pool1, asset, a + x))
 
 
+def _times(k: int, value):
+    """k*value, without the product when k is 1."""
+    return value if k == 1 else k * value
+
+
 def _loop_coeffs(first: PoolState, second: PoolState, asset: AssetId):
     """(K, A2, B0) of the loop that swaps s of asset into `first`, then
     the counter it yields into `second`: unfloored, it returns
         out(s) = K*s / (B0 + A2*s),   K = g1*g2*r1_out*r2_out,
         A2 = g1*r2_in + g1*g2*r1_out,  B0 = r1_in*r2_in,
     with g the pools' fee factors and r their reserves of what goes in
-    and out.  Integer mode scales all three by BPS_DENOM**2 to ints.
+    and out.  On integer numerators a pool's g is (D - fee)/D, D =
+    BPS_DENOM, or 1/1 at zero fee, so all three come scaled by D1*D2:
+    rational mode divides that back out, integer mode keeps the ints.
     """
     counter = _check_pair(first, second, asset)
     r1_in, r1_out = first.reserve_of(asset), first.reserve_of(counter)
     r2_in, r2_out = second.reserve_of(counter), second.reserve_of(asset)
-    g1, g2 = BPS_DENOM - first.fee_bps, BPS_DENOM - second.fee_bps
-    coeffs = (g1 * g2 * r1_out * r2_out,
-              g1 * (BPS_DENOM * r2_in + g2 * r1_out),
-              BPS_DENOM ** 2 * r1_in * r2_in)
-    return coeffs if first.mode is NumericMode.INTEGER \
-        else tuple(exact_div(c, BPS_DENOM ** 2) for c in coeffs)
+    d1, d2 = (BPS_DENOM if pool.fee_bps else 1 for pool in (first, second))
+    g1, g2 = d1 - first.fee_bps, d2 - second.fee_bps
+    coeffs = (_times(g1 * g2, r1_out * r2_out),
+              _times(g1, _times(d2, r2_in) + _times(g2, r1_out)),
+              _times(d1 * d2, r1_in * r2_in))
+    return coeffs if d1 * d2 == 1 or first.mode is NumericMode.INTEGER \
+        else tuple(exact_div(c, d1 * d2) for c in coeffs)
 
 
 def solve_flash_amount(pool1: PoolState, pool2: PoolState, asset: AssetId,

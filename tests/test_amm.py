@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -8,8 +9,11 @@ from hypothesis import given, settings, strategies as st
 from ammflow import engine, planner
 from ammflow.amm import (BPS_DENOM, AmmError, AssetId, NumericMode,
                          OutputNotLessThanReserve, PoolState, UnknownAsset,
-                         ZeroInput, amount_out, format_amount, parse_amount,
+                         ZeroInput, amount_out, format_amount,
+                         keeps_fee_adjusted_k, parse_amount,
                          solve_input_for_output, spot_price, swap_exact_in)
+from ammflow.numeric import QuadExact, exact_sign, exact_sqrt
+from ammflow.scenarios import build_relocation_scenario
 from conftest import TOKA, TOKB, make_pool
 
 
@@ -315,6 +319,85 @@ def test_quote_is_the_swap_output(mode, fee_bps, asset_in, data):
         assert type(quoted.value) is type(exc)
     else:
         assert amount_out(pool, asset_in, amount) == want
+
+
+FEES = [0, 1, 5, 30, 100, 2500, 5000, 9999]
+ROOT2 = exact_sqrt(2)
+
+
+def positive_amounts(kind):
+    """Positive ints, Fractions, or elements p + q*sqrt(2) of Q(sqrt 2)."""
+    if kind == "int":
+        return st.integers(2, 10 ** 24)
+    fractions = st.fractions(Fraction(1, 10 ** 6), 10 ** 9,
+                             max_denominator=10 ** 6)
+    if kind == "fraction":
+        return fractions
+    return st.builds(lambda p, q: p + q * ROOT2, fractions, fractions)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["int", "fraction", "quad"]), st.sampled_from(FEES),
+       st.data())
+def test_pricing_matches_textbook_formulas(kind, fee_bps, data):
+    """The quote, the minimal input and the flash-swap k check against
+    the textbook formulas, with the fee factor g/D as one Fraction and
+    floors or ceilings taken only in integer mode."""
+    integer = kind == "int"
+    mode = NumericMode.INTEGER if integer else NumericMode.RATIONAL
+    r_in, r_out, amount, paid = (data.draw(positive_amounts(kind))
+                                 for _ in range(4))
+    pool = PoolState("p", TOKA, TOKB, r_in, r_out, fee_bps, mode)
+    gamma = Fraction(BPS_DENOM - fee_bps, BPS_DENOM)
+
+    out = amount * gamma * r_out / (r_in + amount * gamma)
+    assert amount_out(pool, TOKA, amount) == \
+        (math.floor(out) if integer else out)
+    if integer:
+        assert math.floor(out) == v2_amount_out(amount, r_in, r_out, fee_bps)
+
+    want = data.draw(st.integers(1, r_out - 1)) if integer \
+        else r_out * data.draw(st.fractions(Fraction(1, 1000), Fraction(999, 1000)))
+    need = want * r_in / ((r_out - want) * gamma)
+    assert solve_input_for_output(pool, TOKB, want) == \
+        (math.ceil(need) if integer else need)
+
+    # the k a repayment of `paid` would leave, or that of `amount` itself
+    k_before = (r_in + data.draw(st.sampled_from([paid, amount])) * gamma) \
+        * r_out
+    if integer:
+        k_before = math.floor(k_before) + data.draw(st.integers(-1, 1))
+    assert keeps_fee_adjusted_k(pool, TOKA, amount, k_before) is \
+        (exact_sign((r_in + amount * gamma) * r_out - k_before) >= 0)
+
+
+@pytest.fixture
+def int_operands(monkeypatch):
+    """The int operands of every Fraction and QuadExact product and
+    quotient from here on."""
+    seen = []
+    for cls in (Fraction, QuadExact):
+        for name in ("__mul__", "__rmul__", "__truediv__"):
+            def spy(self, other, real=getattr(cls, name)):
+                if isinstance(other, int):
+                    seen.append(other)
+                return real(self, other)
+            monkeypatch.setattr(cls, name, spy)
+    Fraction(3, 7) * 5
+    assert seen == [5]  # the spy sees an int operand
+    seen.clear()
+    return seen
+
+
+def test_zero_fee_relocation_never_scales_by_the_fee_denominator(
+        int_operands):
+    # at zero fee g/D is 1: no quote, loop coefficient or k check
+    # multiplies by D or D**2 only to divide it back out
+    run = build_relocation_scenario()
+    engine.execute_bundle(run.world, run.bundle, run.initiator)
+    assert int_operands  # the relocation does multiply by ints
+    assert BPS_DENOM not in int_operands
+    assert BPS_DENOM ** 2 not in int_operands
 
 
 def test_integer_relocation_copies_no_pool_through_replace(monkeypatch):

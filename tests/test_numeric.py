@@ -152,6 +152,9 @@ TEXTBOOK = {
         (c * a - e * b * d) / (a * a - b * b * d),
         (e * a - c * b) / (a * a - b * b * d)),
 }
+# each reflected operator, applied with an int or Fraction on the left
+REFLECTED = {"__radd__": operator.add, "__rsub__": operator.sub,
+             "__rmul__": operator.mul, "__rtruediv__": operator.truediv}
 COMPARISONS = {"__eq__": operator.eq, "__lt__": operator.lt,
                "__le__": operator.le, "__gt__": operator.gt,
                "__ge__": operator.ge}
@@ -161,11 +164,11 @@ FRACTIONS = st.fractions(-30, 30, max_denominator=12)
 @st.composite
 def operands(draw, x):
     """An operand for x and its (c, e) parts over x's sqrt(d): an int, a
-    Fraction, an element of x's field sharing its d object or holding an
-    equal d, or one of Q(sqrt(k^2 d)) or Q(sqrt(k^2 d / j^2)), the same
-    field."""
-    kind = draw(st.sampled_from(["int", "fraction", "shared_d", "equal_d",
-                                 "scaled_d", "ratio_d"]))
+    Fraction, an element of x's field derived from x (sharing its field
+    tuple), built over x's d object or built over an equal d, or one of
+    Q(sqrt(k^2 d)) or Q(sqrt(k^2 d / j^2)), the same field."""
+    kind = draw(st.sampled_from(["int", "fraction", "derived", "shared_d",
+                                 "equal_d", "scaled_d", "ratio_d"]))
     if kind == "int":
         n = draw(st.integers(-30, 30))
         return n, n, 0
@@ -173,6 +176,10 @@ def operands(draw, x):
     if kind == "fraction":
         return c, c, 0
     e = draw(FRACTIONS.filter(bool))
+    if kind == "derived":
+        y = c + e * (x - x.p) / x.q  # c + e*sqrt(d), inside x's field
+        assert y.field is x.field
+        return y, c, e
     if kind == "shared_d":
         return QuadExact(c, e, x.d), c, e
     if kind == "equal_d":
@@ -197,11 +204,14 @@ def test_field_ops_match_textbook_formulas(a, b, d, data):
             with pytest.raises(ZeroDivisionError):
                 getattr(x, name)(other)
             continue
-        got = getattr(x, name)(other)
-        assert got == expected, name
-        assert type(got) is type(expected), name
-        assert str(got) == str(expected), name
-        assert hash(got) == hash(expected), name
+        results = [getattr(x, name)(other)]
+        if name in REFLECTED and not isinstance(other, QuadExact):
+            results.append(REFLECTED[name](other, x))
+        for got in results:
+            assert got == expected, name
+            assert type(got) is type(expected), name
+            assert str(got) == str(expected), name
+            assert hash(got) == hash(expected), name
     diff = exact_sign(make_exact(a - c, b - e, d))
     for name, test in COMPARISONS.items():
         assert getattr(x, name)(other) is test(diff, 0), name
