@@ -201,7 +201,7 @@ def _price(pool: PoolState, input_asset: AssetId, amount_in):
     r_out = pool.reserve_of(pool.other_asset(input_asset))
     integer = pool.mode is NumericMode.INTEGER
     amount_in = int(amount_in) if integer else amount_in
-    # in*g*r_out / (r_in*D + in*g), g = D - fee; g/D is 1 at zero fee
+    # in*g*r_out / (r_in*D + in*g), g = D - fee: at zero fee g/D is 1
     fee = pool.fee_bps
     eff = amount_in * (BPS_DENOM - fee) if fee else amount_in
     num, den = eff * r_out, (r_in * BPS_DENOM if fee else r_in) + eff
