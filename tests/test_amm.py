@@ -356,8 +356,9 @@ def test_pricing_matches_textbook_formulas(kind, fee_bps, data):
     if integer:
         assert math.floor(out) == v2_amount_out(amount, r_in, r_out, fee_bps)
 
+    share = st.fractions(Fraction(1, 1000), Fraction(999, 1000))
     want = data.draw(st.integers(1, r_out - 1)) if integer \
-        else r_out * data.draw(st.fractions(Fraction(1, 1000), Fraction(999, 1000)))
+        else r_out * data.draw(share)
     need = want * r_in / ((r_out - want) * gamma)
     assert solve_input_for_output(pool, TOKB, want) == \
         (math.ceil(need) if integer else need)
