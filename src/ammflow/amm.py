@@ -1,7 +1,8 @@
 """Constant-product pool arithmetic in two numeric modes.
 
-Rational mode keeps reserves as exact Fractions (or quadratic-field
-elements) and preserves the reserve product exactly at zero fee.  Integer
+Rational mode keeps reserves as exact ``QuadExact`` elements, of Q (the
+degree-1 level, where every parsed amount starts) or of one quadratic
+field, and preserves the reserve product exactly at zero fee.  Integer
 mode keeps reserves as big-integer smallest units and floors every swap
 output, matching Uniswap-V2-style on-chain semantics.
 """
@@ -11,10 +12,9 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
-from .numeric import ExactNumber, exact_div, exact_sign
+from .numeric import ExactNumber, QuadExact, exact_div, exact_sign
 
 BPS_DENOM = 10_000
 
@@ -95,7 +95,7 @@ def parse_amount(text: str, asset: AssetId, mode: NumericMode):
     units, below 2**256 < 10**78, and no asset has more than 38 decimals.
     The bound also keeps every amount's decimal string short.
 
-    Rational mode yields an exact Fraction in whole-token units; integer
+    Rational mode yields an element of Q in whole-token units; integer
     mode yields smallest units and rejects amounts finer than the asset's
     decimals.
     """
@@ -106,7 +106,7 @@ def parse_amount(text: str, asset: AssetId, mode: NumericMode):
     digits = (whole + frac).lstrip("0")
     significant = digits.rstrip("0")
     if not significant:
-        return Fraction(0) if mode is NumericMode.RATIONAL else 0
+        return QuadExact() if mode is NumericMode.RATIONAL else 0
     scale = int(exp or 0) - len(frac) + len(digits) - len(significant)
     if scale + len(significant) > _MAX_DIGITS:
         raise ValueError(f"amount {text!r} is not below 10**{_MAX_DIGITS}")
@@ -115,8 +115,8 @@ def parse_amount(text: str, asset: AssetId, mode: NumericMode):
             f"amount {text!r} has a digit finer than 10**-{_MAX_DECIMALS}")
     n = int(sign + significant)
     if mode is NumericMode.RATIONAL:
-        return Fraction(n * 10 ** scale) if scale >= 0 \
-            else Fraction(n, 10 ** -scale)
+        return QuadExact(n) * 10 ** scale if scale >= 0 \
+            else QuadExact(n) / 10 ** -scale
     if scale + asset.decimals < 0:
         raise ValueError(
             f"{text} is finer than {asset.symbol}'s {asset.decimals} decimals")

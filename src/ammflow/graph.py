@@ -25,7 +25,7 @@ class GraphEdge(NamedTuple):
     seq: int
     src: str
     dst: str
-    amount: object  # int, Fraction or QuadExact
+    amount: object  # int, QuadExact, or a Fraction a caller passed in
 
 
 class TransferGraph:
@@ -86,10 +86,10 @@ def _implicit_initials(edges: list[tuple[str, str, object]]) -> dict:
 def _edges(graph: TransferGraph) -> tuple[list[tuple], bool]:
     """The positive edges as (src, dst, amount) in time order, and whether
     the amounts are the graph's own exact numbers.  Amounts that span more
-    than one quadratic field are read as floats, converted exactly to
-    Fraction."""
+    than one quadratic field (elements of Q lie in every one) are read as
+    floats, converted exactly to Fraction."""
     amounts = [e.amount for e in graph.edges]
-    quads = [a for a in amounts if isinstance(a, QuadExact)]
+    quads = [a for a in amounts if isinstance(a, QuadExact) and a.b]
     exact = all(isinstance(a, (int, Fraction, QuadExact)) for a in amounts) \
         and all(quads[0]._match(a) is not None for a in quads[1:])
     edges = [(e.src, e.dst, e.amount if exact else Fraction(float(e.amount)))
@@ -194,8 +194,8 @@ def taint_haircut(graph: TransferGraph,
     numbers, so dirty <= held by construction and each fraction is
     rounded to float once."""
     held: dict = defaultdict(int)
-    # a Fraction zero keeps each quotient below exact (int / int is a float)
-    dirty: dict = defaultdict(Fraction)
+    # an exact zero keeps each quotient below exact (int / int is a float)
+    dirty: dict = defaultdict(QuadExact)
     for src, dst, amount in _edges(graph)[0]:
         if held[src] < amount:
             held[src] = amount

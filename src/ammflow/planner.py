@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .amm import (BPS_DENOM, AssetId, NumericMode, PoolState, ZeroInput,
                   amount_out, solve_input_for_output, swap_exact_in)
@@ -230,8 +229,7 @@ def solve_extraction(pool1_after: PoolState, pool2_after: PoolState,
     TargetExceedsMaxProfit when the reverse loop cannot net the target.
     """
     if exact_sign(target) == 0:
-        zero = 0 if pool1_after.mode is NumericMode.INTEGER else Fraction(0)
-        return zero, zero
+        return 0, 0
     if exact_sign(target) < 0:
         raise PlannerError("extraction target must be non-negative")
 
@@ -287,7 +285,6 @@ def plan_relocation(pool1: PoolState, pool2: PoolState, asset: AssetId,
     emitted bundle reproduces them exactly in either numeric mode.
     """
     counter = _check_pair(pool1, pool2, asset)
-    mode = pool1.mode
 
     x = x_override if x_override is not None \
         else solve_flash_amount(pool1, pool2, asset, a)
@@ -306,9 +303,10 @@ def plan_relocation(pool1: PoolState, pool2: PoolState, asset: AssetId,
         raw_target = target + shortfall
         y = solve_extraction(pool1_after, pool2_after, asset, raw_target)[0] \
             if exact_sign(raw_target) > 0 else 0
-    elif mode is NumericMode.RATIONAL and pool1.fee_bps == pool2.fee_bps == 0:
+    elif pool1.fee_bps == pool2.fee_bps == 0:
         # fee-free phase 2 with y equal to the phase-1 withdrawal undoes
-        # both pool moves exactly: b' = b and the loop nets exactly a
+        # both pool moves: exactly in rational mode (b' = b and the loop
+        # nets exactly a), up to the floors in integer mode
         y = x_recovered
     else:
         # the profit-maximising repayment; zero when the loop nets nothing
@@ -320,15 +318,14 @@ def plan_relocation(pool1: PoolState, pool2: PoolState, asset: AssetId,
     net = out - y - shortfall
     if exact_sign(net) < 0:
         raise PlannerError("extraction does not cover the flash shortfall")
-    predicted = net if exact_sign(y) > 0 else \
-        (0 if mode is NumericMode.INTEGER else Fraction(0))
+    predicted = net if exact_sign(y) > 0 else 0
     return RelocationPlan(
         principal=principal, beneficiary=beneficiary, operator=operator,
         flash_provider=flash_provider, pool1=pool1.pool_id,
         pool2=pool2.pool_id, asset=asset, a=a, x=x, b=b,
         x_recovered=x_recovered, b_prime=b_prime, y=y, extraction_out=out,
         predicted_a_prime=predicted, funding_policy=funding_policy,
-        extraction_style=extraction_style, mode=mode)
+        extraction_style=extraction_style, mode=pool1.mode)
 
 
 def build_relocation_bundle(plan: RelocationPlan, pool1: PoolState,

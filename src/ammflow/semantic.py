@@ -8,11 +8,10 @@ away.  No role label given to an address is consulted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .amm import BPS_DENOM, NumericMode
 from .engine import ExecutionTrace, WorldState, net_deltas
-from .numeric import exact_sign
+from .numeric import exact_div, exact_sign
 from .planner import RelocationPlan
 
 
@@ -189,10 +188,10 @@ def loss_decomposition(trace: ExecutionTrace, plan: RelocationPlan,
     slippage/imbalance between the two phases.  Everything is exact until
     the one conversion to float, in whole tokens.
     """
-    fee1, fee2 = (Fraction(world.pools[pool_id].fee_bps, BPS_DENOM)
+    fee1, fee2 = (exact_div(world.pools[pool_id].fee_bps, BPS_DENOM)
                   for pool_id in (plan.pool1, plan.pool2))
-    scale = Fraction(10 ** plan.asset.decimals
-                     if plan.mode is NumericMode.INTEGER else 1)
+    scale = 10 ** plan.asset.decimals \
+        if plan.mode is NumericMode.INTEGER else 1
     gained = net_deltas(trace).get((plan.beneficiary, plan.asset.symbol), 0)
     total = plan.a - gained
     fees = fee1 * (plan.a + plan.x + plan.extraction_out) \
@@ -200,5 +199,5 @@ def loss_decomposition(trace: ExecutionTrace, plan: RelocationPlan,
     return {
         "protocol_fees": float(fees / scale),
         "slippage_imbalance": float((total - fees) / scale),
-        "total_loss": float(total / scale),
+        "total_loss": float(exact_div(total, scale)),
     }

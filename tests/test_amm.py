@@ -200,8 +200,12 @@ class TestAmountIo:
         ("0.1e-37", Fraction(1, 10 ** 38)), ("1e-38", Fraction(1, 10 ** 38)),
     ])
     def test_parse_grammar(self, text, value):
+        # an element of Q (the degree-1 level of QuadExact) that prints
+        # and hashes as the equal Fraction
         got = parse_amount(text, TOKA, NumericMode.RATIONAL)
-        assert type(got) is Fraction and got == value
+        assert type(got) is QuadExact and not got.b and got == value
+        assert str(got) == str(Fraction(value))
+        assert hash(got) == hash(value)
 
     @pytest.mark.parametrize("text", [
         "NaN", "nan", "sNaN", "Infinity", "-inf", "Inf", "", ".", "e5",

@@ -141,6 +141,24 @@ class TestAttribute:
         assert result.exact and result.recoverable
         assert result.p_to_b_min == result.p_to_b_max == float(amount)
 
+    def test_rationals_beside_one_quadratic_field_stay_exact(self):
+        # an element of Q lies in every field: a rational first amount
+        # neither counts as a second field nor hides one
+        ten, root2 = QuadExact(10), QuadExact(0, 1, 2)
+
+        def graph(*amounts):
+            return TransferGraph(asset=TOKA, edges=[
+                GraphEdge(seq, src, dst, amount) for seq, (src, dst, amount)
+                in enumerate(zip("PPXO", "OXBB", amounts), start=1)])
+
+        result = attribute(graph(ten, root2, QuadExact(0, 1, 8) / 2, ten),
+                           "P", "B")
+        assert result.exact and result.recoverable
+        assert result.p_to_b_min == result.p_to_b_max == float(ten + root2)
+        result = attribute(graph(ten, root2, QuadExact(0, 1, 3), ten),
+                           "P", "B")
+        assert not result.exact
+
     def test_two_quadratic_fields_fall_back_to_floats(self):
         root2 = QuadExact(Fraction(0), Fraction(1), Fraction(2))
         root3 = QuadExact(Fraction(0), Fraction(1), Fraction(3))

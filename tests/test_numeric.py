@@ -18,6 +18,12 @@ NON_SQUARES = [2, 3, 5, 6, 7, 10, 2100]
 FOREIGN = 11  # d / 11 is a perfect square for no d in NON_SQUARES
 
 
+def in_q(value):
+    """Whether value is an element of Q, the degree-1 level of QuadExact."""
+    return type(value) is QuadExact and value.b == 0 \
+        and value.field is numeric._Q
+
+
 def test_rational_sqrt():
     assert rational_sqrt(Fraction(4, 9)) == Fraction(2, 3)
     assert rational_sqrt(0) == 0
@@ -27,10 +33,10 @@ def test_rational_sqrt():
 
 def test_make_exact_demotes_when_radical_vanishes():
     assert make_exact(3, 0, 2) == 3
-    assert isinstance(make_exact(3, 0, 2), Fraction)
+    assert in_q(make_exact(3, 0, 2))
     # sqrt(4) collapses into the rational part
-    assert make_exact(1, 2, 4) == 5
-    assert isinstance(make_exact(1, 2, 2), QuadExact)
+    assert make_exact(1, 2, 4) == 5 and in_q(make_exact(1, 2, 4))
+    assert not in_q(make_exact(1, 2, 2))
 
 
 def test_field_identities():
@@ -47,7 +53,7 @@ def test_subtraction_to_zero_is_rational():
     r5 = exact_sqrt(5)
     diff = (3 + r5) - r5 - 3
     assert diff == 0
-    assert not isinstance(diff, QuadExact)
+    assert in_q(diff)
 
 
 def test_sign_near_rational_boundary():
@@ -233,6 +239,7 @@ def sqrt_calls(monkeypatch):
 def test_in_field_arithmetic_skips_the_square_test(sqrt_calls):
     x = QuadExact(Fraction(-5), Fraction(1, 2), Fraction(2100))
     y = QuadExact(Fraction(3), Fraction(-2), Fraction(2100))  # an equal d
+    sqrt_calls.clear()  # the constructor tests each radicand once
     for other in (y, 7, Fraction(-2, 3), x):
         for name in [*TEXTBOOK, *COMPARISONS]:
             getattr(x, name)(other)
@@ -293,7 +300,7 @@ def test_sign_matches_fraction_reference(x):
 def test_inverse_is_exact(x):
     one = x * (1 / x)
     assert one == 1
-    assert type(one) is Fraction
+    assert in_q(one)
 
 
 @pytest.mark.parametrize("p, q, d", [
@@ -344,28 +351,106 @@ def test_signs_build_no_fractions(fractions_built):
     assert fractions_built == []
 
 
-def test_field_ops_build_one_fraction_per_part(fractions_built):
-    """A result inside the field builds no Fraction; a rational result
-    builds exactly one."""
+def test_field_ops_build_no_fractions(fractions_built):
+    """No result builds a Fraction, whether it lies inside the field or,
+    as an element of Q, outside it."""
     x = QuadExact(Fraction(-7, 3), Fraction(11, 5), Fraction(26, 3))
     y = QuadExact(Fraction(5, 2), Fraction(-3, 4), x.d)
     conj = QuadExact(x.p, -x.q, x.d)  # x*conj and x/x are rational
-    for other in (y, conj, x, 7, -1, Fraction(-2, 9)):
-        for name in TEXTBOOK:
-            fractions_built.clear()
-            result = getattr(x, name)(other)
-            parts = 0 if isinstance(result, QuadExact) else 1
-            assert len(fractions_built) == parts, (name, other)
+    frac = Fraction(-2, 9)
+    rational = QuadExact(frac)
     fractions_built.clear()
+    for other in (y, conj, x, 7, -1, frac, rational):
+        for name in TEXTBOOK:
+            getattr(x, name)(other)
+            getattr(rational, name)(other)
+    assert in_q(x * conj) and in_q(rational * 7)
     assert isinstance(-x, QuadExact) and fractions_built == []
 
 
+def test_relocation_builds_one_fraction(fractions_built):
+    # the radicand of the one field the relocation opens; every parsed
+    # amount and every rational result is an element of Q
+    run = build_relocation_scenario()
+    assert fractions_built == [(84000000, 1)]
+    execute_bundle(run.world, run.bundle, run.initiator)
+    assert fractions_built == [(84000000, 1)]
+
+
+RATIONALS = st.one_of(st.integers(-10**6, 10**6),
+                      st.fractions(-10**6, 10**6, max_denominator=10**6))
+ARITHMETIC = (operator.add, operator.sub, operator.mul, operator.truediv)
+ORDERINGS = (*COMPARISONS.values(), operator.ne)
+
+
+def assert_same_rational(got, want):
+    """got is the element of Q equal to the Fraction want, with its str and
+    hash."""
+    assert in_q(got) and got == want, (got, want)
+    assert str(got) == str(want) and hash(got) == hash(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(RATIONALS, RATIONALS, st.sampled_from(["int", "fraction", "q"]))
+def test_q_elements_agree_with_fraction(p, c, kind):
+    """An element of Q, against an int, a Fraction or another element of
+    Q, computes, compares, prints, hashes and copies as the equal
+    Fraction."""
+    x, f = QuadExact(p), Fraction(p)
+    ref = Fraction(c) if kind != "int" else round(c)
+    other = QuadExact(ref) if kind == "q" else ref
+    for op in ARITHMETIC:
+        for left, right, want in ((x, other, (f, ref)), (other, x, (ref, f))):
+            try:
+                want = op(*want)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    op(left, right)
+                continue
+            assert_same_rational(op(left, right), want)
+    for op in ORDERINGS:
+        for value, value_ref in ((other, ref), (float(ref), float(ref)),
+                                 (math.inf, math.inf), (-math.inf, -math.inf),
+                                 (math.nan, math.nan)):
+            assert op(x, value) is op(f, value_ref), (op, value)
+            assert op(value, x) is op(value_ref, f), (op, value)
+    assert float(x) == float(f) and bool(x) is bool(f)
+    assert_same_rational(abs(x), abs(f))
+    assert_same_rational(-x, -f)
+    for twin in (copy.copy(x), copy.deepcopy(x),
+                 pickle.loads(pickle.dumps(x))):
+        assert_same_rational(twin, f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(RATIONALS, FRACTIONS, FRACTIONS.filter(bool),
+       st.sampled_from(NON_SQUARES))
+def test_q_meets_a_quadratic_field(p, c, e, d):
+    """An element of Q and an element y of Q(sqrt(d)), in either order,
+    give what the equal Fraction gives with y."""
+    x, f, y = QuadExact(p), Fraction(p), make_exact(c, e, d)
+    for op in ARITHMETIC:
+        for left, right, want in ((x, y, (f, y)), (y, x, (y, f))):
+            try:
+                want = op(*want)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    op(left, right)
+                continue
+            got = op(left, right)
+            assert got == want and str(got) == str(want), (op, left, right)
+            assert got.field is (y.field if got.b else numeric._Q)
+    for op in ORDERINGS:
+        assert op(x, y) is op(f, y) and op(y, x) is op(y, f), op
+
+
 def assert_normal_form(value):
-    """n > 0, b != 0 and gcd(a, b, n) == 1, the ints a rebuild from p, q
-    and d would hold."""
+    """n > 0 and gcd(a, b, n) == 1, the field of Q when b == 0, and the
+    ints a rebuild from p, q and d would hold."""
     if isinstance(value, QuadExact):
         a, b, n = value.a, value.b, value.n
-        assert n > 0 and b != 0 and math.gcd(a, b, n) == 1, (a, b, n)
+        assert n > 0 and math.gcd(a, b, n) == 1, (a, b, n)
+        assert b != 0 or in_q(value), (a, b, n)
         twin = QuadExact(value.p, value.q, value.d)
         assert (twin.a, twin.b, twin.n) == (a, b, n)
 
@@ -393,7 +478,13 @@ def test_results_are_in_normal_form(a, b, d, data):
     (1, 1, 4), (1, 1, Fraction(9, 4)), (0, 2, 1),  # d a rational square
 ])
 def test_constructor_refuses_broken_invariant(p, q, d):
-    with pytest.raises(ValueError):
-        QuadExact(p, q, d)
-    if d >= 0:  # make_exact demotes what the constructor refuses
-        assert not isinstance(make_exact(p, q, d), QuadExact)
+    # the constructor refuses a negative radicand, and builds the element
+    # of Q that a vanishing radical leaves, so no element breaks the
+    # invariant
+    if d < 0:
+        with pytest.raises(ValueError):
+            QuadExact(p, q, d)
+        return
+    x = QuadExact(p, q, d)
+    assert in_q(x) and x == make_exact(p, q, d)
+    assert x == (p + q * rational_sqrt(d) if q else p)

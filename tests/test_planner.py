@@ -376,6 +376,44 @@ class TestPlanAndBundle:
         assert all(lo > hi for lo, hi in zip(etas, etas[1:]))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(50, 5000), min_size=4, max_size=4), st.data())
+def test_zero_fee_modes_agree_within_the_floors(reserves, data):
+    """Both modes plan the zero-fee undo y = x', and integer a' falls
+    short of the rational a' = a by less than the floors can lose.
+
+    In smallest units, pool 1 holds (P, Q) and pool 2 (R, S), and phase 1
+    swaps A = a + x.  Write b = AQ/(P+A) - e1 and x' = bR/(S+b) - e2 with
+    e1, e2 in [0, 1).  Paying y = x' back into pool 2 borrows
+    b' = b - k, k = ceil(e2 (S+b)/R) <= ceil((S+b)/R), and b' through
+    pool 1 returns floor((b-k)(P+A)/(Q-k)), which is A less
+    e1 (P+A)/Q + k (P + e1 (P+A)/Q)/(Q-k) and less the floor's own unit.
+    So 0 <= A - out < 1 + c + K (P + c)/(Q - K) =: B, with c = (P+A)/Q
+    and K = (S+b)/R + 1; a' = out - x, so the shortfall a - a' = A - out.
+    """
+    a = data.draw(st.integers(1, reserves[0] // 10))
+    plans = {}
+    for mode in NumericMode:
+        scale = 10 ** TOKA.decimals if mode is NumericMode.INTEGER else 1
+        pool1, pool2 = (PoolState(pid, TOKA, TOKB, r_a * scale, r_b * scale,
+                                  0, mode)
+                        for pid, r_a, r_b in (("pool1", *reserves[:2]),
+                                              ("pool2", *reserves[2:])))
+        plans[mode] = plan_relocation(pool1, pool2, TOKA, "P", "B", "O",
+                                      a * scale)
+    rational, integer = plans[NumericMode.RATIONAL], plans[NumericMode.INTEGER]
+    for plan in (rational, integer):
+        assert plan.y == plan.x_recovered
+    assert rational.predicted_a_prime == a
+    p, q, r, s = (v * 10 ** TOKA.decimals for v in reserves)
+    c = Fraction(p + integer.a + integer.x, q)
+    k = Fraction(s + integer.b, r) + 1
+    bound = 1 + c + k * (p + c) / (q - k)
+    shortfall = 10 ** TOKA.decimals * rational.predicted_a_prime \
+        - integer.predicted_a_prime
+    assert 0 <= shortfall < bound
+
+
 def test_integer_solvers_build_no_pool(monkeypatch):
     # the solvers quote: probing a swap must not build the pool it leaves
     pool1 = PoolState("pool1", TOKA, TOKB, 1000 * 10**18,
