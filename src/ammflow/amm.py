@@ -12,9 +12,10 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from numbers import Rational
 from typing import NamedTuple
 
-from .numeric import ExactNumber, QuadExact, exact_div, exact_sign
+from .numeric import ExactNumber, QuadExact, exact_div
 
 BPS_DENOM = 10_000
 
@@ -72,6 +73,9 @@ class AssetId(NamedTuple):
     def _check(self):
         if not self.symbol:
             raise ValueError("asset symbol must be non-empty")
+        if type(self.decimals) is not int:  # a bool is no count either
+            raise ValueError(
+                f"asset decimals must be an int, got {self.decimals!r}")
         if not 0 <= self.decimals <= 38:
             raise ValueError("asset decimals must be in [0, 38]")
 
@@ -149,8 +153,9 @@ class PoolState:
     mode: NumericMode = NumericMode.RATIONAL
 
     def __post_init__(self):
-        if exact_sign(self.reserve0) <= 0 or exact_sign(self.reserve1) <= 0:
-            raise ValueError("pool reserves must be positive")
+        if not all(isinstance(r, (Rational, QuadExact)) and r > 0
+                   for r in (self.reserve0, self.reserve1)):
+            raise ValueError("pool reserves must be positive exact numbers")
         if not 0 <= self.fee_bps < BPS_DENOM:
             raise ValueError("fee_bps out of range")
 
@@ -196,7 +201,7 @@ def _price(pool: PoolState, input_asset: AssetId, amount_in):
     (amount_in, r_in, out, r_out - out), amount_in as the pool takes it
     (an int in integer mode)."""
     r_in = pool.reserve_of(input_asset)  # UnknownAsset if foreign
-    if exact_sign(amount_in) <= 0:
+    if amount_in <= 0:
         raise ZeroInput("swap input must be positive")
     r_out = pool.reserve_of(pool.other_asset(input_asset))
     integer = pool.mode is NumericMode.INTEGER
@@ -207,7 +212,7 @@ def _price(pool: PoolState, input_asset: AssetId, amount_in):
     num, den = eff * r_out, (r_in * BPS_DENOM if fee else r_in) + eff
     out = num // den if integer else exact_div(num, den)
     rest = r_out - out
-    if not exact_sign(rest) > 0:
+    if not rest > 0:
         raise OutputExceedsReserve("swap would drain the pool")
     return amount_in, r_in, out, rest
 
@@ -242,17 +247,17 @@ def keeps_fee_adjusted_k(pool: PoolState, input_asset: AssetId, amount_in,
     if pool.fee_bps:
         r_in, k_before = r_in * BPS_DENOM, k_before * BPS_DENOM
         amount_in = amount_in * (BPS_DENOM - pool.fee_bps)
-    return exact_sign((r_in + amount_in) * r_out - k_before) >= 0
+    return (r_in + amount_in) * r_out >= k_before
 
 
 def solve_input_for_output(pool: PoolState, output_asset: AssetId,
                            amount_out) -> ExactNumber:
     """Minimal input whose swap yields at least amount_out of output_asset."""
     r_out = pool.reserve_of(output_asset)  # UnknownAsset if foreign
-    if exact_sign(amount_out) <= 0:
+    if amount_out <= 0:
         raise ZeroInput("requested output must be positive")
     r_in = pool.reserve_of(pool.other_asset(output_asset))
-    if not exact_sign(r_out - amount_out) > 0:
+    if not r_out > amount_out:
         raise OutputNotLessThanReserve(
             f"cannot take {amount_out} from reserve {r_out}")
     integer = pool.mode is NumericMode.INTEGER

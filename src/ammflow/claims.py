@@ -11,7 +11,6 @@ from .calibration import calibrate_reserves, replay_and_validate
 from .engine import net_deltas, trace_to_json
 from .graph import (attribute, build_graph, taint_haircut, taint_poison,
                     trace_canonical_form)
-from .numeric import exact_sign
 from .scenarios import build_benign_twin, build_peb_scenario
 from .semantic import recover_migrations
 
@@ -111,7 +110,7 @@ def flash_equivalence(**params) -> list[str]:
     loan, swap = (build_peb_scenario(variant=variant, **params)
                   for variant in ("flash_loan", "flash_swap"))
     loan_net, swap_net = ({key: v for key, v in net_deltas(run.execute()[1])
-                           .items() if exact_sign(v) != 0}
+                           .items() if v != 0}
                           for run in (loan, swap))
     return _violated(
         principal_and_beneficiary_net_identically=all(

@@ -56,8 +56,7 @@ def _build_run(source: str):
 
 def _simulate_one(source: str, out_root: Path) -> str:
     run = _build_run(source)
-    world_before = run.world.copy()
-    world_after, trace = run.execute()
+    world_after, trace = run.execute()  # run.world stays the pre-state
     out_dir = out_root / run.name
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -66,7 +65,7 @@ def _simulate_one(source: str, out_root: Path) -> str:
             from exc
 
     (out_dir / "trace.json").write_text(
-        trace_to_json(trace, world_before.mode), encoding="utf-8")
+        trace_to_json(trace, run.world.mode), encoding="utf-8")
     labels = {aid: a.label for aid, a in world_after.addresses.items()
               if a.label != "Unlabeled"}
     graphs = _asset_graphs(trace)
@@ -81,7 +80,7 @@ def _simulate_one(source: str, out_root: Path) -> str:
     report_dict = recover_migrations(trace, None, None).to_dict()
     if run.plan is not None:
         report_dict["loss_decomposition"] = loss_decomposition(
-            trace, run.plan, world_before)
+            trace, run.plan, run.world)
         _dump_json(out_dir / "plan.json", run.plan.to_dict())
         outputs.append("plan.json")
     _dump_json(out_dir / "migration_report.json", report_dict)
@@ -92,7 +91,7 @@ def _simulate_one(source: str, out_root: Path) -> str:
     _dump_json(out_dir / "manifest.json", {
         "scenario": run.name,
         "config_hash": _config_hash(source),
-        "numeric_mode": world_before.mode.value,
+        "numeric_mode": run.world.mode.value,
         "seed": None,
         "outputs": outputs,
     })
@@ -149,6 +148,10 @@ def analyze(trace_path, principal, beneficiary):
         trace = trace_from_dict(json.loads(path.read_text(encoding="utf-8")))
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise UsageFailure(f"bad trace file: {exc}") from exc
+    try:  # net_deltas refuses a sum across two quadratic fields
+        report = recover_migrations(trace, None, None)
+    except ValueError as exc:
+        raise UsageFailure(f"bad trace file: {exc}") from exc
 
     results = {sym: attribute(graph, principal, beneficiary)
                for sym, graph in _asset_graphs(trace).items()}
@@ -158,8 +161,6 @@ def analyze(trace_path, principal, beneficiary):
         print(f"transfer-layer: RECOVERABLE {amount:.6g} {sym}")
     if not recovered:
         print("transfer-layer: NOT RECOVERABLE")
-
-    report = recover_migrations(trace, None, None)
     print("semantic: " + report.summary().replace("\n", "\nsemantic: "))
 
 

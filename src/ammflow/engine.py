@@ -9,13 +9,13 @@ transfer-graph observer and the semantic tracer.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 from .amm import (AssetId, NumericMode, PoolState, checked,
                   keeps_fee_adjusted_k, swap_exact_in)
-from .numeric import (MAX_AMOUNT, ExactNumber, exact_div, exact_sign,
-                      parse_exact)
+from .numeric import MAX_AMOUNT, ExactNumber, exact_div, parse_exact
 
 ROLE_LABELS = ("Principal", "Executor", "Beneficiary", "Operator",
                "PoolContract", "FlashProvider", "SettlementContract",
@@ -192,8 +192,7 @@ class LimitOrderIntent(NamedTuple):
     settlement: str
 
     def _check(self):
-        if exact_sign(self.making_amount) <= 0 \
-                or exact_sign(self.taking_amount) <= 0:
+        if self.making_amount <= 0 or self.taking_amount <= 0:
             raise ValueError("order amounts must be positive")
 
 
@@ -270,11 +269,11 @@ class _Execution:
 
     def move(self, src: str, dst: str, asset: AssetId, amount,
              action_index: int) -> None:
-        if exact_sign(amount) <= 0:
+        if amount <= 0:
             raise EngineError("transfer amount must be positive")
         bal = self.world.balance(src, asset)
         left = bal - amount
-        if exact_sign(left) < 0:
+        if left < 0:
             raise InsufficientBalance(
                 f"{src} holds {bal} {asset.symbol}, needs {amount}")
         self.world.set_balance(src, asset, left)
@@ -288,7 +287,7 @@ class _Execution:
                       action_index: int) -> None:
         bal = self.world.balance(src, asset)
         left = bal - amount
-        if exact_sign(left) < 0:
+        if left < 0:
             raise InsufficientBalance(
                 f"{src} holds {bal} {asset.symbol}, needs {amount}")
         self.world.set_balance(src, asset, left)
@@ -303,10 +302,10 @@ class _Execution:
 
 def _apply_fill(ex: _Execution, idx: int, act: FillLimitOrder) -> None:
     order = act.order
-    if exact_sign(act.fill_amount - order.making_amount) > 0:
+    if act.fill_amount > order.making_amount:
         raise Overfill(
             f"fill {act.fill_amount} exceeds making {order.making_amount}")
-    if exact_sign(act.fill_amount) <= 0:
+    if act.fill_amount <= 0:
         raise EngineError("fill amount must be positive")
     making = act.fill_amount
     if ex.world.mode is NumericMode.INTEGER:
@@ -316,7 +315,7 @@ def _apply_fill(ex: _Execution, idx: int, act: FillLimitOrder) -> None:
         taking = exact_div(making * order.taking_amount, order.making_amount)
     allowance = ex.world.allowance(order.maker, order.settlement,
                                    order.maker_asset)
-    if exact_sign(allowance - making) < 0:
+    if allowance < making:
         raise InsufficientAllowance(
             f"maker {order.maker} allowance {allowance} < {making}")
     ex.world.approve(order.maker, order.settlement, order.maker_asset,
@@ -354,14 +353,14 @@ def _apply_action(ex: _Execution, idx: int, act: Action) -> None:
                 f"pool {act.pool!r} does not trade {asset.symbol}")
         # a positive amount keeps both reserves of a valid pool positive,
         # which is the contract of PoolState.with_reserves
-        if exact_sign(_amounts(act)[0]) <= 0:
+        if _amounts(act)[0] <= 0:
             raise EngineError(f"{type(act).__name__} amount must be positive")
     if isinstance(act, Transfer):
         ex.call(idx, "transfer", act.src, act.dst)
         ex.move(act.src, act.dst, act.asset, act.amount, idx)
     elif isinstance(act, TransferFrom):
         allowance = world.allowance(act.owner, act.spender, act.asset)
-        if exact_sign(allowance - act.amount) < 0:
+        if allowance < act.amount:
             raise InsufficientAllowance(
                 f"{act.spender} allowance from {act.owner} is {allowance}, "
                 f"needs {act.amount}")
@@ -386,17 +385,16 @@ def _apply_action(ex: _Execution, idx: int, act: Action) -> None:
     elif isinstance(act, FlashRepay):
         key = (act.borrower, act.provider, act.asset.symbol)
         debt = ex.flash_debts.get(key, 0)
-        if exact_sign(debt) <= 0:
+        if debt <= 0:
             raise EngineError(f"no flash debt {key}")
         ex.call(idx, "flash_repay", act.borrower, act.provider)
         ex.move(act.borrower, act.provider, act.asset, act.amount, idx)
         # an over-repayment is a gift, not credit against a later borrow
-        left = debt - act.amount
-        ex.flash_debts[key] = left if exact_sign(left) > 0 else 0
+        ex.flash_debts[key] = max(debt - act.amount, 0)
     elif isinstance(act, FlashSwapBorrow):
         pool = world.pools[act.pool]
         reserve = pool.reserve_of(act.asset)
-        if exact_sign(reserve - act.amount) <= 0:
+        if reserve <= act.amount:
             raise InsufficientBalance(
                 f"flash swap {act.amount} exceeds reserve {reserve}")
         if act.pool in ex.flash_swap_k:
@@ -439,7 +437,7 @@ def execute_bundle(world: WorldState, bundle: list[Action], initiator: str,
     for idx, act in enumerate(bundle):
         _apply_action(ex, idx, act)
     for key, debt in ex.flash_debts.items():
-        if exact_sign(debt) > 0:
+        if debt > 0:
             raise UnrepaidFlashDebt(f"flash debt {key} = {debt} at bundle end")
     if ex.flash_swap_k:
         raise UnrepaidFlashDebt(
@@ -448,13 +446,18 @@ def execute_bundle(world: WorldState, bundle: list[Action], initiator: str,
 
 
 def net_deltas(trace: ExecutionTrace) -> dict[tuple[str, str], ExactNumber]:
-    """Signed per-(address, asset) sums over all trace events."""
+    """Signed per-(address, asset) sums over all trace events.  Raises
+    ValueError for a sum of amounts from two quadratic fields."""
     deltas: dict[tuple[str, str], ExactNumber] = {}
     for ev in trace.events:
-        key_src = (ev.src, ev.asset.symbol)
-        key_dst = (ev.dst, ev.asset.symbol)
-        deltas[key_src] = deltas.get(key_src, 0) - ev.amount
-        deltas[key_dst] = deltas.get(key_dst, 0) + ev.amount
+        for addr, move in ((ev.src, operator.sub), (ev.dst, operator.add)):
+            key = (addr, ev.asset.symbol)
+            try:
+                deltas[key] = move(deltas.get(key, 0), ev.amount)
+            except TypeError:  # no one quadratic field holds both
+                raise ValueError(
+                    f"event {ev.seq}: {ev.amount} and {addr}'s {key[1]} sum "
+                    f"{deltas[key]} lie in two quadratic fields") from None
     return deltas
 
 

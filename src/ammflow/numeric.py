@@ -8,6 +8,8 @@ repayments, balance deltas) stays inside that quadratic extension.
 level (b = 0), so equality checks like "pool reserves restored" are true
 equalities on ints, not tolerance comparisons.  A Fraction a caller
 passes in is read at the boundary, as the element of Q it equals.
+Amounts compare exactly with Python's operators; ``sign()`` is the one
+sign method, and ``exact_div`` divides where both operands may be ints.
 
 Integer mode uses plain Python ints (token smallest units, floor division)
 and never touches this class.
@@ -91,6 +93,9 @@ def _comparison(test):
     field holds both.  A float compares as the Fraction it equals, and an
     infinity or nan as it compares with 0.0, as a Fraction's does."""
     def compare(self, other):
+        if type(other) is int:  # the common operand, without _match
+            _, f, g = self.field
+            return test(_sign(self.a - other * self.n, self.b, f, g), 0)
         m = self._match(other)
         if m is None and isinstance(other, float):
             if not math.isfinite(other):
@@ -262,15 +267,6 @@ def exact_div(num: ExactNumber, den: ExactNumber) -> ExactNumber:
     return QuadExact(num) / den if isinstance(num, int) else num / den
 
 
-def exact_sign(value: ExactNumber) -> int:
-    """Sign of any exact number (int, Fraction or QuadExact)."""
-    if type(value) is QuadExact:
-        return value.sign()
-    # an int is its own numerator; a Fraction's denominator is positive
-    n = value if type(value) is int else value.numerator
-    return 0 if n == 0 else (1 if n > 0 else -1)
-
-
 def exact_sqrt(value: ExactNumber) -> ExactNumber:
     """Exact square root.
 
@@ -280,7 +276,7 @@ def exact_sqrt(value: ExactNumber) -> ExactNumber:
     double roots and optimum conditions); otherwise ExactSqrtError is
     raised.
     """
-    if exact_sign(value) < 0:
+    if value < 0:
         raise ExactSqrtError("negative radicand")
     if type(value) is not QuadExact or not value.b:
         return QuadExact(0, 1, value)
@@ -305,15 +301,12 @@ def solve_quadratic(a: ExactNumber, b: ExactNumber,
     and ValueError when the discriminant is negative.
     """
     disc = b * b - 4 * a * c
-    s = exact_sign(disc)
-    if s < 0:
+    if disc < 0:
         raise ValueError("negative discriminant")
-    root = exact_sqrt(disc) if s > 0 else 0
+    root = exact_sqrt(disc) if disc > 0 else 0
     r1 = exact_div(-b - root, 2 * a)
     r2 = exact_div(-b + root, 2 * a)
-    if exact_sign(a) < 0:
-        r1, r2 = r2, r1
-    return r1, r2
+    return (r2, r1) if a < 0 else (r1, r2)
 
 
 _QUAD_RE = re.compile(

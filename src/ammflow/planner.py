@@ -17,8 +17,8 @@ from .amm import (BPS_DENOM, AssetId, NumericMode, PoolState, ZeroInput,
                   amount_out, solve_input_for_output, swap_exact_in)
 from .engine import (Action, FlashBorrow, FlashRepay, FlashSwapBorrow,
                      FlashSwapRepay, Swap, Transfer, TransferFrom)
-from .numeric import (ExactNumber, ExactSqrtError, exact_div, exact_sign,
-                      exact_sqrt, solve_quadratic)
+from .numeric import (ExactNumber, ExactSqrtError, exact_div, exact_sqrt,
+                      solve_quadratic)
 
 
 class PlannerError(Exception):
@@ -141,7 +141,7 @@ def solve_flash_amount(pool1: PoolState, pool2: PoolState, asset: AssetId,
     not repay itself, or when a + 1 buys no counter unit.
     """
     _check_pair(pool1, pool2, asset)
-    if exact_sign(a) <= 0:
+    if a <= 0:
         raise PlannerError("principal amount must be positive")
     if pool1.mode is NumericMode.RATIONAL:
         # A2*x^2 + (B0 + A2*a - K)*x - K*a = 0; its constant term is
@@ -202,8 +202,7 @@ def _extraction_optimum(pool1_after: PoolState, pool2_after: PoolState,
                 "extraction optimum leaves the exact field; use integer mode"
             ) from exc
         y = (root - b0) / a2
-    nets = exact_sign(y) > 0 \
-        and exact_sign(_net_profit(pool1_after, pool2_after, asset, y)) > 0
+    nets = y > 0 and _net_profit(pool1_after, pool2_after, asset, y) > 0
     return y if nets else 0
 
 
@@ -228,9 +227,9 @@ def solve_extraction(pool1_after: PoolState, pool2_after: PoolState,
     whose floored profit reaches the target.  Raises
     TargetExceedsMaxProfit when the reverse loop cannot net the target.
     """
-    if exact_sign(target) == 0:
+    if target == 0:
         return 0, 0
-    if exact_sign(target) < 0:
+    if target < 0:
         raise PlannerError("extraction target must be non-negative")
 
     k_top, a2, b0 = _loop_coeffs(pool2_after, pool1_after, asset)
@@ -246,7 +245,7 @@ def solve_extraction(pool1_after: PoolState, pool2_after: PoolState,
             raise PlannerError(
                 "extraction root leaves the exact field; use integer mode"
             ) from exc
-        if exact_sign(y) <= 0:
+        if y <= 0:
             raise TargetExceedsMaxProfit("no positive extraction root")
         return y, amount_out(pool2_after, asset, y)
 
@@ -291,8 +290,7 @@ def plan_relocation(pool1: PoolState, pool2: PoolState, asset: AssetId,
     b, pool1_after = swap_exact_in(pool1, asset, a + x)
     x_recovered, pool2_after = swap_exact_in(pool2, counter, b)
     shortfall = x - x_recovered
-    if exact_sign(shortfall) > 0 \
-            and funding_policy is FundingPolicy.EXACT_REPAY:
+    if shortfall > 0 and funding_policy is FundingPolicy.EXACT_REPAY:
         raise PlannerError(
             "exact-repay policy requires the solved flash amount; "
             "the supplied x leaves a repayment shortfall")
@@ -302,7 +300,7 @@ def plan_relocation(pool1: PoolState, pool2: PoolState, asset: AssetId,
     elif target is not None:
         raw_target = target + shortfall
         y = solve_extraction(pool1_after, pool2_after, asset, raw_target)[0] \
-            if exact_sign(raw_target) > 0 else 0
+            if raw_target > 0 else 0
     elif pool1.fee_bps == pool2.fee_bps == 0:
         # fee-free phase 2 with y equal to the phase-1 withdrawal undoes
         # both pool moves: exactly in rational mode (b' = b and the loop
@@ -312,13 +310,13 @@ def plan_relocation(pool1: PoolState, pool2: PoolState, asset: AssetId,
         # the profit-maximising repayment; zero when the loop nets nothing
         y = _extraction_optimum(pool1_after, pool2_after, asset)
     b_prime, out = extraction_result(pool1_after, pool2_after, asset, y) \
-        if exact_sign(y) > 0 else (0, 0)
+        if y > 0 else (0, 0)
 
     # what is left after the flash repayment; -shortfall when y is 0
     net = out - y - shortfall
-    if exact_sign(net) < 0:
+    if net < 0:
         raise PlannerError("extraction does not cover the flash shortfall")
-    predicted = net if exact_sign(y) > 0 else 0
+    predicted = net if y > 0 else 0
     return RelocationPlan(
         principal=principal, beneficiary=beneficiary, operator=operator,
         flash_provider=flash_provider, pool1=pool1.pool_id,
@@ -334,7 +332,7 @@ def build_relocation_bundle(plan: RelocationPlan, pool1: PoolState,
     asset = plan.asset
     counter = pool1.other_asset(asset)
     o = plan.operator
-    deferred_repay = exact_sign(plan.shortfall) > 0
+    deferred_repay = plan.shortfall > 0
     actions: list[Action] = [FlashBorrow(plan.flash_provider, o, asset,
                                          plan.x)]
     if plan.principal != o:
@@ -345,7 +343,7 @@ def build_relocation_bundle(plan: RelocationPlan, pool1: PoolState,
     ]
     if not deferred_repay:
         actions.append(FlashRepay(o, plan.flash_provider, asset, plan.x))
-    if exact_sign(plan.y) > 0:
+    if plan.y > 0:
         if plan.extraction_style is ExtractionStyle.FLASH_SWAP:
             actions += [
                 FlashSwapBorrow(plan.pool2, o, counter, plan.b_prime),
@@ -362,7 +360,7 @@ def build_relocation_bundle(plan: RelocationPlan, pool1: PoolState,
     if deferred_repay:
         # shortfall policy: the flash debt closes out of extraction proceeds
         actions.append(FlashRepay(o, plan.flash_provider, asset, plan.x))
-    if exact_sign(plan.predicted_a_prime) > 0:
+    if plan.predicted_a_prime > 0:
         actions.append(Transfer(o, plan.beneficiary, asset,
                                 plan.predicted_a_prime))
     return actions

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .amm import BPS_DENOM, NumericMode
 from .engine import ExecutionTrace, WorldState, net_deltas
-from .numeric import exact_div, exact_sign
+from .numeric import exact_div
 from .planner import RelocationPlan
 
 
@@ -116,7 +116,7 @@ def recover_migrations(trace: ExecutionTrace,
     infra, fills = _read_calls(trace)
     actor_deltas = {
         (addr, sym): d for (addr, sym), d in deltas.items()
-        if addr not in infra and exact_sign(d) != 0
+        if addr not in infra and d != 0
     }
 
     roles: dict[str, str] = {}
@@ -130,8 +130,7 @@ def recover_migrations(trace: ExecutionTrace,
     consumed: set[tuple[str, str]] = set()
     for maker, maker_sym, receiver, taker_sym in fills:
         gained = actor_deltas.get((receiver, taker_sym), 0)
-        if exact_sign(actor_deltas.get((maker, maker_sym), 0)) < 0 \
-                and exact_sign(gained) > 0:
+        if actor_deltas.get((maker, maker_sym), 0) < 0 and gained > 0:
             migrations.append(Migration(maker, receiver, taker_sym, gained))
             roles.setdefault(receiver, "Beneficiary")
             consumed.update({(maker, maker_sym), (receiver, taker_sym)})
@@ -142,11 +141,11 @@ def recover_migrations(trace: ExecutionTrace,
     for (addr, sym), d in actor_deltas.items():
         if (addr, sym) in consumed:
             continue
-        if addr == trace.initiator and exact_sign(d) > 0:
+        if addr == trace.initiator and d > 0:
             executor_profit[sym] = d
             continue
         losers, gainers = by_asset.setdefault(sym, ([], []))
-        (losers if exact_sign(d) < 0 else gainers).append((addr, d))
+        (losers if d < 0 else gainers).append((addr, d))
 
     for sym, (losers, gainers) in by_asset.items():
         if len(losers) == 1 and len(gainers) == 1:
@@ -165,7 +164,7 @@ def recover_migrations(trace: ExecutionTrace,
     if migrations:
         m = migrations[0]
         losses = {sym: -d for (addr, sym), d in deltas.items()
-                  if addr == m.principal and exact_sign(d) < 0}
+                  if addr == m.principal and d < 0}
         # same asset preferred; fall back to the first lost asset
         loss = losses.get(m.asset, next(iter(losses.values()), None))
         if loss is not None:

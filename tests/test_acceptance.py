@@ -13,7 +13,7 @@ from ammflow import claims
 from ammflow.calibration import (PUBLISHED_OBSERVATIONS, calibrate_reserves,
                                  replay_and_validate)
 from ammflow.graph import attribute, build_graph
-from ammflow.numeric import exact_sign, make_exact
+from ammflow.numeric import make_exact
 from ammflow.planner import solve_flash_amount
 from ammflow.scenarios import build_peb_scenario, build_relocation_scenario
 from conftest import PEB_PARAMS, TOKA, library_relocations, make_pool
@@ -65,7 +65,7 @@ def test_transfer_layer_bounds_on_criterion_1_relocations():
         result = attribute(build_graph(trace, TOKA), "P", "B")
         uncovered = plan.a - plan.y
         assert result.p_to_b_min == \
-            (float(uncovered) if exact_sign(uncovered) > 0 else 0)
+            (float(uncovered) if uncovered > 0 else 0)
         assert result.p_to_b_max == plan.a
         assert not result.recoverable
         positive_min += result.p_to_b_min > 0

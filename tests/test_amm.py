@@ -12,7 +12,7 @@ from ammflow.amm import (BPS_DENOM, AmmError, AssetId, NumericMode,
                          ZeroInput, amount_out, format_amount,
                          keeps_fee_adjusted_k, parse_amount,
                          solve_input_for_output, spot_price, swap_exact_in)
-from ammflow.numeric import QuadExact, exact_sign, exact_sqrt
+from ammflow.numeric import QuadExact, exact_sqrt
 from ammflow.scenarios import build_relocation_scenario
 from conftest import TOKA, TOKB, make_pool
 
@@ -268,6 +268,8 @@ class TestAmountIo:
 def test_pool_validation():
     with pytest.raises(ValueError):
         make_pool("p", Fraction(0), Fraction(100))
+    with pytest.raises(ValueError, match="positive exact numbers"):
+        make_pool("p", 100.0, Fraction(100))  # a float prices inexactly
     with pytest.raises(ValueError):
         PoolState("p", TOKA, TOKB, 1, 1, 10_000, NumericMode.INTEGER)
     with pytest.raises(ValueError):
@@ -373,7 +375,7 @@ def test_pricing_matches_textbook_formulas(kind, fee_bps, data):
     if integer:
         k_before = math.floor(k_before) + data.draw(st.integers(-1, 1))
     assert keeps_fee_adjusted_k(pool, TOKA, amount, k_before) is \
-        (exact_sign((r_in + amount * gamma) * r_out - k_before) >= 0)
+        ((r_in + amount * gamma) * r_out >= k_before)
 
 
 @pytest.fixture

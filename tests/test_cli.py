@@ -9,6 +9,7 @@ import pytest
 from ammflow import claims
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def trace_of(*events):
@@ -214,6 +215,8 @@ class TestAnalyze:
         one_event("event", "amount", "1/0"),
         one_event("event", "amount", "9" * 400),
         one_event("event", "amount", "1.5e999999999"),
+        one_event("root", "assets", {"TOKA": 18.5}),
+        one_event("root", "assets", {"TOKA": True}),
     ], ids=["root_is_a_list", "assets_not_a_mapping", "events_not_a_list",
             "amount_not_a_number", "seq_reversed", "seq_duplicate",
             "seq_a_string", "bundle_id_an_int", "initiator_a_list",
@@ -221,7 +224,8 @@ class TestAnalyze:
             "amount_negative_radical", "kind_an_int", "caller_a_list",
             "callee_a_list", "event_action_index_a_string",
             "call_action_index_a_bool", "amount_zero_denominator",
-            "amount_400_digits", "amount_exponent_999999999"])
+            "amount_400_digits", "amount_exponent_999999999",
+            "decimals_a_float", "decimals_a_bool"])
     def test_malformed_trace_exits_2(self, cli, tmp_path, body):
         trace = tmp_path / "bad.json"
         trace.write_text(json.dumps(body), encoding="utf-8")
@@ -230,6 +234,23 @@ class TestAnalyze:
                       "--beneficiary", "B"])
         assert result.exit_code == 2, result.stderr
         assert "bad trace file" in result.stderr
+
+    def test_cross_field_sum_exits_2(self, cli, tmp_path):
+        # a Q(sqrt(2)) amount meets the Q(sqrt(21)) ones in O's TOKA sum:
+        # their exact sum lies in the compositum, which no one field holds
+        body = json.loads((DATA / "relocation_sym_trace.json").read_text(
+            encoding="utf-8"))
+        body["events"][0]["amount"] = "1+1*sqrt(2)"
+        trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps(body), encoding="utf-8")
+        result = cli(["analyze", str(trace),
+                      "--principal", "P",
+                      "--beneficiary", "B"])
+        assert result.exit_code == 2, result.stderr
+        assert result.stderr == (
+            "Error: bad trace file: event 3: 5+1/400*sqrt(84000000) and "
+            "O's TOKA sum 11+1*sqrt(2) lie in two quadratic fields\n")
+        assert result.stdout == ""
 
     def test_zero_amount_is_legal(self, cli, tmp_path):
         # integer swaps can floor an output to 0

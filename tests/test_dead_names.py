@@ -4,6 +4,10 @@ A module must use every name it imports (the package `__init__`'s
 `__all__` re-exports count as uses), and a function must read every local
 it binds by plain assignment.  Unpacking targets, loop variables and
 class bodies (whose names are attributes, not locals) are not checked.
+Every public module-level function and class of the package must be
+referenced somewhere in `src/`, `tests/` or `bench/`, `__all__` apart: by
+a load (a name or an attribute), an import, or a string naming it, as
+`bench/spans.py` names the functions it wraps.
 """
 
 import ast
@@ -11,8 +15,11 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ammflow"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "ammflow"
 MODULES = sorted(PACKAGE.glob("*.py"))
+SOURCES = sorted(p for d in ("src", "tests", "bench")
+                 for p in (ROOT / d).rglob("*.py"))
 
 
 def loaded_names(node: ast.AST) -> set[str]:
@@ -20,13 +27,17 @@ def loaded_names(node: ast.AST) -> set[str]:
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
 
 
+def all_values(tree: ast.Module) -> list[ast.AST]:
+    """The values assigned to the module's `__all__`."""
+    return [node.value for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets)]
+
+
 def unused_imports(tree: ast.Module) -> list[str]:
     used = loaded_names(tree)
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__"
-                for t in node.targets):
-            used |= set(ast.literal_eval(node.value))
+    for value in all_values(tree):
+        used |= set(ast.literal_eval(value))
     imported = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -35,6 +46,29 @@ def unused_imports(tree: ast.Module) -> list[str]:
             imported += [(alias.asname or alias.name).split(".")[0]
                          for alias in node.names]
     return sorted(name for name in imported if name not in used)
+
+
+def references(tree: ast.Module) -> set[str]:
+    """Names loaded, as names or attributes, imported, or spelled by a
+    string outside `__all__`."""
+    skip = {id(n) for value in all_values(tree) for n in ast.walk(value)}
+    found = loaded_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= {alias.name.rsplit(".")[-1] for alias in node.names}
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and id(node) not in skip:
+            found.add(node.value)
+    return found
+
+
+def public_definitions(tree: ast.Module) -> list[str]:
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not node.name.startswith("_")]
 
 
 def own_scope(function: ast.AST):
@@ -82,6 +116,14 @@ def test_no_unread_locals(path):
     assert unread_locals(tree) == []
 
 
+def test_no_dead_public_definitions():
+    used = set().union(*(references(ast.parse(p.read_text(encoding="utf-8")))
+                         for p in SOURCES))
+    defined = [f"{path.name}: {name}" for path in MODULES for name in
+               public_definitions(ast.parse(path.read_text(encoding="utf-8")))]
+    assert [d for d in defined if d.split(": ")[1] not in used] == []
+
+
 def test_checks_catch_what_they_name():
     tree = ast.parse(
         "import os\nfrom x import y as z\n"
@@ -92,3 +134,10 @@ def test_checks_catch_what_they_name():
         "    return g\n")
     assert unused_imports(tree) == ["os", "z"]
     assert unread_locals(tree) == ["f: a", "f: b"]
+    tree = ast.parse(
+        "from m import f\n__all__ = ['g']\n"
+        "def g():\n    pass\n"
+        "class H:\n    pass\n"
+        "def _i():\n    return x.j, 'k'\n")
+    assert public_definitions(tree) == ["g", "H"]
+    assert references(tree) == {"f", "x", "j", "k"}

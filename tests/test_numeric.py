@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from ammflow import numeric
 from ammflow.engine import execute_bundle
-from ammflow.numeric import (ExactSqrtError, QuadExact, exact_sign,
-                             exact_sqrt, make_exact, parse_exact,
-                             rational_sqrt, solve_quadratic)
+from ammflow.numeric import (ExactSqrtError, QuadExact, exact_sqrt,
+                             make_exact, parse_exact, rational_sqrt,
+                             solve_quadratic)
 from ammflow.scenarios import build_relocation_scenario
 
 NON_SQUARES = [2, 3, 5, 6, 7, 10, 2100]
@@ -58,11 +58,11 @@ def test_subtraction_to_zero_is_rational():
 
 def test_sign_near_rational_boundary():
     # -10 + sqrt(99) < 0 < -10 + sqrt(101)
-    assert exact_sign(make_exact(-10, 1, 99)) == -1
-    assert exact_sign(make_exact(-10, 1, 101)) == 1
-    assert exact_sign(make_exact(-10, 1, 100)) == 0
-    assert exact_sign(Fraction(0)) == 0
-    assert exact_sign(-3) == -1
+    assert make_exact(-10, 1, 99).sign() == -1
+    assert make_exact(-10, 1, 101).sign() == 1
+    assert make_exact(-10, 1, 100).sign() == 0
+    assert make_exact(-10, 1, 100) == Fraction(0) == 0
+    assert -3 < make_exact(-10, 1, 99) < 0 < make_exact(-10, 1, 101)
 
 
 def test_cross_field_coercion_on_square_ratio():
@@ -127,7 +127,8 @@ def test_float_projection_and_sign_agree(p, q, d):
     approx = p + q * math.sqrt(d)
     assert math.isclose(float(value), approx, rel_tol=1e-12, abs_tol=1e-9)
     if abs(approx) > 1e-6:
-        assert exact_sign(value) == (1 if approx > 0 else -1)
+        assert value.sign() == (1 if approx > 0 else -1)
+        assert (value > 0) is (0 < value) is (approx > 0)
 
 
 @given(st.integers(-20, 20), st.integers(-20, 20).filter(bool),
@@ -139,7 +140,7 @@ def test_ring_axioms_spot_checks(p1, q1, p2, q2, d):
     assert x + y == y + x
     assert x * y == y * x
     assert x * (y + 1) == x * y + x
-    if exact_sign(y) != 0:
+    if y != 0:
         assert (x / y) * y == x
 
 
@@ -218,7 +219,7 @@ def test_field_ops_match_textbook_formulas(a, b, d, data):
             assert type(got) is type(expected), name
             assert str(got) == str(expected), name
             assert hash(got) == hash(expected), name
-    diff = exact_sign(make_exact(a - c, b - e, d))
+    diff = make_exact(a - c, b - e, d).sign()
     for name, test in COMPARISONS.items():
         assert getattr(x, name)(other) is test(diff, 0), name
     foreign = make_exact(c, e or 1, FOREIGN)
@@ -291,8 +292,28 @@ def elements(draw):
 @given(elements())
 def test_sign_matches_fraction_reference(x):
     expected = fraction_sign(x.p, x.q, x.d)
-    assert x.sign() == exact_sign(x) == expected
+    assert x.sign() == expected
+    assert (x > 0, x == 0, x < 0) == (expected > 0, expected == 0,
+                                      expected < 0)
     assert (-x).sign() == -expected
+
+
+SIX = (operator.eq, operator.ne, operator.lt, operator.le, operator.gt,
+       operator.ge)
+INTS = st.one_of(st.sampled_from([0, 1, -1, 10**40, -10**40]),
+                 st.integers(-10**45, 10**45))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(elements(), PARTS.map(QuadExact)), INTS)
+def test_int_comparisons_match_the_general_path(x, k):
+    # y - k reads k through _match; y OP k compares on y's ints directly
+    for y in (x, x + k):  # x + k lies as near k as x lies near 0
+        s = (y - k).sign()
+        for op in SIX:
+            assert op(y, k) is op(s, 0), (op, y, k)
+            assert op(k, y) is op(0, s), (op, y, k)
+            assert op(y, k) is op(y, Fraction(k)), (op, y, k)
 
 
 @settings(max_examples=300, deadline=None)
@@ -309,8 +330,8 @@ def test_inverse_is_exact(x):
 ])
 def test_sign_of_pell_units(p, q, d):
     x = QuadExact(Fraction(p), Fraction(q), Fraction(d))
-    assert exact_sign(x) == 1
-    assert exact_sign(-x) == -1
+    assert x.sign() == 1 and x > 0
+    assert (-x).sign() == -1 and -x < 0
     assert x * (1 / x) == 1
 
 
@@ -344,7 +365,7 @@ def test_signs_build_no_fractions(fractions_built):
                  (y, y.p, y.q)]]
     fractions_built.clear()
     assert [x.sign(), neg.sign(), y.sign()] == [1, -1, 1]
-    assert [exact_sign(x), exact_sign(frac), exact_sign(zero)] == [1, -1, 0]
+    assert (x > 0, neg < 0, x > frac, y > zero, zero == 0) == (True,) * 5
     for other, diff in diffs:
         for name, test in COMPARISONS.items():
             assert getattr(y, name)(other) is test(diff, 0), (name, other)

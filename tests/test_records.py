@@ -154,6 +154,10 @@ INVALID = [
     (AssetId("WETH"), "symbol", "", "asset symbol must be non-empty"),
     (AssetId("WETH"), "decimals", 39, "asset decimals must be in [0, 38]"),
     (AssetId("WETH"), "decimals", -1, "asset decimals must be in [0, 38]"),
+    (AssetId("WETH"), "decimals", 18.5,
+     "asset decimals must be an int, got 18.5"),
+    (AssetId("WETH"), "decimals", True,
+     "asset decimals must be an int, got True"),
     (Address("P"), "label", "Banker", "unknown label 'Banker'"),
     (ORDER, "making_amount", Fraction(0), "order amounts must be positive"),
     (ORDER, "taking_amount", -1, "order amounts must be positive"),

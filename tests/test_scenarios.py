@@ -4,7 +4,6 @@ import pytest
 
 from ammflow.engine import net_deltas, trace_to_json
 from ammflow.graph import trace_canonical_form
-from ammflow.numeric import exact_sign
 from ammflow.scenarios import (ConfigError, build_benign_twin,
                                build_peb_scenario,
                                build_relocation_scenario, library,
@@ -13,8 +12,7 @@ from conftest import PEB_PARAMS, library_relocations
 
 
 def nonzero_deltas(trace):
-    return {k: v for k, v in net_deltas(trace).items()
-            if exact_sign(v) != 0}
+    return {k: v for k, v in net_deltas(trace).items() if v != 0}
 
 
 class TestDeterminism:
@@ -49,8 +47,8 @@ class TestPebVariantEquivalence:
         run = build_peb_scenario(name="v", receiver="P")
         _, trace = run.execute()
         deltas = net_deltas(trace)
-        assert exact_sign(deltas[("P", "USDC")]) < 0
-        assert exact_sign(deltas[("P", "DAI")]) > 0
+        assert deltas[("P", "USDC")] < 0
+        assert deltas[("P", "DAI")] > 0
 
 
 class TestBenignTwin:
