@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from numbers import Rational
+from fractions import Fraction
 from typing import NamedTuple
 
 from .numeric import ExactNumber, QuadExact, exact_div
@@ -23,6 +23,17 @@ BPS_DENOM = 10_000
 class NumericMode(enum.Enum):
     RATIONAL = "rational"
     INTEGER = "integer"
+
+
+EXACT_TYPES = (int, Fraction, QuadExact)  # rational mode's amount types
+
+
+def is_amount(value, mode: NumericMode) -> bool:
+    """The one amount rule: an int in integer mode; an int, a Fraction or
+    a QuadExact in rational mode.  Types match exactly, so a bool, a
+    float or a str is never an amount."""
+    return type(value) is int or (mode is NumericMode.RATIONAL
+                                  and type(value) in EXACT_TYPES)
 
 
 class AmmError(Exception):
@@ -153,9 +164,10 @@ class PoolState:
     mode: NumericMode = NumericMode.RATIONAL
 
     def __post_init__(self):
-        if not all(isinstance(r, (Rational, QuadExact)) and r > 0
+        if not all(is_amount(r, self.mode) and r > 0
                    for r in (self.reserve0, self.reserve1)):
-            raise ValueError("pool reserves must be positive exact numbers")
+            raise ValueError(
+                f"pool reserves must be positive {self.mode.value} amounts")
         if not 0 <= self.fee_bps < BPS_DENOM:
             raise ValueError("fee_bps out of range")
 
@@ -198,14 +210,13 @@ class PoolState:
 
 def _price(pool: PoolState, input_asset: AssetId, amount_in):
     """The one copy of the swap pricing and its checks: returns
-    (amount_in, r_in, out, r_out - out), amount_in as the pool takes it
-    (an int in integer mode)."""
+    (r_in, out, r_out - out).  Like every pricing function here, it takes
+    amount_in as an amount of the pool's mode and coerces nothing."""
     r_in = pool.reserve_of(input_asset)  # UnknownAsset if foreign
     if amount_in <= 0:
         raise ZeroInput("swap input must be positive")
     r_out = pool.reserve_of(pool.other_asset(input_asset))
     integer = pool.mode is NumericMode.INTEGER
-    amount_in = int(amount_in) if integer else amount_in
     # in*g*r_out / (r_in*D + in*g), g = D - fee: at zero fee g/D is 1
     fee = pool.fee_bps
     eff = amount_in * (BPS_DENOM - fee) if fee else amount_in
@@ -214,20 +225,20 @@ def _price(pool: PoolState, input_asset: AssetId, amount_in):
     rest = r_out - out
     if not rest > 0:
         raise OutputExceedsReserve("swap would drain the pool")
-    return amount_in, r_in, out, rest
+    return r_in, out, rest
 
 
 def amount_out(pool: PoolState, input_asset: AssetId,
                amount_in) -> ExactNumber:
     """Output of swapping amount_in of input_asset into the pool, without
     building the pool the swap would leave: the quote solvers probe."""
-    return _price(pool, input_asset, amount_in)[2]
+    return _price(pool, input_asset, amount_in)[1]
 
 
 def swap_exact_in(pool: PoolState, input_asset: AssetId,
                   amount_in) -> tuple[ExactNumber, PoolState]:
     """Swap amount_in of input_asset into the pool; return (out, new pool)."""
-    amount_in, r_in, out, rest = _price(pool, input_asset, amount_in)
+    r_in, out, rest = _price(pool, input_asset, amount_in)
     return out, pool.with_reserves(input_asset, r_in + amount_in, rest)
 
 
@@ -241,8 +252,6 @@ def keeps_fee_adjusted_k(pool: PoolState, input_asset: AssetId, amount_in,
     """
     r_in = pool.reserve_of(input_asset)
     r_out = pool.reserve_of(pool.other_asset(input_asset))
-    if pool.mode is NumericMode.INTEGER:
-        amount_in = int(amount_in)
     # (r_in + in*g/D) * r_out >= k_before, scaled by D with a fee
     if pool.fee_bps:
         r_in, k_before = r_in * BPS_DENOM, k_before * BPS_DENOM
@@ -261,7 +270,6 @@ def solve_input_for_output(pool: PoolState, output_asset: AssetId,
         raise OutputNotLessThanReserve(
             f"cannot take {amount_out} from reserve {r_out}")
     integer = pool.mode is NumericMode.INTEGER
-    amount_out = int(amount_out) if integer else amount_out
     # the swap yields at least amount_out exactly when
     # in*g*(r_out - out) >= out*r_in*D: the least such in is this
     # quotient, a ceiling in integer mode; D and g scale only with a fee

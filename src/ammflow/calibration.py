@@ -236,16 +236,21 @@ def generate_observations(pool1: PoolState, pool2: PoolState,
 
     Used by round-trip identifiability checks: the planned relocation
     with the self-repaying flash amount and repayment y, projected to
-    floats.  A plan whose extraction does not cover the flash shortfall
-    raises the planner's PlannerError.
+    floats in whole tokens (integer-mode smallest units are divided by
+    10**decimals of their asset).  A plan whose extraction does not cover
+    the flash shortfall raises the planner's PlannerError.
     """
     from .planner import plan_relocation
 
     plan = plan_relocation(pool1, pool2, asset, "P", "B", "O", a,
                            y_override=y)
+    counter = pool1.other_asset(asset)
+    sa, sc = (10 ** asset.decimals, 10 ** counter.decimals) \
+        if pool1.mode is NumericMode.INTEGER else (1, 1)
     return ObservationSet(
-        a=float(a), x=float(plan.x), b=float(plan.b),
-        x_prime=float(plan.x_recovered), b_prime=float(plan.b_prime),
-        y=float(y), a_prime=float(plan.predicted_a_prime),
+        a=float(a / sa), x=float(plan.x / sa), b=float(plan.b / sc),
+        x_prime=float(plan.x_recovered / sa),
+        b_prime=float(plan.b_prime / sc), y=float(y / sa),
+        a_prime=float(plan.predicted_a_prime / sa),
         fee_bps=pool1.fee_bps, asset_decimals=asset.decimals,
-        counter_decimals=pool1.other_asset(asset).decimals)
+        counter_decimals=counter.decimals)

@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
-from .amm import (AssetId, NumericMode, PoolState, checked,
+from .amm import (AssetId, NumericMode, PoolState, checked, is_amount,
                   keeps_fee_adjusted_k, swap_exact_in)
 from .numeric import MAX_AMOUNT, ExactNumber, exact_div, parse_exact
 
@@ -267,31 +267,24 @@ class _Execution:
              callee: str) -> None:
         self.trace.calls.append(CallRecord(action_index, kind, caller, callee))
 
-    def move(self, src: str, dst: str, asset: AssetId, amount,
-             action_index: int) -> None:
-        if amount <= 0:
-            raise EngineError("transfer amount must be positive")
+    # pool reserves sit outside the balance map, so a payment into a pool
+    # only debits its payer and one out of a pool only credits its payee
+    def pay(self, src: str, dst: str, asset: AssetId, amount,
+            action_index: int) -> None:
+        """Debit src by amount and emit the event to dst: the one debit."""
         bal = self.world.balance(src, asset)
         left = bal - amount
         if left < 0:
             raise InsufficientBalance(
                 f"{src} holds {bal} {asset.symbol}, needs {amount}")
         self.world.set_balance(src, asset, left)
-        self.world.set_balance(dst, asset,
-                               self.world.balance(dst, asset) + amount)
         self.emit(src, dst, asset, amount, action_index)
 
-    # pool reserves sit outside the balance map; these helpers move value
-    # across that boundary while emitting the corresponding event
-    def pay_into_pool(self, src: str, pool_id: str, asset: AssetId, amount,
-                      action_index: int) -> None:
-        bal = self.world.balance(src, asset)
-        left = bal - amount
-        if left < 0:
-            raise InsufficientBalance(
-                f"{src} holds {bal} {asset.symbol}, needs {amount}")
-        self.world.set_balance(src, asset, left)
-        self.emit(src, pool_id, asset, amount, action_index)
+    def move(self, src: str, dst: str, asset: AssetId, amount,
+             action_index: int) -> None:
+        self.pay(src, dst, asset, amount, action_index)
+        self.world.set_balance(dst, asset,
+                               self.world.balance(dst, asset) + amount)
 
     def pay_from_pool(self, pool_id: str, dst: str, asset: AssetId, amount,
                       action_index: int) -> None:
@@ -305,12 +298,10 @@ def _apply_fill(ex: _Execution, idx: int, act: FillLimitOrder) -> None:
     if act.fill_amount > order.making_amount:
         raise Overfill(
             f"fill {act.fill_amount} exceeds making {order.making_amount}")
-    if act.fill_amount <= 0:
-        raise EngineError("fill amount must be positive")
     making = act.fill_amount
     if ex.world.mode is NumericMode.INTEGER:
-        taking = -(-int(making) * int(order.taking_amount)
-                   // int(order.making_amount))  # ceil, never underpay maker
+        taking = -(-making * order.taking_amount
+                   // order.making_amount)  # ceil, never underpay maker
     else:
         taking = exact_div(making * order.taking_amount, order.making_amount)
     allowance = ex.world.allowance(order.maker, order.settlement,
@@ -334,16 +325,22 @@ def _amounts(act: Action) -> tuple:
     if isinstance(act, FillLimitOrder):
         order = act.order
         return act.fill_amount, order.making_amount, order.taking_amount
-    return (act.amount_in if isinstance(act, Swap)
-            else getattr(act, "amount", 0),)
+    return (act.amount_in if isinstance(act, Swap) else act.amount,)
 
 
 def _apply_action(ex: _Execution, idx: int, act: Action) -> None:
     world = ex.world
-    if world.mode is NumericMode.INTEGER \
-            and any(type(v) is not int for v in _amounts(act)):
-        # a pool would floor a fraction of a unit that its payer paid whole
-        raise EngineError(f"integer-mode amounts must be ints: {act}")
+    if not isinstance(act, Action.__args__):
+        raise EngineError(f"unknown action {type(act).__name__}")
+    # the one amount gate, which every later step, pricing included,
+    # trusts: a positive amount keeps a valid pool's reserves positive, as
+    # PoolState.with_reserves requires
+    for amount in _amounts(act):
+        if not is_amount(amount, world.mode):
+            raise EngineError(f"amounts must be ints, or in rational mode "
+                              f"Fractions or QuadExacts: {act}")
+        if not amount > 0:
+            raise EngineError(f"amounts must be positive: {act}")
     if isinstance(act, (Swap, FlashSwapBorrow, FlashSwapRepay)):
         if act.pool not in world.pools:
             raise EngineError(f"no pool {act.pool!r}")
@@ -351,10 +348,6 @@ def _apply_action(ex: _Execution, idx: int, act: Action) -> None:
         if not world.pools[act.pool].has_asset(asset):
             raise EngineError(
                 f"pool {act.pool!r} does not trade {asset.symbol}")
-        # a positive amount keeps both reserves of a valid pool positive,
-        # which is the contract of PoolState.with_reserves
-        if _amounts(act)[0] <= 0:
-            raise EngineError(f"{type(act).__name__} amount must be positive")
     if isinstance(act, Transfer):
         ex.call(idx, "transfer", act.src, act.dst)
         ex.move(act.src, act.dst, act.asset, act.amount, idx)
@@ -372,8 +365,7 @@ def _apply_action(ex: _Execution, idx: int, act: Action) -> None:
         pool = world.pools[act.pool]
         out, new_pool = swap_exact_in(pool, act.input_asset, act.amount_in)
         ex.call(idx, "swap", act.caller, act.pool)
-        ex.pay_into_pool(act.caller, act.pool, act.input_asset, act.amount_in,
-                         idx)
+        ex.pay(act.caller, act.pool, act.input_asset, act.amount_in, idx)
         world.pools[act.pool] = new_pool
         ex.pay_from_pool(act.pool, act.recipient,
                          pool.other_asset(act.input_asset), out, idx)
@@ -410,7 +402,7 @@ def _apply_action(ex: _Execution, idx: int, act: Action) -> None:
         if act.pool not in ex.flash_swap_k:
             raise EngineError(f"no pending flash swap on {act.pool}")
         ex.call(idx, "flash_swap_repay", act.borrower, act.pool)
-        ex.pay_into_pool(act.borrower, act.pool, act.asset, act.amount, idx)
+        ex.pay(act.borrower, act.pool, act.asset, act.amount, idx)
         r_repay = pool.reserve_of(act.asset) + act.amount
         r_other = pool.reserve_of(pool.other_asset(act.asset))
         k_before = ex.flash_swap_k.pop(act.pool)
@@ -420,10 +412,8 @@ def _apply_action(ex: _Execution, idx: int, act: Action) -> None:
                 f"invariant")
         world.pools[act.pool] = pool.with_reserves(act.asset, r_repay,
                                                    r_other)
-    elif isinstance(act, FillLimitOrder):
-        _apply_fill(ex, idx, act)
     else:
-        raise EngineError(f"unknown action {type(act).__name__}")
+        _apply_fill(ex, idx, act)
 
 
 def execute_bundle(world: WorldState, bundle: list[Action], initiator: str,

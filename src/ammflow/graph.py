@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .amm import AssetId
+from .amm import EXACT_TYPES, AssetId
 from .engine import ExecutionTrace
 from .numeric import QuadExact
 
@@ -90,7 +90,7 @@ def _edges(graph: TransferGraph) -> tuple[list[tuple], bool]:
     floats, converted exactly to Fraction."""
     amounts = [e.amount for e in graph.edges]
     quads = [a for a in amounts if isinstance(a, QuadExact) and a.b]
-    exact = all(isinstance(a, (int, Fraction, QuadExact)) for a in amounts) \
+    exact = all(type(a) in EXACT_TYPES for a in amounts) \
         and all(quads[0]._match(a) is not None for a in quads[1:])
     edges = [(e.src, e.dst, e.amount if exact else Fraction(float(e.amount)))
              for e in graph.edges]

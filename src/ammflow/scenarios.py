@@ -204,20 +204,13 @@ def build_peb_scenario(*, name: str = "peb",
 
 
 _RENAMEABLE_FIELDS = ("src", "dst", "owner", "spender", "caller",
-                      "recipient", "provider", "borrower", "filler")
+                      "recipient", "provider", "borrower")
 
 
 def _rename_action(act: Action, mapping: dict[str, str]) -> Action:
-    updates = {}
-    for name, value in zip(act._fields, act):
-        if name in _RENAMEABLE_FIELDS:
-            updates[name] = mapping.get(value, value)
-        elif name == "order":
-            updates["order"] = value._replace(
-                maker=mapping.get(value.maker, value.maker),
-                receiver=mapping.get(value.receiver, value.receiver),
-                settlement=mapping.get(value.settlement, value.settlement))
-    return act._replace(**updates)
+    return act._replace(**{name: mapping.get(value, value)
+                           for name, value in zip(act._fields, act)
+                           if name in _RENAMEABLE_FIELDS})
 
 
 def build_benign_twin(run: ScenarioRun,

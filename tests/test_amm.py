@@ -268,7 +268,7 @@ class TestAmountIo:
 def test_pool_validation():
     with pytest.raises(ValueError):
         make_pool("p", Fraction(0), Fraction(100))
-    with pytest.raises(ValueError, match="positive exact numbers"):
+    with pytest.raises(ValueError, match="positive rational amounts"):
         make_pool("p", 100.0, Fraction(100))  # a float prices inexactly
     with pytest.raises(ValueError):
         PoolState("p", TOKA, TOKB, 1, 1, 10_000, NumericMode.INTEGER)

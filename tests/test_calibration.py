@@ -50,6 +50,23 @@ class TestCalibrateReserves:
                 (2000, 5_400_000, 400, 1_065_000)):
             assert abs(got - want) / want < 1e-9
 
+    def test_integer_round_trip_is_in_whole_tokens(self):
+        # smallest-unit floats once made pool 1 hold 2.0e21 WETH
+        eth, usd = 10**18, 10**6
+        truth1 = PoolState("pool1", WETH, USDT, 2000 * eth, 5_400_000 * usd,
+                           30, NumericMode.INTEGER)
+        truth2 = PoolState("pool2", WETH, USDT, 400 * eth, 1_065_000 * usd,
+                           30, NumericMode.INTEGER)
+        obs = generate_observations(truth1, truth2, WETH, 10 * eth, 45 * eth)
+        assert (obs.a, obs.y) == (10.0, 45.0)
+        recovered = calibrate_reserves(obs)
+        for got, want in zip(
+                recovered.pool1_reserves + recovered.pool2_reserves,
+                (2000, 5_400_000, 400, 1_065_000)):
+            assert abs(got - want) / want < 1e-6
+        report = replay_and_validate(recovered, obs)
+        assert all(report[k] < 1e-9 for k in report if k.endswith("_err"))
+
     def test_output_not_below_input_is_inconsistent(self):
         obs = PUBLISHED_OBSERVATIONS._replace(a_prime=10.5)
         with pytest.raises(InconsistentObservations):
@@ -118,7 +135,7 @@ class TestCalibrateReserves:
                                          (NumericMode.RATIONAL, 1)])
 def test_observations_equal_the_phase_math(mode, scale):
     """The observations read off the plan are those of replaying its two
-    phases swap by swap."""
+    phases swap by swap, in whole tokens."""
     usdt = 10**6 if mode is NumericMode.INTEGER else 1
     pool1 = PoolState("pool1", WETH, USDT, 2000 * scale, 5_400_000 * usdt,
                       30, mode)
@@ -130,10 +147,10 @@ def test_observations_equal_the_phase_math(mode, scale):
     x_prime, pool2_after = swap_exact_in(pool2, USDT, b)
     b_prime, out = extraction_result(pool1_after, pool2_after, WETH, y)
     assert generate_observations(pool1, pool2, WETH, a, y) == ObservationSet(
-        a=float(a), x=float(x), b=float(b), x_prime=float(x_prime),
-        b_prime=float(b_prime), y=float(y),
-        a_prime=float(out - y - (x - x_prime)), fee_bps=30,
-        asset_decimals=18, counter_decimals=6)
+        a=float(a / scale), x=float(x / scale), b=float(b / usdt),
+        x_prime=float(x_prime / scale), b_prime=float(b_prime / usdt),
+        y=float(y / scale), a_prime=float((out - y - (x - x_prime)) / scale),
+        fee_bps=30, asset_decimals=18, counter_decimals=6)
 
 
 def test_uncovered_shortfall_is_the_planners_refusal():
@@ -186,6 +203,36 @@ def test_round_trip_recovers_truth_pools(fee_bps, r_a1, r_a2, price,
     for got, want in zip(recovered.pool1_reserves + recovered.pool2_reserves,
                          truth):
         assert abs(got - want) / want < 1e-9
+
+
+@settings(max_examples=50, deadline=None)
+@given(r_a1=st.integers(500, 5000), r_a2=st.integers(100, 1000),
+       price=st.integers(1000, 4000), spread_bps=st.integers(-150, 150),
+       a=st.integers(1, 20), y_percent=st.integers(50, 100))
+def test_integer_round_trip_recovers_whole_token_pools(
+        r_a1, r_a2, price, spread_bps, a, y_percent):
+    """Observations generated from integer truth pools, in smallest units,
+    calibrate back to those pools in whole tokens.
+
+    The pools have the published record's shape (30 bps, prices within
+    1.5%).  Each observed output is floored to a smallest unit, and the
+    calibration's linear systems amplify that unit: a 1-token relocation
+    over 5,000 and 100-token pools at price 1,000 comes back within
+    3.1e-6, and at 5 bps over 200 and 2,000-token pools within 1.4e-5."""
+    eth, usd = 10**18, 10**6
+    truth = (r_a1, r_a1 * price, r_a2,
+             r_a2 * price * Fraction(10_000 + spread_bps, 10_000))
+    pool1 = PoolState("pool1", WETH, USDT, r_a1 * eth, truth[1] * usd, 30,
+                      NumericMode.INTEGER)
+    pool2 = PoolState("pool2", WETH, USDT, r_a2 * eth, int(truth[3] * usd),
+                      30, NumericMode.INTEGER)
+    x = solve_flash_amount(pool1, pool2, WETH, a * eth)
+    obs = generate_observations(pool1, pool2, WETH, a * eth,
+                                x * y_percent // 100)
+    recovered = calibrate_reserves(obs)
+    for got, want in zip(recovered.pool1_reserves + recovered.pool2_reserves,
+                         truth):
+        assert abs(got - want) / want < 1e-5
 
 
 # relocations whose observations stalled the earlier finite-difference

@@ -89,6 +89,20 @@ class TestSimulate:
         assert "config error" in result.stderr
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("text, message", [
+        ("- schema_version: 1\n", "config root must be a mapping"),
+        ("schema_version: 1\nscenario: x\nrecipe: RelocationZeroFee\n"
+         "params: [a, 5]\n", "params must be a mapping"),
+    ], ids=["root_is_a_list", "params_is_a_list"])
+    def test_non_mapping_config_exits_2(self, cli, tmp_path, text, message):
+        config = tmp_path / "bad.yaml"
+        config.write_text(text, encoding="utf-8")
+        result = cli(["simulate", str(config),
+                      "--out", str(tmp_path / "runs")])
+        assert result.exit_code == 2, result.stderr
+        assert message in result.stderr
+        assert "Traceback" not in result.stderr
+
     @pytest.mark.parametrize("body", [
         "recipe: RelocationZeroFee\nparams:\n  fee_bps: 30\n",
         "recipe: RelocationZeroFee\nparams:\n  a: \"-5\"\n",

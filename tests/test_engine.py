@@ -160,6 +160,36 @@ class TestExecuteBundle:
         assert after.balance("O", TOKA) == 5
         assert after.allowance("P", "O", TOKA) == 0
 
+    def test_flash_repay_without_debt_is_refused(self):
+        world = basic_world("F", "O")
+        world.set_balance("O", TOKA, Fraction(10))
+        before = snapshot(world)
+        with pytest.raises(EngineError, match="no flash debt"):
+            execute_bundle(world, [FlashRepay("O", "F", TOKA, Fraction(5))],
+                           "O")
+        assert snapshot(world) == before
+
+    def test_duplicate_address_id_is_refused(self):
+        world = basic_world("P")
+        with pytest.raises(ValueError, match="duplicate address id P"):
+            world.add_address(Address("P", "Principal"))
+        assert world.addresses["P"] == Address("P")
+
+    @pytest.mark.parametrize("action, message", [
+        (Transfer("P", "B", TOKA, Fraction(0)), "must be positive"),
+        (Transfer("P", "B", TOKA, True), "must be ints"),
+        (Transfer("P", "B", TOKA, "3"), "must be ints"),
+        (Swap("P", "pool", TOKA, 0.5, "P"), "must be ints")])
+    def test_rational_mode_refuses_non_amounts(self, action, message):
+        # a float swap used to leave float reserves 100.5 / 99.502...
+        world = basic_world("P", "B")
+        world.add_pool(make_pool("pool", Fraction(100), Fraction(100)))
+        world.set_balance("P", TOKA, Fraction(10))
+        before = snapshot(world)
+        with pytest.raises(EngineError, match=message):
+            execute_bundle(world, [action], "P")
+        assert snapshot(world) == before
+
     def test_swap_moves_value_through_pool(self):
         world = basic_world("T")
         pool = PoolState("pool", TOKA, TOKB, Fraction(100), Fraction(100))
@@ -226,6 +256,16 @@ class TestFillLimitOrder:
         with pytest.raises(Overfill):
             execute_bundle(
                 world, [FillLimitOrder(order, "E", Fraction(101))], "E")
+
+    def test_fill_needs_maker_allowance(self):
+        world = self.world()
+        world.approve("P", "settlement", TOKA, Fraction(99))
+        before = snapshot(world)
+        with pytest.raises(InsufficientAllowance, match="allowance 99 < 100"):
+            execute_bundle(
+                world, [FillLimitOrder(self.order("B"), "E", Fraction(100))],
+                "E")
+        assert snapshot(world) == before
 
     def test_rational_fill_of_int_amounts_is_exact(self):
         # 2 of a 3 -> 7 order costs the taker exactly 14/3, not a float
