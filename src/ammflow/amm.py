@@ -10,12 +10,11 @@ output, matching Uniswap-V2-style on-chain semantics.
 from __future__ import annotations
 
 import enum
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .numeric import ExactNumber, QuadExact, exact_div
+from .numeric import ExactNumber, QuadExact, exact_div, read_decimal
 
 BPS_DENOM = 10_000
 
@@ -91,47 +90,13 @@ class AssetId(NamedTuple):
             raise ValueError("asset decimals must be in [0, 38]")
 
 
-_AMOUNT = re.compile(r"([+-]?)(\d*)(?:\.(\d*))?(?:[eE]([+-]?\d+))?")
-
-_MAX_DIGITS = 78     # 10**78 > 2**256, the uint256 bound
-_MAX_DECIMALS = 38
-
-
 def parse_amount(text: str, asset: AssetId, mode: NumericMode):
-    """Parse a decimal-string amount into the mode's internal representation.
-
-    An amount is an optional sign, digits with an optional fraction
-    (``12``, ``1.5``, ``.5``, ``5.``) and an optional exponent (``e`` or
-    ``E``, signed); surrounding whitespace and underscores are ignored, and
-    NaN and Infinity are refused.  It is read on ints, as its significant
-    digits n times 10**scale.  Before any power of ten is built, a nonzero
-    amount must be below 10**78 whole tokens and have no nonzero digit
-    finer than 10**-38: ERC-20 amounts are uint256 counts of smallest
-    units, below 2**256 < 10**78, and no asset has more than 38 decimals.
-    The bound also keeps every amount's decimal string short.
-
-    Rational mode yields an element of Q in whole-token units; integer
-    mode yields smallest units and rejects amounts finer than the asset's
-    decimals.
-    """
-    match = _AMOUNT.fullmatch(str(text).strip().replace("_", ""))
-    if match is None or not (match[2] or match[3]):
-        raise ValueError(f"bad amount {text!r}")
-    sign, whole, frac, exp = match.groups("")
-    digits = (whole + frac).lstrip("0")
-    significant = digits.rstrip("0")
-    if not significant:
-        return QuadExact() if mode is NumericMode.RATIONAL else 0
-    scale = int(exp or 0) - len(frac) + len(digits) - len(significant)
-    if scale + len(significant) > _MAX_DIGITS:
-        raise ValueError(f"amount {text!r} is not below 10**{_MAX_DIGITS}")
-    if scale < -_MAX_DECIMALS:
-        raise ValueError(
-            f"amount {text!r} has a digit finer than 10**-{_MAX_DECIMALS}")
-    n = int(sign + significant)
+    """Decimal amount text, read by `numeric.read_decimal` as trace amounts
+    are, in the mode's representation: an element of Q in whole tokens, or
+    smallest units, refusing an amount finer than the asset's decimals."""
+    n, scale = read_decimal(text)
     if mode is NumericMode.RATIONAL:
-        return QuadExact(n) * 10 ** scale if scale >= 0 \
-            else QuadExact(n) / 10 ** -scale
+        return QuadExact(n * 10 ** max(scale, 0)) / 10 ** max(-scale, 0)
     if scale + asset.decimals < 0:
         raise ValueError(
             f"{text} is finer than {asset.symbol}'s {asset.decimals} decimals")

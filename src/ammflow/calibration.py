@@ -12,7 +12,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .amm import BPS_DENOM, AssetId, NumericMode, PoolState, checked
+from .amm import (BPS_DENOM, AssetId, NumericMode, PoolState, amount_out,
+                  checked)
 
 
 class InconsistentObservations(Exception):
@@ -20,6 +21,7 @@ class InconsistentObservations(Exception):
 
 
 _QUANTITIES = ("a", "x", "b", "x_prime", "b_prime", "y", "a_prime")
+_ASSET, _COUNTER = AssetId("ASSET"), AssetId("COUNTER")
 
 
 @checked
@@ -62,10 +64,10 @@ class ObservationSet(NamedTuple):
             # bool is a subclass of int, but true is not an integer input
             if type(value) is not int:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        return cls(a=float(data["a"]), x=float(data["x"]),
-                   b=float(data["b"]), x_prime=float(data["x_prime"]),
-                   b_prime=float(data["b_prime"]), y=float(data["y"]),
-                   a_prime=float(data["a_prime"]), **ints)
+        for name in _QUANTITIES:  # JSON true or "1.5" is no quantity
+            if type(data[name]) not in (int, float):
+                raise ValueError(f"{name} is no number: {data[name]!r}")
+        return cls(**{name: float(data[name]) for name in _QUANTITIES}, **ints)
 
 
 # published 10-unit migration observations (migrated asset vs 6-decimal
@@ -126,24 +128,24 @@ def _reserve(value: Fraction, name: str) -> float:
     return reserve
 
 
-def _residuals(reserves, observed, g: Fraction) -> dict[str, float]:
+def _residuals(reserves, observed, fee_bps: int) -> dict[str, float]:
     """Relative residuals of the four pipeline swaps at the given
-    reserves, evaluated exactly and rounded once."""
+    reserves, each an exact amm quote on a rational pool, rounded once."""
     r_a1, r_b1, r_a2, r_b2 = (Fraction(r) for r in reserves)
     a, x, b, x_prime, b_prime, y, a_prime = observed
-    s1 = a + x
-    delivered = y + a_prime
-    out1 = r_b1 * g * s1 / (r_a1 + g * s1)
-    out2 = r_a2 * g * b / (r_b2 + g * b)
-    out3 = (r_b2 + b) * g * y / ((r_a2 - x_prime) + g * y)
-    out4 = (r_a1 + s1) * g * b_prime / ((r_b1 - b) + g * b_prime)
-    return {
-        "phase1_out": float((out1 - b) / b),
-        "phase1_recover": float((out2 - x_prime) / x_prime),
-        "phase2_volume": float((out3 - b_prime) / b_prime),
-        "phase2_out": float(
-            (out4 - (delivered + x - x_prime)) / delivered),
-    }
+    if not (r_a2 > x_prime and r_b1 > b):
+        raise InconsistentObservations("a post-swap reserve is not positive")
+    swaps = {  # pool (asset, counter), input, expected output, base
+        "phase1_out": (r_a1, r_b1, _ASSET, a + x, b, b),
+        "phase1_recover": (r_a2, r_b2, _COUNTER, b, x_prime, x_prime),
+        "phase2_volume": (r_a2 - x_prime, r_b2 + b, _ASSET, y, b_prime,
+                          b_prime),
+        "phase2_out": (r_a1 + a + x, r_b1 - b, _COUNTER, b_prime,
+                       y + a_prime + x - x_prime, y + a_prime)}
+    return {name: float((amount_out(PoolState(
+        "pool", _ASSET, _COUNTER, r_a, r_c, fee_bps), asset, amount) - want)
+        / base) for name, (r_a, r_c, asset, amount, want, base)
+        in swaps.items()}
 
 
 def calibrate_reserves(obs: ObservationSet) -> CalibratedPools:
@@ -181,7 +183,7 @@ def calibrate_reserves(obs: ObservationSet) -> CalibratedPools:
     return CalibratedPools(
         pool1_reserves=(reserves[0], reserves[1]),
         pool2_reserves=(reserves[2], reserves[3]),
-        residuals=_residuals(reserves, observed, g))
+        residuals=_residuals(reserves, observed, obs.fee_bps))
 
 
 def integer_amounts(calibrated: CalibratedPools,

@@ -171,7 +171,8 @@ def calibrate(observations):
         try:
             obs = ObservationSet.from_dict(
                 json.loads(path.read_text(encoding="utf-8")))
-        except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        except (KeyError, ValueError, TypeError, AttributeError,
+                OverflowError) as exc:  # an int past the float range
             raise UsageFailure(f"bad observations file: {exc}") from exc
     else:
         obs = PUBLISHED_OBSERVATIONS

@@ -13,8 +13,8 @@ import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
-from .amm import (AssetId, NumericMode, PoolState, checked, is_amount,
-                  keeps_fee_adjusted_k, swap_exact_in)
+from .amm import (EXACT_TYPES, AssetId, NumericMode, PoolState, checked,
+                  is_amount, keeps_fee_adjusted_k, swap_exact_in)
 from .numeric import MAX_AMOUNT, ExactNumber, exact_div, parse_exact
 
 ROLE_LABELS = ("Principal", "Executor", "Beneficiary", "Operator",
@@ -89,6 +89,8 @@ class WorldState:
         return asset
 
     def add_pool(self, pool: PoolState) -> PoolState:
+        if pool.mode is not self.mode:
+            raise ValueError(f"{pool.pool_id!r} is no {self.mode.value} pool")
         self.pools[pool.pool_id] = pool
         self.add_asset(pool.asset0)
         self.add_asset(pool.asset1)
@@ -100,7 +102,13 @@ class WorldState:
     def balance(self, addr: str, asset: AssetId) -> ExactNumber:
         return self.balances.get((addr, asset.symbol), 0)
 
+    def _check(self, amount) -> None:
+        # the engine's own writes skip this and write the dicts directly
+        if not (is_amount(amount, self.mode) and amount >= 0):
+            raise ValueError(f"{amount!r} is no {self.mode.value} amount >= 0")
+
     def set_balance(self, addr: str, asset: AssetId, amount) -> None:
+        self._check(amount)
         self.balances[(addr, asset.symbol)] = amount
 
     def allowance(self, owner: str, spender: str, asset: AssetId):
@@ -108,6 +116,7 @@ class WorldState:
 
     def approve(self, owner: str, spender: str, asset: AssetId,
                 amount) -> None:
+        self._check(amount)
         self.allowances[(owner, spender, asset.symbol)] = amount
 
     def copy(self) -> "WorldState":
@@ -192,7 +201,8 @@ class LimitOrderIntent(NamedTuple):
     settlement: str
 
     def _check(self):
-        if self.making_amount <= 0 or self.taking_amount <= 0:
+        if not all(type(v) in EXACT_TYPES and v > 0
+                   for v in (self.making_amount, self.taking_amount)):
             raise ValueError("order amounts must be positive")
 
 
@@ -277,19 +287,21 @@ class _Execution:
         if left < 0:
             raise InsufficientBalance(
                 f"{src} holds {bal} {asset.symbol}, needs {amount}")
-        self.world.set_balance(src, asset, left)
+        self.world.balances[(src, asset.symbol)] = left
         self.emit(src, dst, asset, amount, action_index)
+
+    def credit(self, dst: str, asset: AssetId, amount) -> None:
+        key = (dst, asset.symbol)
+        self.world.balances[key] = self.world.balances.get(key, 0) + amount
 
     def move(self, src: str, dst: str, asset: AssetId, amount,
              action_index: int) -> None:
         self.pay(src, dst, asset, amount, action_index)
-        self.world.set_balance(dst, asset,
-                               self.world.balance(dst, asset) + amount)
+        self.credit(dst, asset, amount)
 
     def pay_from_pool(self, pool_id: str, dst: str, asset: AssetId, amount,
                       action_index: int) -> None:
-        self.world.set_balance(dst, asset,
-                               self.world.balance(dst, asset) + amount)
+        self.credit(dst, asset, amount)
         self.emit(pool_id, dst, asset, amount, action_index)
 
 
@@ -309,8 +321,8 @@ def _apply_fill(ex: _Execution, idx: int, act: FillLimitOrder) -> None:
     if allowance < making:
         raise InsufficientAllowance(
             f"maker {order.maker} allowance {allowance} < {making}")
-    ex.world.approve(order.maker, order.settlement, order.maker_asset,
-                     allowance - making)
+    ex.world.allowances[(order.maker, order.settlement,
+                         order.maker_asset.symbol)] = allowance - making
     ex.call(idx, "fill_limit_order", act.filler, order.maker)
     # taker side first: the maker only releases funds against payment
     ex.move(act.filler, order.receiver, order.taker_asset, taking, idx)
@@ -357,8 +369,8 @@ def _apply_action(ex: _Execution, idx: int, act: Action) -> None:
             raise InsufficientAllowance(
                 f"{act.spender} allowance from {act.owner} is {allowance}, "
                 f"needs {act.amount}")
-        world.approve(act.owner, act.spender, act.asset,
-                      allowance - act.amount)
+        world.allowances[(act.owner, act.spender, act.asset.symbol)] = \
+            allowance - act.amount
         ex.call(idx, "transfer_from", act.spender, act.owner)
         ex.move(act.owner, act.dst, act.asset, act.amount, idx)
     elif isinstance(act, Swap):

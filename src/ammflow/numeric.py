@@ -4,10 +4,11 @@ Rational mode works over Q and one quadratic field Q(sqrt(d)): parsed
 amounts are rationals, solving the cross-pool consistency condition
 introduces a single square root, and every later quantity (swap outputs,
 repayments, balance deltas) stays inside that quadratic extension.
-``QuadExact`` is the one number type of rational mode: Q is its degree-1
+``QuadExact`` is the number type rational mode builds: Q is its degree-1
 level (b = 0), so equality checks like "pool reserves restored" are true
-equalities on ints, not tolerance comparisons.  A Fraction a caller
-passes in is read at the boundary, as the element of Q it equals.
+equalities on ints, not tolerance comparisons.  Parsed amounts are ints
+or QuadExacts; a Fraction a caller passes in (a pool reserve, a balance,
+an action amount) is kept, and computes with Fraction's own operators.
 Amounts compare exactly with Python's operators; ``sign()`` is the one
 sign method, and ``exact_div`` divides where both operands may be ints.
 
@@ -313,27 +314,56 @@ _QUAD_RE = re.compile(
     r"^(?P<p>-?\d+(?:/\d+)?)\+(?P<q>-?\d+(?:/\d+)?)\*sqrt\((?P<d>-?\d+(?:/\d+)?)\)$")
 
 
-MAX_AMOUNT = 10 ** 116  # 10**78 tokens at 38 decimals: parse_amount's most
+_DECIMAL = re.compile(r"([+-]?)(\d*)(?:\.(\d*))?(?:[eE]([+-]?\d+))?")
+_INT = re.compile(r"[+-]?\d+")
+
+MAX_DIGITS = 78     # 10**78 > 2**256, the uint256 bound
+MAX_DECIMALS = 38
+MAX_AMOUNT = 10 ** (MAX_DIGITS + MAX_DECIMALS)  # 10**78 tokens in 10**-38s
+
+
+def read_decimal(text: str) -> tuple[int, int]:
+    """Ints (n, scale) whose n * 10**scale is the decimal amount text.
+
+    An amount is an optional sign, digits with an optional fraction
+    (``12``, ``1.5``, ``.5``, ``5.``) and an optional exponent (``e`` or
+    ``E``, signed); surrounding whitespace and underscores are ignored, and
+    NaN and Infinity are refused.  Before any power of ten is built, a
+    nonzero amount must be below 10**78 and have no nonzero digit finer
+    than 10**-38: ERC-20 amounts are uint256 counts of smallest units,
+    below 2**256 < 10**78, and no asset has more than 38 decimals.
+    """
+    match = _DECIMAL.fullmatch(str(text).strip().replace("_", ""))
+    if match is None or not (match[2] or match[3]):
+        raise ValueError(f"bad amount {text!r}")
+    sign, whole, frac, exp = match.groups("")
+    digits = (whole + frac).lstrip("0")
+    significant = digits.rstrip("0")
+    if not significant:
+        return 0, 0
+    scale = int(exp or 0) - len(frac) + len(digits) - len(significant)
+    if scale + len(significant) > MAX_DIGITS:
+        raise ValueError(f"amount {text!r} is not below 10**{MAX_DIGITS}")
+    if scale < -MAX_DECIMALS:
+        raise ValueError(
+            f"amount {text!r} has a digit finer than 10**-{MAX_DECIMALS}")
+    return int(sign + significant), scale
 
 
 def _rational(text: str) -> Rational:
-    """An int for digits alone, else the element of Q that a ratio n/m of
-    ints or a decimal (read by Fraction) equals."""
-    # Fraction builds 10**exp: first refuse an exponent that puts any
-    # nonzero value outside (10**-116, 10**116)
-    exp = text.upper().partition("E")[2]
-    if exp and abs(int(exp)) > len(text) + 116:
-        raise ValueError(f"exponent of {text!r} out of range")
+    """An int for plain digits, the element of Q that a ratio n/m of ints
+    equals, both below MAX_AMOUNT in magnitude, else the element of Q
+    that `read_decimal` reads."""
     num, slash, den = text.partition("/")
-    if "." in text:
-        num, den = Fraction(text).as_integer_ratio()
-    else:
-        num, den = int(num), int(den) if slash else 1
+    if not (slash or _INT.fullmatch(text)):
+        n, scale = read_decimal(text)
+        return _element(n * 10 ** max(scale, 0), 0, 10 ** max(-scale, 0), _Q)
+    num, den = int(num), int(den) if slash else 1
     if den <= 0:
         raise ValueError(f"bad denominator in {text!r}")
     if abs(num) >= MAX_AMOUNT * den:
         raise ValueError(f"{text!r} is not below 10**116 in magnitude")
-    return _element(num, 0, den, _Q) if slash or "." in text else num
+    return _element(num, 0, den, _Q) if slash else num
 
 
 def parse_exact(text: str) -> ExactNumber:

@@ -17,8 +17,7 @@ from .amm import (BPS_DENOM, AssetId, NumericMode, PoolState, ZeroInput,
                   amount_out, solve_input_for_output, swap_exact_in)
 from .engine import (Action, FlashBorrow, FlashRepay, FlashSwapBorrow,
                      FlashSwapRepay, Swap, Transfer, TransferFrom)
-from .numeric import (ExactNumber, ExactSqrtError, exact_div, exact_sqrt,
-                      solve_quadratic)
+from .numeric import ExactNumber, ExactSqrtError, exact_sqrt, solve_quadratic
 
 
 class PlannerError(Exception):
@@ -112,19 +111,17 @@ def _loop_coeffs(first: PoolState, second: PoolState, asset: AssetId):
         A2 = g1*r2_in + g1*g2*r1_out,  B0 = r1_in*r2_in,
     with g the pools' fee factors and r their reserves of what goes in
     and out.  On integer numerators a pool's g is (D - fee)/D, D =
-    BPS_DENOM, or 1/1 at zero fee, so all three come scaled by D1*D2:
-    rational mode divides that back out, integer mode keeps the ints.
+    BPS_DENOM, or 1/1 at zero fee, so all three come scaled by D1*D2 in
+    both modes: a common scale moves none of the roots the solvers take.
     """
     counter = _check_pair(first, second, asset)
     r1_in, r1_out = first.reserve_of(asset), first.reserve_of(counter)
     r2_in, r2_out = second.reserve_of(counter), second.reserve_of(asset)
     d1, d2 = (BPS_DENOM if pool.fee_bps else 1 for pool in (first, second))
     g1, g2 = d1 - first.fee_bps, d2 - second.fee_bps
-    coeffs = (_times(g1 * g2, r1_out * r2_out),
-              _times(g1, _times(d2, r2_in) + _times(g2, r1_out)),
-              _times(d1 * d2, r1_in * r2_in))
-    return coeffs if d1 * d2 == 1 or first.mode is NumericMode.INTEGER \
-        else tuple(exact_div(c, d1 * d2) for c in coeffs)
+    return (_times(g1 * g2, r1_out * r2_out),
+            _times(g1, _times(d2, r2_in) + _times(g2, r1_out)),
+            _times(d1 * d2, r1_in * r2_in))
 
 
 def solve_flash_amount(pool1: PoolState, pool2: PoolState, asset: AssetId,

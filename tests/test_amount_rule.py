@@ -1,9 +1,10 @@
 """The one amount rule, `amm.is_amount`, held where amounts enter.
 
 An amount of integer mode is an int; one of rational mode is an int, a
-Fraction or a QuadExact.  `PoolState` refuses any other reserve, and the
-engine refuses any other action amount, or a non-positive one, before the
-action touches the world.  Pricing trusts the rule and coerces nothing.
+Fraction or a QuadExact.  `PoolState` refuses any other reserve, a
+world's setters any other balance or allowance, and the engine any other
+action amount, or a non-positive one, before the action touches the
+world.  Pricing trusts the rule and coerces nothing.
 """
 
 import itertools
@@ -107,9 +108,9 @@ def test_a_bad_amount_is_refused_at_entry(kind, mode, data):
     bundle = list(bundle)
     try:
         bundle[index] = with_amount(bundle[index], field, bad)
-    except (TypeError, ValueError):
-        # the order record refuses a non-positive or unordered amount as
-        # it is built, so no fill carries one
+    except ValueError:
+        # the order record refuses a non-positive amount or a non-amount
+        # as it is built, so no fill carries one
         assert field in ORDER_FIELDS
         return
     world = world_of(mode)
@@ -117,6 +118,34 @@ def test_a_bad_amount_is_refused_at_entry(kind, mode, data):
     with pytest.raises(EngineError, match="must be ints|must be positive"):
         execute_bundle(world, bundle, "P")
     assert snapshot(world) == before
+
+
+@pytest.mark.parametrize("mode", list(NumericMode))
+def test_balances_and_allowances_obey_the_rule(mode):
+    world = world_of(mode)
+    before = snapshot(world)
+    bad = [10.0, 0.0, True, "1", None, -1, Fraction(-1)]
+    if mode is INTEGER:
+        bad += [Fraction(1), QuadExact(1)]
+    for value in bad:
+        with pytest.raises(ValueError, match=f"no {mode.value} amount"):
+            world.set_balance("P", TOKA, value)
+        with pytest.raises(ValueError, match=f"no {mode.value} amount"):
+            world.approve("P", "O", TOKA, value)
+    assert snapshot(world) == before
+    world.set_balance("P", TOKA, 0)
+    world.approve("P", "O", TOKA, 0)
+
+
+@pytest.mark.parametrize("mode", list(NumericMode))
+def test_a_world_refuses_a_pool_of_the_other_mode(mode):
+    world = world_of(mode)
+    before = snapshot(world)
+    other, reserve = (RATIONAL, Fraction(100)) if mode is INTEGER \
+        else (INTEGER, 100)
+    with pytest.raises(ValueError, match=f"no {mode.value} pool"):
+        world.add_pool(make_pool("pool2", reserve, reserve, 0, other))
+    assert snapshot(world) == before and "pool2" not in world.addresses
 
 
 @pytest.mark.parametrize("mode, reserve", [

@@ -7,8 +7,9 @@ from hypothesis import given, reject, settings, strategies as st
 from ammflow.amm import AssetId, NumericMode, PoolState, swap_exact_in
 from ammflow.calibration import (CalibratedPools, InconsistentObservations,
                                  ObservationSet, PUBLISHED_OBSERVATIONS,
-                                 calibrate_reserves, generate_observations,
-                                 integer_amounts, replay_and_validate)
+                                 _residuals, calibrate_reserves,
+                                 generate_observations, integer_amounts,
+                                 replay_and_validate)
 from ammflow.planner import (PlannerError, extraction_result,
                              solve_flash_amount)
 from ammflow.scenarios import build_calibrated_relocation_scenario
@@ -285,3 +286,53 @@ class TestObservationIo:
              "y": 1.8, "a_prime": 0.9})
         assert obs.fee_bps == 30
         assert obs.asset_decimals == 18
+
+
+def formula_residuals(reserves, obs):
+    """The four pipeline swaps written out as constant-product formulas
+    with g = 1 - fee/D: the reference that amm's quotes must equal."""
+    r_a1, r_b1, r_a2, r_b2 = (Fraction(r) for r in reserves)
+    a, x, b, x_prime, b_prime, y, a_prime = (
+        Fraction(v) for v in obs[:7])
+    g = 1 - Fraction(obs.fee_bps, 10_000)
+    s1 = a + x
+    delivered = y + a_prime
+    out1 = r_b1 * g * s1 / (r_a1 + g * s1)
+    out2 = r_a2 * g * b / (r_b2 + g * b)
+    out3 = (r_b2 + b) * g * y / ((r_a2 - x_prime) + g * y)
+    out4 = (r_a1 + s1) * g * b_prime / ((r_b1 - b) + g * b_prime)
+    return {
+        "phase1_out": float((out1 - b) / b),
+        "phase1_recover": float((out2 - x_prime) / x_prime),
+        "phase2_volume": float((out3 - b_prime) / b_prime),
+        "phase2_out": float(
+            (out4 - (delivered + x - x_prime)) / delivered),
+    }
+
+
+POSITIVE = st.floats(1e-3, 1e7, allow_nan=False, allow_infinity=False)
+
+
+def test_published_residuals_equal_the_formulas(published_calibration):
+    reserves = published_calibration.pool1_reserves \
+        + published_calibration.pool2_reserves
+    assert published_calibration.residuals == formula_residuals(
+        reserves, PUBLISHED_OBSERVATIONS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(POSITIVE, min_size=11, max_size=11),
+       st.sampled_from([0, 5, 30, 100, 9999]))
+def test_quoted_residuals_equal_the_formulas(values, fee_bps):
+    """Each residual is an amm quote on a rational pool; it rounds to the
+    float the written-out swap formula gives, at any positive reserves
+    that leave the post-swap reserves positive."""
+    obs = ObservationSet(*values[:7], fee_bps=fee_bps)
+    reserves = values[7:]
+    observed = [Fraction(v) for v in obs[:7]]
+    if reserves[2] > obs.x_prime and reserves[1] > obs.b:
+        assert _residuals(reserves, observed, fee_bps) \
+            == formula_residuals(reserves, obs)
+    else:
+        with pytest.raises(InconsistentObservations, match="not positive"):
+            _residuals(reserves, observed, fee_bps)

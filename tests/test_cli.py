@@ -229,6 +229,8 @@ class TestAnalyze:
         one_event("event", "amount", "1/0"),
         one_event("event", "amount", "9" * 400),
         one_event("event", "amount", "1.5e999999999"),
+        one_event("event", "amount", "1.5e-40"),
+        one_event("event", "amount", "1.5e100"),
         one_event("root", "assets", {"TOKA": 18.5}),
         one_event("root", "assets", {"TOKA": True}),
     ], ids=["root_is_a_list", "assets_not_a_mapping", "events_not_a_list",
@@ -239,6 +241,7 @@ class TestAnalyze:
             "callee_a_list", "event_action_index_a_string",
             "call_action_index_a_bool", "amount_zero_denominator",
             "amount_400_digits", "amount_exponent_999999999",
+            "amount_finer_than_10e-38", "amount_not_below_10e78",
             "decimals_a_float", "decimals_a_bool"])
     def test_malformed_trace_exits_2(self, cli, tmp_path, body):
         trace = tmp_path / "bad.json"
@@ -276,6 +279,17 @@ class TestAnalyze:
                       "--beneficiary", "B"])
         assert result.exit_code == 0, result.stderr
         assert "transfer-layer: NOT RECOVERABLE" in result.stdout
+
+    def test_exponent_amount_is_read(self, cli, tmp_path):
+        # trace amounts share the config grammar, exponents included
+        trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps(one_event("event", "amount", "1e5")),
+                         encoding="utf-8")
+        result = cli(["analyze", str(trace),
+                      "--principal", "P",
+                      "--beneficiary", "B"])
+        assert result.exit_code == 0, result.stderr
+        assert "transfer-layer: RECOVERABLE 100000 TOKA" in result.stdout
 
     def test_events_in_seq_order(self, cli, tmp_path):
         # walked in the file order of the seq_reversed case above, the same
@@ -358,7 +372,8 @@ class TestCalibrate:
         ("asset_decimals", 50), ("counter_decimals", -1),
         ("fee_bps", -5), ("fee_bps", 20000), ("fee_bps", 30.9),
         ("fee_bps", True), ("asset_decimals", 18.0),
-        ("counter_decimals", "6")])
+        ("counter_decimals", "6"), ("a", True), ("y", "49.9515"),
+        ("b", 10 ** 400)])
     def test_out_of_range_field_exits_2(self, cli, tmp_path, field,
                                         value):
         from ammflow.calibration import PUBLISHED_OBSERVATIONS

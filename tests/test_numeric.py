@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ammflow import numeric
+from ammflow.amm import NumericMode, parse_amount
 from ammflow.engine import execute_bundle
 from ammflow.numeric import (ExactSqrtError, QuadExact, exact_sqrt,
                              make_exact, parse_exact, rational_sqrt,
                              solve_quadratic)
 from ammflow.scenarios import build_relocation_scenario
+from conftest import TOKA
 
 NON_SQUARES = [2, 3, 5, 6, 7, 10, 2100]
 FOREIGN = 11  # d / 11 is a perfect square for no d in NON_SQUARES
@@ -111,6 +113,41 @@ def test_parse_exact_round_trip():
                   make_exact(Fraction(1, 3), -2, 7)):
         assert parse_exact(str(value)) == value
     assert parse_exact("2.5") == Fraction(5, 2)
+
+
+def test_parse_exact_reads_exponents_and_keeps_digits_ints():
+    assert parse_exact("1e5") == parse_exact("1.0e5") == 100000
+    assert type(parse_exact("-12")) is int and in_q(parse_exact("12.0"))
+    # integer-mode trace amounts are smallest units, up to 10**116
+    assert parse_exact("9" * 116) == 10 ** 116 - 1
+    for text in ("1.5e-40", "1.5e100", "1" * 117, "1/0", "nan"):
+        with pytest.raises(ValueError):
+            parse_exact(text)
+
+
+DIGITS = st.text("0123456789_", max_size=30)
+DECIMAL_TEXT = st.builds(
+    "".join, st.tuples(
+        st.sampled_from(["", " "]), st.sampled_from(["", "+", "-"]), DIGITS,
+        st.one_of(st.just(""), DIGITS.map(".{}".format)),
+        st.one_of(st.just(""), st.builds(
+            "{}{}{}".format, st.sampled_from("eE"),
+            st.sampled_from(["", "+", "-"]), st.integers(0, 130))),
+        st.sampled_from(["", " "])))
+
+
+@settings(max_examples=500, deadline=None)
+@given(DECIMAL_TEXT)
+def test_one_decimal_reader_for_configs_and_traces(text):
+    """Decimal text reads the same as a trace amount and as a rational
+    config amount, or both readers refuse it."""
+    try:
+        want = parse_amount(text, TOKA, NumericMode.RATIONAL)
+    except ValueError:
+        with pytest.raises(ValueError):
+            parse_exact(text)
+    else:
+        assert parse_exact(text) == want
 
 
 def test_copy_and_pickle_round_trip():

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from ammflow.amm import (BPS_DENOM, AssetId, NumericMode, PoolState,
                          swap_exact_in)
 from ammflow.engine import (Address, WorldState, execute_bundle, net_deltas)
-from ammflow.numeric import make_exact
+from ammflow.numeric import make_exact, solve_quadratic
 from ammflow.planner import (ExtractionStyle, FundingPolicy, NoPositiveRoot,
                              PlannerError, TargetExceedsMaxProfit,
                              argmax_extraction_int, build_relocation_bundle,
@@ -411,6 +411,25 @@ def test_zero_fee_modes_agree_within_the_floors(reserves, data):
     shortfall = 10 ** TOKA.decimals * rational.predicted_a_prime \
         - integer.predicted_a_prime
     assert 0 <= shortfall < bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(50, 5000), min_size=4, max_size=4),
+       st.lists(st.integers(1, 300), min_size=2, max_size=2),
+       st.integers(1, 40))
+def test_rational_flash_amount_is_the_unscaled_root(reserves, fees, a):
+    """The loop coefficients keep their D1*D2 scale in rational mode too;
+    the flash amount is still, as a number, the larger root of the loop's
+    quadratic over the fee factors g = 1 - fee/D themselves."""
+    r_a1, r_b1, r_a2, r_b2 = map(Fraction, reserves)
+    pool1 = make_pool("pool1", r_a1, r_b1, fees[0])
+    pool2 = make_pool("pool2", r_a2, r_b2, fees[1])
+    g1, g2 = (1 - Fraction(fee, BPS_DENOM) for fee in fees)
+    k, a2, b0 = g1 * g2 * r_b1 * r_a2, g1 * r_b2 + g1 * g2 * r_b1, r_a1 * r_b2
+    want = solve_quadratic(a2, b0 + a2 * a - k, -k * a)[1]
+    x = solve_flash_amount(pool1, pool2, TOKA, Fraction(a))
+    assert x == want
+    assert dislocation_output(pool1, pool2, TOKA, Fraction(a), x) == x
 
 
 def test_integer_solvers_build_no_pool(monkeypatch):
