@@ -79,17 +79,15 @@ PUBLISHED_OBSERVATIONS = ObservationSet(
 
 
 class CalibratedPools:
-    __slots__ = ("pool1_reserves", "pool2_reserves", "residuals",
-                 "iterations")
+    __slots__ = ("pool1_reserves", "pool2_reserves", "residuals")
+    iterations = 0  # the solve is closed-form: it has no iteration
 
     def __init__(self, pool1_reserves: tuple[float, float],
                  pool2_reserves: tuple[float, float],
-                 residuals: dict[str, float] | None = None,
-                 iterations: int = 0):
+                 residuals: dict[str, float] | None = None):
         self.pool1_reserves = pool1_reserves   # (migrated, counter)
         self.pool2_reserves = pool2_reserves
         self.residuals = {} if residuals is None else residuals
-        self.iterations = iterations   # always 0: the solve has no iteration
 
     @property
     def max_residual(self) -> float:

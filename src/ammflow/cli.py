@@ -16,7 +16,7 @@ from pathlib import Path
 from .calibration import (InconsistentObservations, ObservationSet,
                           PUBLISHED_OBSERVATIONS, calibrate_reserves,
                           replay_and_validate)
-from .engine import ExecutionTrace, trace_from_dict, trace_to_json
+from .engine import EngineError, ExecutionTrace, trace_from_dict, trace_to_json
 from .graph import (TransferGraph, attribute, build_graph, taint_haircut,
                     taint_poison, to_dot)
 from .scenarios import ConfigError, library, load_scenario_config
@@ -56,7 +56,10 @@ def _build_run(source: str):
 
 def _simulate_one(source: str, out_root: Path) -> str:
     run = _build_run(source)
-    world_after, trace = run.execute()  # run.world stays the pre-state
+    try:  # run.world stays the pre-state
+        world_after, trace = run.execute()
+    except EngineError as exc:
+        raise ConfigError(f"bundle does not execute: {exc}") from exc
     out_dir = out_root / run.name
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -61,22 +61,14 @@ class Address(NamedTuple):
 
 
 class WorldState:
-    __slots__ = ("mode", "addresses", "assets", "balances", "pools",
-                 "allowances")
+    __slots__ = ("mode", "addresses", "balances", "pools", "allowances")
 
-    def __init__(self, mode: NumericMode,
-                 addresses: dict[str, Address] | None = None,
-                 assets: dict[str, AssetId] | None = None,
-                 balances: dict[tuple[str, str], ExactNumber] | None = None,
-                 pools: dict[str, PoolState] | None = None,
-                 allowances: dict[tuple[str, str, str], ExactNumber]
-                 | None = None):
+    def __init__(self, mode: NumericMode):
         self.mode = mode
-        self.addresses = {} if addresses is None else addresses
-        self.assets = {} if assets is None else assets
-        self.balances = {} if balances is None else balances
-        self.pools = {} if pools is None else pools
-        self.allowances = {} if allowances is None else allowances
+        self.addresses: dict[str, Address] = {}
+        self.balances: dict[tuple[str, str], ExactNumber] = {}
+        self.pools: dict[str, PoolState] = {}
+        self.allowances: dict[tuple[str, str, str], ExactNumber] = {}
 
     def add_address(self, addr: Address) -> Address:
         if addr.id in self.addresses:
@@ -84,16 +76,10 @@ class WorldState:
         self.addresses[addr.id] = addr
         return addr
 
-    def add_asset(self, asset: AssetId) -> AssetId:
-        self.assets[asset.symbol] = asset
-        return asset
-
     def add_pool(self, pool: PoolState) -> PoolState:
         if pool.mode is not self.mode:
             raise ValueError(f"{pool.pool_id!r} is no {self.mode.value} pool")
         self.pools[pool.pool_id] = pool
-        self.add_asset(pool.asset0)
-        self.add_asset(pool.asset1)
         if pool.pool_id not in self.addresses:
             self.addresses[pool.pool_id] = Address(pool.pool_id,
                                                    "PoolContract")
@@ -120,12 +106,10 @@ class WorldState:
         self.allowances[(owner, spender, asset.symbol)] = amount
 
     def copy(self) -> "WorldState":
-        return WorldState(mode=self.mode,
-                          addresses=dict(self.addresses),
-                          assets=dict(self.assets),
-                          balances=dict(self.balances),
-                          pools=dict(self.pools),
-                          allowances=dict(self.allowances))
+        world = WorldState(self.mode)
+        for name in ("addresses", "balances", "pools", "allowances"):
+            setattr(world, name, dict(getattr(self, name)))
+        return world
 
     def total_supply(self, asset: AssetId) -> ExactNumber:
         total = sum(v for (_, sym), v in self.balances.items()
@@ -199,6 +183,7 @@ class LimitOrderIntent(NamedTuple):
     taking_amount: ExactNumber
     receiver: str
     settlement: str
+    route_via_settlement: bool = True  # maker leg via settlement's custody
 
     def _check(self):
         if not all(type(v) in EXACT_TYPES and v > 0
@@ -254,11 +239,9 @@ class ExecutionTrace:
 class _Execution:
     """Mutable working set for one bundle; discarded on failure."""
 
-    def __init__(self, world: WorldState, initiator: str, bundle_id: str,
-                 route_via_settlement: bool):
+    def __init__(self, world: WorldState, initiator: str, bundle_id: str):
         self.world = world.copy()
         self.trace = ExecutionTrace(bundle_id=bundle_id, initiator=initiator)
-        self.route_via_settlement = route_via_settlement
         self.flash_debts: dict[tuple[str, str, str], ExactNumber] = {}
         # pool_id -> pre-borrow reserve product for pending flash swaps
         self.flash_swap_k: dict[str, ExactNumber] = {}
@@ -326,7 +309,7 @@ def _apply_fill(ex: _Execution, idx: int, act: FillLimitOrder) -> None:
     ex.call(idx, "fill_limit_order", act.filler, order.maker)
     # taker side first: the maker only releases funds against payment
     ex.move(act.filler, order.receiver, order.taker_asset, taking, idx)
-    if ex.route_via_settlement:
+    if order.route_via_settlement:
         ex.move(order.maker, order.settlement, order.maker_asset, making, idx)
         ex.move(order.settlement, act.filler, order.maker_asset, making, idx)
     else:
@@ -429,13 +412,12 @@ def _apply_action(ex: _Execution, idx: int, act: Action) -> None:
 
 
 def execute_bundle(world: WorldState, bundle: list[Action], initiator: str,
-                   *, bundle_id: str = "bundle-0",
-                   route_via_settlement: bool = True
+                   *, bundle_id: str = "bundle-0"
                    ) -> tuple[WorldState, ExecutionTrace]:
     """Run a bundle atomically; on any error the input world is untouched."""
     if not bundle:
         raise EngineError("bundle must be non-empty")
-    ex = _Execution(world, initiator, bundle_id, route_via_settlement)
+    ex = _Execution(world, initiator, bundle_id)
     for idx, act in enumerate(bundle):
         _apply_action(ex, idx, act)
     for key, debt in ex.flash_debts.items():
@@ -516,11 +498,14 @@ def _index(record: dict) -> int:
 def trace_from_dict(data: dict) -> ExecutionTrace:
     """Rebuild a trace from its JSON form (amounts parsed exactly).
 
-    The events must be in time order, with strictly increasing int seq.
+    The events and the calls, if any, must be lists, the events in time
+    order with strictly increasing int seq.
     Addresses, ids and call fields must be strings, action indices ints
     (not bools) and amounts in [0, 10**116); zero is legal, since integer
     swaps can floor an output to 0.
     """
+    if not all(isinstance(data.get(k, []), list) for k in ("events", "calls")):
+        raise ValueError("events and calls must be lists")
     assets = {sym: AssetId(sym, dec) for sym, dec in data["assets"].items()}
     trace = ExecutionTrace(bundle_id=_text(data, "bundle_id"),
                            initiator=_text(data, "initiator"))

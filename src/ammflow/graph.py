@@ -34,9 +34,9 @@ class TransferGraph:
 
     __slots__ = ("asset", "edges")
 
-    def __init__(self, asset: AssetId, edges: list[GraphEdge] | None = None):
+    def __init__(self, asset: AssetId, edges: list[GraphEdge]):
         self.asset = asset
-        self.edges = [] if edges is None else edges
+        self.edges = edges
 
     @property
     def nodes(self) -> list[str]:

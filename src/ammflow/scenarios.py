@@ -30,13 +30,12 @@ _SCENARIO_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
 
 class ScenarioRun:
     __slots__ = ("name", "world", "bundle", "initiator", "principal",
-                 "beneficiary", "plan", "route_via_settlement")
+                 "beneficiary", "plan")
 
     def __init__(self, name: str, world: WorldState, bundle: list[Action],
                  initiator: str, principal: str | None = None,
                  beneficiary: str | None = None,
-                 plan: Optional[RelocationPlan] = None,
-                 route_via_settlement: bool = True):
+                 plan: Optional[RelocationPlan] = None):
         self.name = name
         self.world = world
         self.bundle = bundle
@@ -44,12 +43,10 @@ class ScenarioRun:
         self.principal = principal
         self.beneficiary = beneficiary
         self.plan = plan
-        self.route_via_settlement = route_via_settlement
 
     def execute(self) -> tuple[WorldState, ExecutionTrace]:
         return execute_bundle(self.world, self.bundle, self.initiator,
-                              bundle_id=self.name,
-                              route_via_settlement=self.route_via_settlement)
+                              bundle_id=self.name)
 
 
 # -- relocation scenarios ----------------------------------------------
@@ -176,7 +173,8 @@ def build_peb_scenario(*, name: str = "peb",
     order = LimitOrderIntent(maker=p_id, maker_asset=usd, taker_asset=dai,
                              making_amount=making_amt,
                              taking_amount=taking_amt,
-                             receiver=b_id, settlement=s_id)
+                             receiver=b_id, settlement=s_id,
+                             route_via_settlement=route_via_settlement)
     world.approve(p_id, s_id, usd, making_amt)
 
     # the filler's swap cost for sourcing exactly the taker amount
@@ -196,8 +194,7 @@ def build_peb_scenario(*, name: str = "peb",
             FlashSwapRepay(pool_id, e_id, usd, repay_usdc),
         ]
     return ScenarioRun(name=name, world=world, bundle=bundle, initiator=e_id,
-                       principal=p_id, beneficiary=b_id,
-                       route_via_settlement=route_via_settlement)
+                       principal=p_id, beneficiary=b_id)
 
 
 # -- benign counterfactuals --------------------------------------------
@@ -226,21 +223,22 @@ def build_benign_twin(run: ScenarioRun,
         raise ConfigError("benign twin is defined for relocation scenarios")
     mapping = {run.principal: "treasury", run.initiator: "trader",
                run.beneficiary: "collect"}
-    world = WorldState(mode=run.world.mode)
-    for aid, addr in run.world.addresses.items():
-        if aid in run.world.pools:
-            continue
-        label = addr.label if addr.label in INFRA_LABELS else "Unlabeled"
-        world.add_address(Address(mapping.get(aid, aid), label))
-    for pool in run.world.pools.values():
-        world.add_pool(pool)
-    for (aid, sym), amount in run.world.balances.items():
-        world.set_balance(mapping.get(aid, aid), run.world.assets[sym],
-                          amount)
-    for (owner, spender, sym), amount in run.world.allowances.items():
-        world.approve(mapping.get(owner, owner),
-                      mapping.get(spender, spender),
-                      run.world.assets[sym], amount)
+
+    def rename(aid: str) -> str:
+        return mapping.get(aid, aid)
+
+    # a valid world's amounts need no check: its dicts are renamed as is
+    world = WorldState(run.world.mode)
+    world.pools = dict(run.world.pools)
+    world.addresses = {
+        rename(aid): Address(rename(aid), addr.label if addr.label
+                             in INFRA_LABELS else "Unlabeled")
+        for aid, addr in run.world.addresses.items()}
+    world.balances = {(rename(aid), sym): amount
+                      for (aid, sym), amount in run.world.balances.items()}
+    world.allowances = {
+        (rename(owner), rename(spender), sym): amount
+        for (owner, spender, sym), amount in run.world.allowances.items()}
     bundle = [_rename_action(act, mapping) for act in run.bundle]
     if perturb:
         plan = run.plan
@@ -253,8 +251,7 @@ def build_benign_twin(run: ScenarioRun,
     return ScenarioRun(name=run.name + ("_twin_perturbed" if perturb
                                         else "_twin"),
                        world=world, bundle=bundle,
-                       initiator=mapping[run.initiator],
-                       route_via_settlement=run.route_via_settlement)
+                       initiator=mapping[run.initiator])
 
 
 def build_benign_arbitrage(*, name: str = "benign_arbitrage",
@@ -293,7 +290,6 @@ def build_benign_routing(*, name: str = "benign_routing",
     world = WorldState(mode=mode)
     for aid in ("alice", "hub1", "hub2", "carol"):
         world.add_address(Address(aid))
-    world.add_asset(tok)
     amt = parse_amount("25", tok, mode)
     world.set_balance("alice", tok, amt)
     bundle = [
@@ -332,11 +328,11 @@ def library() -> dict[str, Callable[[], ScenarioRun]]:
 # -- config files -------------------------------------------------------
 
 
-_KINDS = {str: "a decimal string", bool: "true or false",
-          int: "an integer"}
+_KINDS = {str: "a string: an address, or a decimal string for an amount",
+          bool: "true or false", int: "an integer"}
 # each param's type, or the conversion that reads it
 _PARAMS = {"numeric_mode": NumericMode, "fee_bps": int, "a": str,
-           "making": str, "taking": str, "receiver": lambda v: str(v),
+           "making": str, "taking": str, "receiver": str,
            "operator_is_principal": bool, "route_via_settlement": bool,
            "funding_policy": FundingPolicy,
            "extraction_style": ExtractionStyle}
@@ -361,6 +357,13 @@ _RECIPES = {
     "BenignRouting": (build_benign_routing, {}, ("numeric_mode",), {}),
 }
 RECIPES = tuple(_RECIPES)
+_CONFIG_KEYS = ("schema_version", "scenario", "recipe", "params", "pools")
+_POOL_KEYS = ("id", "reserve0", "reserve1")
+
+
+def _refuse_unknown(keys, known, what: str) -> None:
+    if unknown := sorted(str(k) for k in keys if k not in known):
+        raise ConfigError(f"{what} {', '.join(unknown)}")
 
 
 def _read_param(key: str, value):
@@ -385,6 +388,7 @@ def load_scenario_config(path: str) -> ScenarioRun:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
+    _refuse_unknown(data, _CONFIG_KEYS, "unknown config keys")
     if data.get("schema_version") != 1:
         raise ConfigError("config requires schema_version: 1")
     name = data.get("scenario")
@@ -404,24 +408,27 @@ def load_scenario_config(path: str) -> ScenarioRun:
     if not isinstance(pool_list, list) \
             or not all(isinstance(p, dict) for p in pool_list):
         raise ConfigError("pools must be a list of mappings")
-    pools = {p.get("id"): p for p in pool_list}
-
     builder, fixed, read, pool_args = _RECIPES[recipe]
+    pools: dict[str, dict] = {}
+    for entry in pool_list:
+        pool_id = entry.get("id")
+        if not isinstance(pool_id, str) or pool_id not in pool_args:
+            raise ConfigError(f"recipe {recipe} reads no pool {pool_id!r}")
+        if pool_id in pools:
+            raise ConfigError(f"pool {pool_id} is listed twice")
+        _refuse_unknown(entry, _POOL_KEYS, f"pool {pool_id} has unknown keys")
+        pools[pool_id] = entry
     try:
         kwargs = {"mode" if key == "numeric_mode" else key:
                   _read_param(key, params[key])
                   for key in read if key in params}
-        for pool_id, arg in pool_args.items():
-            if pool_id in pools:
-                kwargs[arg] = (str(pools[pool_id]["reserve0"]),
-                               str(pools[pool_id]["reserve1"]))
+        for pool_id, entry in pools.items():
+            kwargs[pool_args[pool_id]] = (str(entry["reserve0"]),
+                                          str(entry["reserve1"]))
         run = builder(name=name, **fixed, **kwargs)
     except (TypeError, ValueError, KeyError, AmmError,
             PlannerError) as exc:
         raise ConfigError(f"bad scenario parameters: {exc}") from exc
     # a key no recipe argument read is a typo, not a default
-    unread = sorted(str(k) for k in params if k not in read)
-    if unread:
-        raise ConfigError(f"recipe {recipe} does not read params "
-                          f"{', '.join(unread)}")
+    _refuse_unknown(params, read, f"recipe {recipe} does not read params")
     return run

@@ -32,20 +32,18 @@ class Migration:
 
 
 class MigrationReport:
-    __slots__ = ("migrations", "roles", "efficiency", "atomic",
-                 "executor_profit", "unresolved")
+    __slots__ = ("migrations", "roles", "efficiency", "executor_profit",
+                 "unresolved")
+    atomic = True  # a bundle applies fully or not at all
 
     def __init__(self, migrations: list[Migration], roles: dict[str, str],
-                 efficiency: float | None, atomic: bool,
-                 executor_profit: dict[str, object] | None = None,
-                 unresolved: list[dict] | None = None):
+                 efficiency: float | None, executor_profit: dict[str, object],
+                 unresolved: list[dict]):
         self.migrations = migrations
         self.roles = roles
         self.efficiency = efficiency
-        self.atomic = atomic
-        self.executor_profit = {} if executor_profit is None \
-            else executor_profit
-        self.unresolved = [] if unresolved is None else unresolved
+        self.executor_profit = executor_profit
+        self.unresolved = unresolved
 
     def to_dict(self) -> dict:
         return {
@@ -169,10 +167,8 @@ def recover_migrations(trace: ExecutionTrace,
         loss = losses.get(m.asset, next(iter(losses.values()), None))
         if loss is not None:
             efficiency = float(m.amount) / float(loss)
-    return MigrationReport(migrations=migrations, roles=roles,
-                           efficiency=efficiency, atomic=True,
-                           executor_profit=executor_profit,
-                           unresolved=unresolved)
+    return MigrationReport(migrations, roles, efficiency, executor_profit,
+                           unresolved)
 
 
 def loss_decomposition(trace: ExecutionTrace, plan: RelocationPlan,

@@ -126,6 +126,24 @@ class TestSimulate:
         assert "bad scenario parameters" in result.stderr
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("body", [
+        "recipe: PEBLimitOrder\nparams: {making: '1000', taking: '1100'}\n",
+        "recipe: PEBFlashSwapVariant\nparams: {fee_bps: 9999}\n",
+    ], ids=["taking_above_making", "fee_9999_bps"])
+    def test_bundle_that_cannot_execute_exits_2(self, cli, tmp_path, body):
+        # the filler's swap cannot cover the taker amount: the bundle fails
+        # in the engine, before the run directory is made
+        config = tmp_path / "bad.yaml"
+        config.write_text("schema_version: 1\nscenario: x\n" + body,
+                          encoding="utf-8")
+        result = cli(["simulate", str(config),
+                      "--out", str(tmp_path / "runs")])
+        assert result.exit_code == 2, result.stderr
+        assert result.stderr.startswith("Error: config error: bundle does "
+                                        "not execute: E holds")
+        assert result.stderr.count("\n") == 1
+        assert not (tmp_path / "runs").exists()
+
     def test_library_name_wins_in_config_hash(self, cli, tmp_path,
                                               monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -233,6 +251,8 @@ class TestAnalyze:
         one_event("event", "amount", "1.5e100"),
         one_event("root", "assets", {"TOKA": 18.5}),
         one_event("root", "assets", {"TOKA": True}),
+        one_event("root", "events", {}),
+        one_event("root", "calls", {}),
     ], ids=["root_is_a_list", "assets_not_a_mapping", "events_not_a_list",
             "amount_not_a_number", "seq_reversed", "seq_duplicate",
             "seq_a_string", "bundle_id_an_int", "initiator_a_list",
@@ -242,7 +262,8 @@ class TestAnalyze:
             "call_action_index_a_bool", "amount_zero_denominator",
             "amount_400_digits", "amount_exponent_999999999",
             "amount_finer_than_10e-38", "amount_not_below_10e78",
-            "decimals_a_float", "decimals_a_bool"])
+            "decimals_a_float", "decimals_a_bool", "events_a_mapping",
+            "calls_a_mapping"])
     def test_malformed_trace_exits_2(self, cli, tmp_path, body):
         trace = tmp_path / "bad.json"
         trace.write_text(json.dumps(body), encoding="utf-8")

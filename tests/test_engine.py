@@ -24,8 +24,6 @@ def basic_world(*addr_ids, mode=NumericMode.RATIONAL):
     world = WorldState(mode=mode)
     for aid in addr_ids:
         world.add_address(Address(aid))
-    world.add_asset(TOKA)
-    world.add_asset(TOKB)
     return world
 
 
@@ -169,6 +167,16 @@ class TestExecuteBundle:
                            "O")
         assert snapshot(world) == before
 
+    def test_copy_shares_no_dict(self):
+        world = basic_world("P")
+        world.set_balance("P", TOKA, Fraction(10))
+        copy = world.copy()
+        copy.set_balance("P", TOKA, Fraction(3))
+        copy.add_address(Address("Q"))
+        assert world.balance("P", TOKA) == 10 and "Q" not in world.addresses
+        for name in WorldState.__slots__[1:]:
+            assert getattr(copy, name) is not getattr(world, name)
+
     def test_duplicate_address_id_is_refused(self):
         world = basic_world("P")
         with pytest.raises(ValueError, match="duplicate address id P"):
@@ -240,15 +248,31 @@ class TestFillLimitOrder:
     def test_settlement_routing_flag(self):
         world = self.world()
         order = self.order("B")
+        assert order.route_via_settlement
         _, routed = execute_bundle(
             world, [FillLimitOrder(order, "E", Fraction(100))], "E")
         _, direct = execute_bundle(
-            world, [FillLimitOrder(order, "E", Fraction(100))], "E",
-            route_via_settlement=False)
+            world, [FillLimitOrder(order._replace(route_via_settlement=False),
+                                   "E", Fraction(100))], "E")
         assert any(e.dst == "settlement" for e in routed.events)
         assert not any(e.dst == "settlement" for e in direct.events)
         nz = lambda t: {k: v for k, v in net_deltas(t).items() if v != 0}
         assert nz(routed) == nz(direct)
+
+    def test_each_fill_routes_as_its_order_says(self):
+        # a routed and a direct fill in one bundle: the routing is the
+        # order's, so no bundle-wide setting decides it
+        routed = self.order("B")
+        direct = routed._replace(route_via_settlement=False)
+        _, trace = execute_bundle(self.world(), [
+            FillLimitOrder(routed, "E", Fraction(50)),
+            FillLimitOrder(direct, "E", Fraction(50))], "E")
+        assert [(e.action_index, e.src, e.dst) for e in trace.events
+                if e.asset == TOKA] == [(0, "P", "settlement"),
+                                        (0, "settlement", "E"),
+                                        (1, "P", "E")]
+        deltas = net_deltas(trace)
+        assert (deltas[("P", "TOKA")], deltas[("B", "TOKB")]) == (-100, 99)
 
     def test_overfill(self):
         world = self.world()

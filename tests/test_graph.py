@@ -277,7 +277,7 @@ class TestTaint:
     def test_calibrated_relocation_operator_nets_clean(self):
         run = library()["relocation_fee_calibrated"]()
         _, trace = run.execute()
-        weth = run.world.assets["WETH"]
+        weth = run.plan.asset
         fractions = taint_haircut(build_graph(trace, weth), {"P"})
         assert fractions["O"] == 0.0
 

@@ -3,8 +3,10 @@
 Actions, call records and graph edges are NamedTuples; `AssetId`,
 `Address`, `LimitOrderIntent` and `ObservationSet` are NamedTuples whose
 every construction runs the record's check; the mutable containers are
-plain classes with `__slots__`.  Each keeps the constructor it had as a
-dataclass: positional order, keywords and defaults.
+plain classes with `__slots__`.  Each takes its fields by position and by
+keyword, with a default only where some caller leaves the field out.  A
+field that takes one value is a class constant, not a parameter, and a
+`WorldState` starts empty: its state is set through its methods.
 """
 
 import re
@@ -58,25 +60,23 @@ RECORDS = [
                         ("taker_asset", AssetId("DAI")),
                         ("making_amount", Fraction(10)),
                         ("taking_amount", Fraction(9)), ("receiver", "B"),
-                        ("settlement", "settle")), {}),
+                        ("settlement", "settle")),
+     {"route_via_settlement": True}),
     (ObservationSet, OBSERVED,
      {"fee_bps": 30, "asset_decimals": 18, "counter_decimals": 6}),
-    (WorldState, (("mode", NumericMode.INTEGER),),
-     {"addresses": {}, "assets": {}, "balances": {}, "pools": {},
-      "allowances": {}}),
+    (WorldState, (("mode", NumericMode.INTEGER),), {}),
     (ExecutionTrace, (("bundle_id", "b"), ("initiator", "E")),
      {"events": [], "calls": []}),
-    (TransferGraph, (("asset", TOKA),), {"edges": []}),
+    (TransferGraph, (("asset", TOKA), ("edges", [])), {}),
     (MigrationReport, (("migrations", []), ("roles", {"P": "Principal"}),
-                       ("efficiency", 0.9), ("atomic", True)),
-     {"executor_profit": {}, "unresolved": []}),
+                       ("efficiency", 0.9), ("executor_profit", {}),
+                       ("unresolved", [])), {}),
     (CalibratedPools, (("pool1_reserves", (1.0, 2.0)),
                        ("pool2_reserves", (3.0, 4.0))),
-     {"residuals": {}, "iterations": 0}),
+     {"residuals": {}}),
     (ScenarioRun, (("name", "s"), ("world", WORLD), ("bundle", []),
                    ("initiator", "E")),
-     {"principal": None, "beneficiary": None, "plan": None,
-      "route_via_settlement": True}),
+     {"principal": None, "beneficiary": None, "plan": None}),
 ]
 IDS = [record.__name__ for record, _, _ in RECORDS]
 
@@ -102,6 +102,32 @@ def test_builds_by_position_and_keyword_with_defaults(record, required,
         assert by_position == by_keyword
     else:
         assert not hasattr(by_position, "__dict__")
+
+
+# a record, its required fields, and the constant it holds in place of a
+# parameter
+CONSTANTS = [
+    (MigrationReport, ([], {}, None, {}, []), "atomic", True),
+    (CalibratedPools, ((1.0, 2.0), (3.0, 4.0)), "iterations", 0),
+]
+
+
+@pytest.mark.parametrize("record, required, name, value", CONSTANTS,
+                         ids=[c[0].__name__ for c in CONSTANTS])
+def test_constant_fields_take_no_argument(record, required, name, value):
+    built = record(*required)
+    assert getattr(built, name) is value
+    with pytest.raises(TypeError):
+        record(*required, **{name: value})
+    with pytest.raises(AttributeError):
+        setattr(built, name, value)
+
+
+def test_world_starts_empty_with_fresh_dicts():
+    worlds = WorldState(NumericMode.INTEGER), WorldState(NumericMode.INTEGER)
+    for name in WorldState.__slots__[1:]:
+        assert getattr(worlds[0], name) == {}
+        assert getattr(worlds[0], name) is not getattr(worlds[1], name)
 
 
 # values other than the defaults that the record's check accepts

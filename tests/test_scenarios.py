@@ -1,8 +1,10 @@
+import re
 import textwrap
 
 import pytest
 
-from ammflow.engine import net_deltas, trace_to_json
+from ammflow.engine import (INFRA_LABELS, Address, WorldState, execute_bundle,
+                            net_deltas, trace_to_json)
 from ammflow.graph import trace_canonical_form
 from ammflow.scenarios import (ConfigError, build_benign_twin,
                                build_peb_scenario,
@@ -70,6 +72,42 @@ class TestBenignTwin:
         _, perturbed_trace = perturbed.execute()
         assert trace_canonical_form(trace) != \
             trace_canonical_form(perturbed_trace)
+
+    @pytest.mark.parametrize("run", library_relocations(),
+                             ids=lambda run: run.name)
+    def test_twin_world_matches_one_built_by_the_setters(self, run):
+        # the twin renames the relocation world's dicts as they stand; a
+        # world built address by address through the checked setters is
+        # the same world, and it runs the twin's bundle the same way
+        twin = build_benign_twin(run)
+        mapping = {run.principal: "treasury", run.initiator: "trader",
+                   run.beneficiary: "collect"}
+        assets = {asset.symbol: asset for pool in run.world.pools.values()
+                  for asset in (pool.asset0, pool.asset1)}
+        built = WorldState(run.world.mode)
+        for aid, addr in run.world.addresses.items():
+            if aid not in run.world.pools:
+                built.add_address(Address(
+                    mapping.get(aid, aid), addr.label
+                    if addr.label in INFRA_LABELS else "Unlabeled"))
+        for pool in run.world.pools.values():
+            built.add_pool(pool)
+        for (aid, sym), amount in run.world.balances.items():
+            built.set_balance(mapping.get(aid, aid), assets[sym], amount)
+        for (owner, spender, sym), amount in run.world.allowances.items():
+            built.approve(mapping.get(owner, owner),
+                          mapping.get(spender, spender), assets[sym], amount)
+        for name in WorldState.__slots__:
+            assert getattr(twin.world, name) == getattr(built, name), name
+        after, trace = twin.execute()
+        built_after, built_trace = execute_bundle(
+            built, twin.bundle, twin.initiator, bundle_id=twin.name)
+        assert trace_to_json(trace, after.mode) == \
+            trace_to_json(built_trace, built_after.mode)
+        assert trace_canonical_form(trace) == \
+            trace_canonical_form(built_trace)
+        for name in WorldState.__slots__:
+            assert getattr(after, name) == getattr(built_after, name), name
 
     def test_twin_requires_relocation(self):
         with pytest.raises(ConfigError):
@@ -175,6 +213,39 @@ class TestConfigLoading:
             """)
         with pytest.raises(ConfigError, match="bad scenario parameters"):
             load_scenario_config(path)
+
+    @pytest.mark.parametrize("recipe, tail, message", [
+        ("RelocationZeroFee", "paramz: {numeric_mode: integer}\n",
+         "unknown config keys paramz"),
+        ("RelocationZeroFee",
+         "pools:\n  - {id: [1], reserve0: '1', reserve1: '1'}\n",
+         "reads no pool [1]"),
+        ("RelocationZeroFee",
+         "pools:\n  - {id: poolX, reserve0: '1', reserve1: '1'}\n",
+         "reads no pool 'poolX'"),
+        ("RelocationFeeCalibrated",
+         "pools:\n  - {id: pool1, reserve0: '1', reserve1: '1'}\n",
+         "reads no pool 'pool1'"),
+        ("RelocationZeroFee",
+         "pools:\n  - {id: pool1, reserve0: '1', reserve1: '1'}\n"
+         "  - {id: pool1, reserve0: '2', reserve1: '1'}\n",
+         "pool pool1 is listed twice"),
+        ("PEBLimitOrder",
+         "pools:\n  - {id: pool, reserve0: '1', reserve1: '1', fee: 3}\n",
+         "pool pool has unknown keys fee"),
+        ("PEBLimitOrder", "params: {receiver: 5}\n",
+         "receiver must be a string: an address"),
+        ("PEBLimitOrder", "params: {receiver: null}\n",
+         "receiver must be a string: an address"),
+    ], ids=["top-level typo", "list id", "unread id", "pool for no pool",
+            "repeated id", "pool key typo", "int receiver", "null receiver"])
+    def test_every_key_is_read_or_refused(self, tmp_path, recipe, tail,
+                                          message):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(f"schema_version: 1\nscenario: custom\n"
+                        f"recipe: {recipe}\n{tail}", encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_scenario_config(str(path))
 
     def test_invalid_yaml(self, tmp_path):
         path = tmp_path / "bad.yaml"

@@ -71,7 +71,6 @@ class TestRecoverMigrations:
         world = WorldState(mode=NumericMode.RATIONAL)
         for aid in ("p1", "p2", "g1", "g2"):
             world.add_address(Address(aid))
-        world.add_asset(TOKA)
         world.set_balance("p1", TOKA, Fraction(10))
         world.set_balance("p2", TOKA, Fraction(10))
         bundle = [Transfer("p1", "g1", TOKA, Fraction(10)),
