@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 from .amm import (BPS_DENOM, AssetId, NumericMode, PoolState, amount_out,
                   checked)
+from .numeric import REQUIRED, read
 
 
 class InconsistentObservations(Exception):
@@ -57,17 +58,14 @@ class ObservationSet(NamedTuple):
 
     @classmethod
     def from_dict(cls, data: dict) -> "ObservationSet":
-        ints = {name: data.get(name, default) for name, default in
-                (("fee_bps", 30), ("asset_decimals", 18),
-                 ("counter_decimals", 6))}
-        for name, value in ints.items():
-            # bool is a subclass of int, but true is not an integer input
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in _QUANTITIES:  # JSON true or "1.5" is no quantity
-            if type(data[name]) not in (int, float):
-                raise ValueError(f"{name} is no number: {data[name]!r}")
-        return cls(**{name: float(data[name]) for name in _QUANTITIES}, **ints)
+        return cls(**read(_OBSERVATION_TABLE, data))
+
+
+# quantities are JSON numbers; the counts are ints, defaulting as above
+_OBSERVATION_TABLE = {
+    **dict.fromkeys(_QUANTITIES, (float, REQUIRED)),
+    **{name: (int, default)
+       for name, default in ObservationSet._field_defaults.items()}}
 
 
 # published 10-unit migration observations (migrated asset vs 6-decimal
@@ -94,13 +92,9 @@ class CalibratedPools:
         return max(abs(v) for v in self.residuals.values())
 
     def to_dict(self) -> dict:
-        return {
-            "pool1": {"asset": self.pool1_reserves[0],
-                      "counter": self.pool1_reserves[1]},
-            "pool2": {"asset": self.pool2_reserves[0],
-                      "counter": self.pool2_reserves[1]},
-            "residuals": dict(self.residuals),
-        }
+        return {"pool1": dict(zip(("asset", "counter"), self.pool1_reserves)),
+                "pool2": dict(zip(("asset", "counter"), self.pool2_reserves)),
+                "residuals": dict(self.residuals)}
 
 
 def _solve(rows, rhs, pool: str) -> tuple[Fraction, Fraction]:

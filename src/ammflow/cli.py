@@ -8,6 +8,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -19,6 +20,7 @@ from .calibration import (InconsistentObservations, ObservationSet,
 from .engine import EngineError, ExecutionTrace, trace_from_dict, trace_to_json
 from .graph import (TransferGraph, attribute, build_graph, taint_haircut,
                     taint_poison, to_dot)
+from .numeric import REQUIRED, read
 from .scenarios import ConfigError, library, load_scenario_config
 from .semantic import loss_decomposition, recover_migrations
 
@@ -36,26 +38,21 @@ def _dump_json(path: Path, payload: dict) -> None:
                     encoding="utf-8")
 
 
-def _config_hash(source: str) -> str:
-    """Hash of what _build_run reads: a library name wins over a file."""
-    data = source.encode() if source in library() \
-        else Path(source).read_bytes()
-    return hashlib.sha256(data).hexdigest()
-
-
 def _build_run(source: str):
+    """The run that source names, and the sha256 of what it reads: a
+    library name wins over a file."""
     lib = library()
     if source in lib:
-        return lib[source]()
+        return lib[source](), hashlib.sha256(source.encode()).hexdigest()
     if not Path(source).is_file():
         raise ConfigError(
             f"{source!r} is neither a library scenario nor a config file; "
             f"library scenarios: {', '.join(sorted(lib))}")
-    return load_scenario_config(source)
+    return load_scenario_config(source), \
+        hashlib.sha256(Path(source).read_bytes()).hexdigest()
 
 
-def _simulate_one(source: str, out_root: Path) -> str:
-    run = _build_run(source)
+def _simulate_one(run, config_hash: str, out_root: Path) -> None:
     try:  # run.world stays the pre-state
         world_after, trace = run.execute()
     except EngineError as exc:
@@ -93,12 +90,11 @@ def _simulate_one(source: str, out_root: Path) -> str:
     outputs.sort()
     _dump_json(out_dir / "manifest.json", {
         "scenario": run.name,
-        "config_hash": _config_hash(source),
+        "config_hash": config_hash,
         "numeric_mode": run.world.mode.value,
         "seed": None,
         "outputs": outputs,
     })
-    return run.name
 
 
 def _asset_graphs(trace: ExecutionTrace) -> dict[str, TransferGraph]:
@@ -136,8 +132,13 @@ def simulate(configs, out):
     out_root = Path(out)
     if out_root.exists() and not out_root.is_dir():
         raise UsageFailure(f"--out {out} is not a directory")
-    try:
-        names = [_simulate_one(s, out_root) for s in configs]
+    try:  # every source is built, and each name checked, before a write
+        runs = [_build_run(source) for source in configs]
+        names = [run.name for run, _ in runs]
+        if twice := sorted({name for name in names if names.count(name) > 1}):
+            raise UsageFailure(f"two sources name the scenario {twice[0]}")
+        for run, config_hash in runs:
+            _simulate_one(run, config_hash, out_root)
     except ConfigError as exc:
         raise UsageFailure(f"config error: {exc}") from exc
     for name in names:
@@ -147,11 +148,8 @@ def simulate(configs, out):
 def analyze(trace_path, principal, beneficiary):
     """Transfer-layer vs semantic verdicts, side by side."""
     path = _input_file(trace_path, "trace file")
-    try:
-        trace = trace_from_dict(json.loads(path.read_text(encoding="utf-8")))
-    except (KeyError, ValueError, TypeError, AttributeError) as exc:
-        raise UsageFailure(f"bad trace file: {exc}") from exc
     try:  # net_deltas refuses a sum across two quadratic fields
+        trace = trace_from_dict(json.loads(path.read_text(encoding="utf-8")))
         report = recover_migrations(trace, None, None)
     except ValueError as exc:
         raise UsageFailure(f"bad trace file: {exc}") from exc
@@ -174,8 +172,7 @@ def calibrate(observations):
         try:
             obs = ObservationSet.from_dict(
                 json.loads(path.read_text(encoding="utf-8")))
-        except (KeyError, ValueError, TypeError, AttributeError,
-                OverflowError) as exc:  # an int past the float range
+        except ValueError as exc:
             raise UsageFailure(f"bad observations file: {exc}") from exc
     else:
         obs = PUBLISHED_OBSERVATIONS
@@ -197,13 +194,26 @@ def calibrate(observations):
             print(f"{key[:-8]:<20}{validation[key]:>18.3e}")
 
 
+# the run files report reads; it copies each as it is into report.json
+_RUN_FILES = {
+    "manifest": {"scenario": (str, REQUIRED), "config_hash": (str, REQUIRED),
+                 "numeric_mode": (str, REQUIRED), "seed": (object, REQUIRED),
+                 "outputs": ([str], REQUIRED)},
+    "migration_report": {
+        "migrations": (list, REQUIRED), "roles": (dict, REQUIRED),
+        "efficiency": (object, REQUIRED), "atomic": (bool, REQUIRED),
+        "executor_profit": (dict, REQUIRED), "unresolved": (list, REQUIRED),
+        "loss_decomposition": (dict, None)},
+    "analysis": {"attribution": (dict, REQUIRED), "taint": (dict, REQUIRED)},
+}
+
+
 def _read_run_file(path: Path) -> dict:
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
+        read(_RUN_FILES[path.stem], data)
     except (OSError, ValueError) as exc:
         raise UsageFailure(f"bad run file {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise UsageFailure(f"bad run file {path}: not a JSON object")
     return data
 
 
@@ -221,10 +231,6 @@ def report(run_dir):
             path = scenario_dir / f"{name}.json"
             if path.is_file():
                 entry[name] = _read_run_file(path)
-        migrations = entry.get("migration_report", {}).get("migrations", [])
-        if not isinstance(migrations, list):
-            raise UsageFailure(f"bad run file {scenario_dir}/migration_report"
-                               ".json: migrations is not a list")
         runs[scenario_dir.name] = entry
     if not runs:
         raise UsageFailure(f"no simulation runs under {run_dir}")
@@ -275,6 +281,7 @@ def selftest():
     print("selftest: all checks passed")
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ammflow",

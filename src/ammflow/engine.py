@@ -15,7 +15,8 @@ from typing import NamedTuple, Union
 
 from .amm import (EXACT_TYPES, AssetId, NumericMode, PoolState, checked,
                   is_amount, keeps_fee_adjusted_k, swap_exact_in)
-from .numeric import MAX_AMOUNT, ExactNumber, exact_div, parse_exact
+from .numeric import (MAX_AMOUNT, REQUIRED, ExactNumber, exact_div,
+                      parse_exact, read)
 
 ROLE_LABELS = ("Principal", "Executor", "Beneficiary", "Operator",
                "PoolContract", "FlashProvider", "SettlementContract",
@@ -453,27 +454,11 @@ def trace_to_dict(trace: ExecutionTrace, mode: NumericMode) -> dict:
         "mode": mode.value,
         "assets": {ev.asset.symbol: ev.asset.decimals
                    for ev in trace.events},
-        "events": [
-            {
-                "seq": ev.seq,
-                "from": ev.src,
-                "to": ev.dst,
-                "asset": ev.asset.symbol,
-                "amount": str(ev.amount),
-                "action_index": ev.action_index,
-                "bundle_id": trace.bundle_id,
-            }
-            for ev in trace.events
-        ],
-        "calls": [
-            {
-                "action_index": c.action_index,
-                "kind": c.kind,
-                "caller": c.caller,
-                "callee": c.callee,
-            }
-            for c in trace.calls
-        ],
+        "events": [{"seq": ev.seq, "from": ev.src, "to": ev.dst,
+                    "asset": ev.asset.symbol, "amount": str(ev.amount),
+                    "action_index": ev.action_index,
+                    "bundle_id": trace.bundle_id} for ev in trace.events],
+        "calls": [call._asdict() for call in trace.calls],
     }
 
 
@@ -481,46 +466,38 @@ def trace_to_json(trace: ExecutionTrace, mode: NumericMode) -> str:
     return json.dumps(trace_to_dict(trace, mode), indent=2) + "\n"
 
 
-def _text(record: dict, key: str) -> str:
-    value = record[key]
-    if not isinstance(value, str):
-        raise ValueError(f"{key} must be a string, got {value!r}")
-    return value
-
-
-def _index(record: dict) -> int:
-    value = record["action_index"]
-    if type(value) is not int:
-        raise ValueError(f"action_index must be an int, got {value!r}")
-    return value
+_EVENT = {"seq": (int, REQUIRED), "from": (str, REQUIRED),
+          "to": (str, REQUIRED), "asset": (str, REQUIRED),
+          "amount": (parse_exact, REQUIRED), "action_index": (int, REQUIRED),
+          "bundle_id": (str, None)}
+_CALL = {"action_index": (int, REQUIRED), "kind": (str, REQUIRED),
+         "caller": (str, REQUIRED), "callee": (str, REQUIRED)}
+_TRACE = {"bundle_id": (str, REQUIRED), "initiator": (str, REQUIRED),
+          "mode": (NumericMode, None), "assets": (dict, REQUIRED),
+          "events": ([_EVENT], REQUIRED), "calls": ([_CALL], [])}
 
 
 def trace_from_dict(data: dict) -> ExecutionTrace:
-    """Rebuild a trace from its JSON form (amounts parsed exactly).
-
-    The events and the calls, if any, must be lists, the events in time
-    order with strictly increasing int seq.
-    Addresses, ids and call fields must be strings, action indices ints
-    (not bools) and amounts in [0, 10**116); zero is legal, since integer
-    swaps can floor an output to 0.
-    """
-    if not all(isinstance(data.get(k, []), list) for k in ("events", "calls")):
-        raise ValueError("events and calls must be lists")
-    assets = {sym: AssetId(sym, dec) for sym, dec in data["assets"].items()}
-    trace = ExecutionTrace(bundle_id=_text(data, "bundle_id"),
-                           initiator=_text(data, "initiator"))
-    for ev in data["events"]:
-        amount = parse_exact(ev["amount"])
-        if not 0 <= amount < MAX_AMOUNT:
-            raise ValueError(f"amount {ev['amount']} not in [0, 10**116)")
+    """Rebuild a trace from its JSON form (amounts parsed exactly), or
+    raise ValueError naming the first field that `_TRACE`, `AssetId` or
+    the checks below refuse: events move an asset of `assets` in strictly
+    increasing seq, each by an amount in [0, 10**116), where zero is legal
+    since integer swaps can floor an output to 0."""
+    fields = read(_TRACE, data)
+    assets = {sym: AssetId(sym, dec) for sym, dec in fields["assets"].items()}
+    trace = ExecutionTrace(fields["bundle_id"], fields["initiator"])
+    for i, ev in enumerate(fields["events"]):
+        if not 0 <= ev["amount"] < MAX_AMOUNT:
+            raise ValueError(f"events.{i}.amount {ev['amount']} is not in "
+                             "[0, 10**116)")
+        if ev["asset"] not in assets:
+            raise ValueError(f"events.{i}.asset {ev['asset']} is not in "
+                             "assets")
+        if trace.events and ev["seq"] <= trace.events[-1].seq:
+            raise ValueError(f"events.{i}.seq {ev['seq']} does not follow "
+                             f"seq {trace.events[-1].seq}")
         trace.events.append(TransferEvent(
-            ev["seq"], _text(ev, "from"), _text(ev, "to"),
-            assets[ev["asset"]], amount, _index(ev)))
-    seqs = [ev.seq for ev in trace.events]
-    if any(type(s) is not int for s in seqs) \
-            or any(a >= b for a, b in zip(seqs, seqs[1:])):
-        raise ValueError("event seq values must be strictly increasing ints")
-    for c in data.get("calls", []):
-        trace.calls.append(CallRecord(_index(c), _text(c, "kind"),
-                                      _text(c, "caller"), _text(c, "callee")))
+            ev["seq"], ev["from"], ev["to"], assets[ev["asset"]],
+            ev["amount"], ev["action_index"]))
+    trace.calls = [CallRecord(**call) for call in fields["calls"]]
     return trace

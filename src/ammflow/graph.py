@@ -28,15 +28,12 @@ class GraphEdge(NamedTuple):
     amount: object  # int, QuadExact, or a Fraction a caller passed in
 
 
-class TransferGraph:
+class TransferGraph(NamedTuple):
     """The transfers of one asset, in time order (strictly increasing seq);
     every observer walks the edges in list order."""
 
-    __slots__ = ("asset", "edges")
-
-    def __init__(self, asset: AssetId, edges: list[GraphEdge]):
-        self.asset = asset
-        self.edges = edges
+    asset: AssetId
+    edges: list[GraphEdge]
 
     @property
     def nodes(self) -> list[str]:

@@ -373,3 +373,66 @@ def parse_exact(text: str) -> ExactNumber:
     m = _QUAD_RE.match(text)
     return QuadExact(*map(_rational, m.group("p", "q", "d"))) if m \
         else _rational(text)
+
+
+
+
+
+# -- input tables ---------------------------------------------------------
+
+REQUIRED = object()  # the default of a table key that must be present
+_TYPE_NAMES = {int: "an int", bool: "true or false", str: "a string",
+               float: "a number in float range", dict: "a mapping",
+               list: "a list"}
+
+
+def decimal_text(text: str) -> str:
+    """Amount text that `read_decimal` reads, kept as text."""
+    read_decimal(text)
+    return text
+
+
+def read(kind, value, where: str = ""):
+    """`value` read by `kind`, or ValueError naming the dotted path (such
+    as ``pools.0.reserve1``) of the first key or value that it refuses.
+
+    A table, the kind of a mapping, maps each key to (kind, default): it
+    refuses a key it does not name, and an absent key takes the default
+    unless that is REQUIRED.  A list [kind] reads a list of such values, a
+    tuple one of its members (of the member's type), object any value, a
+    type of `_TYPE_NAMES` a value of just that type (true is no int, an
+    int is a float), and any other callable, such as an Enum, a string,
+    which it reads or refuses with ValueError.
+    """
+    if type(kind) is dict and type(value) is dict:
+        prefix = f"{where}." if where else ""
+        for key in value:
+            if key not in kind:
+                raise ValueError(f"unknown key {prefix}{key}")
+        for key, (_, default) in kind.items():
+            if default is REQUIRED and key not in value:
+                raise ValueError(f"{prefix}{key} is required")
+        return {key: read(item, value[key], f"{prefix}{key}")
+                if key in value else default
+                for key, (item, default) in kind.items()}
+    if type(kind) is tuple:
+        if any(type(value) is type(m) and value == m for m in kind):
+            return value
+        raise ValueError(f"{where} must be one of {kind}, got {value!r}")
+    if type(kind) is list and type(value) is list:
+        return [read(kind[0], item, f"{where}.{i}")
+                for i, item in enumerate(value)]
+    if type(kind) in (dict, list):  # a table or [kind]
+        kind = type(kind)
+    elif kind is object or type(value) is kind:
+        return value
+    elif kind is float and type(value) is int and abs(value) < 2 ** 1023:
+        return float(value)
+    elif kind not in _TYPE_NAMES and type(value) is str:
+        try:
+            return kind(value)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    raise ValueError(f"{where or 'the root'} must be "
+                     f"{_TYPE_NAMES.get(kind, 'a string')}, got {value!r}")
+

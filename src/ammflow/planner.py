@@ -68,19 +68,13 @@ class RelocationPlan:
         return self.x - self.x_recovered
 
     def to_dict(self) -> dict:
-        return {
-            "pools": [self.pool1, self.pool2],
-            "a": str(self.a),
-            "x": str(self.x),
-            "b": str(self.b),
-            "x_recovered": str(self.x_recovered),
-            "b_prime": str(self.b_prime),
-            "y": str(self.y),
-            "predicted_a_prime": str(self.predicted_a_prime),
-            "funding_policy": self.funding_policy.value,
-            "extraction_style": self.extraction_style.value,
-            "numeric_mode": self.mode.value,
-        }
+        return {"pools": [self.pool1, self.pool2],
+                **{name: str(getattr(self, name)) for name in (
+                    "a", "x", "b", "x_recovered", "b_prime", "y",
+                    "predicted_a_prime")},
+                "funding_policy": self.funding_policy.value,
+                "extraction_style": self.extraction_style.value,
+                "numeric_mode": self.mode.value}
 
 
 def _check_pair(pool1: PoolState, pool2: PoolState, asset: AssetId) -> AssetId:

@@ -8,7 +8,8 @@ traces.
 from __future__ import annotations
 
 import re
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
 from .amm import AmmError, AssetId, NumericMode, PoolState, amount_out, \
     format_amount, parse_amount, solve_input_for_output
@@ -16,6 +17,7 @@ from .engine import (Action, Address, ExecutionTrace, FillLimitOrder,
                      FlashBorrow, FlashRepay, FlashSwapBorrow, FlashSwapRepay,
                      INFRA_LABELS, LimitOrderIntent, Swap, Transfer,
                      WorldState, execute_bundle)
+from .numeric import REQUIRED, decimal_text, read
 from .planner import (ExtractionStyle, FundingPolicy, PlannerError,
                       RelocationPlan, build_relocation_bundle,
                       plan_relocation)
@@ -28,21 +30,14 @@ class ConfigError(Exception):
 _SCENARIO_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
 
 
-class ScenarioRun:
-    __slots__ = ("name", "world", "bundle", "initiator", "principal",
-                 "beneficiary", "plan")
-
-    def __init__(self, name: str, world: WorldState, bundle: list[Action],
-                 initiator: str, principal: str | None = None,
-                 beneficiary: str | None = None,
-                 plan: Optional[RelocationPlan] = None):
-        self.name = name
-        self.world = world
-        self.bundle = bundle
-        self.initiator = initiator
-        self.principal = principal
-        self.beneficiary = beneficiary
-        self.plan = plan
+class ScenarioRun(NamedTuple):
+    name: str
+    world: WorldState
+    bundle: list[Action]
+    initiator: str
+    principal: str | None = None
+    beneficiary: str | None = None
+    plan: Optional[RelocationPlan] = None
 
     def execute(self) -> tuple[WorldState, ExecutionTrace]:
         return execute_bundle(self.world, self.bundle, self.initiator,
@@ -301,80 +296,73 @@ def build_benign_routing(*, name: str = "benign_routing",
                        initiator="alice")
 
 
-# -- library ------------------------------------------------------------
+# -- config files and the library -----------------------------------------
 
 
-def library() -> dict[str, Callable[[], ScenarioRun]]:
-    return {
-        "relocation_sym_zero_fee": lambda: build_relocation_scenario(
-            name="relocation_sym_zero_fee"),
-        "relocation_asym_zero_fee": lambda: build_relocation_scenario(
-            name="relocation_asym_zero_fee",
-            reserves1=("250", "140"), reserves2=("180", "100.8"), a="12"),
-        "relocation_operator_is_principal": lambda:
-            build_relocation_scenario(
-                name="relocation_operator_is_principal",
-                operator_is_principal=True),
-        "relocation_fee_calibrated": build_calibrated_relocation_scenario,
-        "peb_limit_order": lambda: build_peb_scenario(
-            name="peb_limit_order", variant="flash_loan"),
-        "peb_flash_swap": lambda: build_peb_scenario(
-            name="peb_flash_swap", variant="flash_swap"),
-        "benign_arbitrage": build_benign_arbitrage,
-        "benign_routing": build_benign_routing,
-    }
-
-
-# -- config files -------------------------------------------------------
-
-
-_KINDS = {str: "a string: an address, or a decimal string for an amount",
-          bool: "true or false", int: "an integer"}
-# each param's type, or the conversion that reads it
-_PARAMS = {"numeric_mode": NumericMode, "fee_bps": int, "a": str,
-           "making": str, "taking": str, "receiver": str,
+# each param's kind; a param a config leaves out takes the builder's default
+_PARAMS = {"numeric_mode": NumericMode, "fee_bps": int, "a": decimal_text,
+           "making": decimal_text, "taking": decimal_text, "receiver": str,
            "operator_is_principal": bool, "route_via_settlement": bool,
            "funding_policy": FundingPolicy,
            "extraction_style": ExtractionStyle}
 _PEB_PARAMS = ("making", "taking", "fee_bps", "receiver",
                "route_via_settlement", "numeric_mode")
 # recipe -> (builder, fixed arguments, params read, {pool id: argument});
-# what a config leaves out takes the builder's own default
+# the builder is looked up by name, so a wrapper bench/spans.py puts on it
+# sees each build
 _RECIPES = {
     "RelocationZeroFee": (
-        build_relocation_scenario, {},
+        "build_relocation_scenario", {},
         ("numeric_mode", "fee_bps", "a", "operator_is_principal",
          "funding_policy", "extraction_style"),
         {"pool1": "reserves1", "pool2": "reserves2"}),
-    "RelocationFeeCalibrated": (build_calibrated_relocation_scenario, {},
+    "RelocationFeeCalibrated": ("build_calibrated_relocation_scenario", {},
                                 (), {}),
-    "PEBLimitOrder": (build_peb_scenario, {"variant": "flash_loan"},
+    "PEBLimitOrder": ("build_peb_scenario", {"variant": "flash_loan"},
                       _PEB_PARAMS, {"pool": "pool_reserves"}),
-    "PEBFlashSwapVariant": (build_peb_scenario, {"variant": "flash_swap"},
+    "PEBFlashSwapVariant": ("build_peb_scenario", {"variant": "flash_swap"},
                             _PEB_PARAMS, {"pool": "pool_reserves"}),
-    "BenignArbitrage": (build_benign_arbitrage, {},
+    "BenignArbitrage": ("build_benign_arbitrage", {},
                         ("numeric_mode", "fee_bps"), {}),
-    "BenignRouting": (build_benign_routing, {}, ("numeric_mode",), {}),
+    "BenignRouting": ("build_benign_routing", {}, ("numeric_mode",), {}),
 }
-RECIPES = tuple(_RECIPES)
-_CONFIG_KEYS = ("schema_version", "scenario", "recipe", "params", "pools")
-_POOL_KEYS = ("id", "reserve0", "reserve1")
+# the keys of every config, read first to find its recipe, whose table
+# then reads the whole config again, params and pools included
+_CONFIG = {"schema_version": ((1,), REQUIRED),
+           "scenario": (str, REQUIRED),
+           "recipe": (tuple(_RECIPES), REQUIRED), "params": (dict, {}),
+           "pools": (list, [])}
+_RECIPE_TABLES = {
+    recipe: {**_CONFIG,
+             "params": ({key: (_PARAMS[key], None) for key in params}, {}),
+             "pools": ([{"id": (tuple(pools), REQUIRED),
+                         "reserve0": (decimal_text, REQUIRED),
+                         "reserve1": (decimal_text, REQUIRED)}], [])}
+    for recipe, (_, _, params, pools) in _RECIPES.items()}
 
 
-def _refuse_unknown(keys, known, what: str) -> None:
-    if unknown := sorted(str(k) for k in keys if k not in known):
-        raise ConfigError(f"{what} {', '.join(unknown)}")
-
-
-def _read_param(key: str, value):
-    kind = _PARAMS[key]
-    if kind not in _KINDS:
-        return kind(value)
-    # bool is a subclass of int, but true is not an integer input
-    if not isinstance(value, kind) or kind is int and isinstance(value, bool):
-        raise TypeError(f"param {key} must be {_KINDS[kind]}, "
-                        f"got {value!r}")
-    return value
+def _build(data) -> ScenarioRun:
+    """The run that a config, as YAML parses it, describes."""
+    try:
+        config = read(_RECIPE_TABLES[read(_CONFIG, data)["recipe"]], data)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    # the name becomes a directory under --out, so no path syntax
+    if not _SCENARIO_NAME.fullmatch(config["scenario"]):
+        raise ConfigError(f"scenario {config['scenario']!r} is not letters, "
+                          "digits, '_', '-' and '.' (not first)")
+    builder, fixed, _, pool_args = _RECIPES[config["recipe"]]
+    kwargs = {"mode" if key == "numeric_mode" else key: value
+              for key, value in config["params"].items() if value is not None}
+    for entry in config["pools"]:
+        argument = pool_args[entry["id"]]
+        if argument in kwargs:
+            raise ConfigError(f"pool {entry['id']} is listed twice")
+        kwargs[argument] = (entry["reserve0"], entry["reserve1"])
+    try:
+        return globals()[builder](name=config["scenario"], **fixed, **kwargs)
+    except (ValueError, AmmError, PlannerError) as exc:
+        raise ConfigError(f"bad scenario parameters: {exc}") from exc
 
 
 def load_scenario_config(path: str) -> ScenarioRun:
@@ -386,49 +374,42 @@ def load_scenario_config(path: str) -> ScenarioRun:
             data = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a mapping")
-    _refuse_unknown(data, _CONFIG_KEYS, "unknown config keys")
-    if data.get("schema_version") != 1:
-        raise ConfigError("config requires schema_version: 1")
-    name = data.get("scenario")
-    # the name becomes a directory under --out, so no path syntax
-    if not isinstance(name, str) or not _SCENARIO_NAME.fullmatch(name):
-        raise ConfigError("config requires a scenario name of letters, "
-                          f"digits, '_', '-' and '.' (not first), got "
-                          f"{name!r}")
-    recipe = data.get("recipe")
-    if recipe not in RECIPES:
-        raise ConfigError(f"unknown recipe {recipe!r}; expected one of "
-                          f"{', '.join(RECIPES)}")
-    params = data.get("params") or {}
-    if not isinstance(params, dict):
-        raise ConfigError("params must be a mapping")
-    pool_list = data.get("pools") or []
-    if not isinstance(pool_list, list) \
-            or not all(isinstance(p, dict) for p in pool_list):
-        raise ConfigError("pools must be a list of mappings")
-    builder, fixed, read, pool_args = _RECIPES[recipe]
-    pools: dict[str, dict] = {}
-    for entry in pool_list:
-        pool_id = entry.get("id")
-        if not isinstance(pool_id, str) or pool_id not in pool_args:
-            raise ConfigError(f"recipe {recipe} reads no pool {pool_id!r}")
-        if pool_id in pools:
-            raise ConfigError(f"pool {pool_id} is listed twice")
-        _refuse_unknown(entry, _POOL_KEYS, f"pool {pool_id} has unknown keys")
-        pools[pool_id] = entry
-    try:
-        kwargs = {"mode" if key == "numeric_mode" else key:
-                  _read_param(key, params[key])
-                  for key in read if key in params}
-        for pool_id, entry in pools.items():
-            kwargs[pool_args[pool_id]] = (str(entry["reserve0"]),
-                                          str(entry["reserve1"]))
-        run = builder(name=name, **fixed, **kwargs)
-    except (TypeError, ValueError, KeyError, AmmError,
-            PlannerError) as exc:
-        raise ConfigError(f"bad scenario parameters: {exc}") from exc
-    # a key no recipe argument read is a typo, not a default
-    _refuse_unknown(params, read, f"recipe {recipe} does not read params")
-    return run
+    return _build(data)
+
+
+# the shipped configs, as YAML parses them, by scenario name
+_LIBRARY = [
+    {"schema_version": 1, "scenario": "relocation_sym_zero_fee",
+     "recipe": "RelocationZeroFee",
+     "params": {"numeric_mode": "rational", "fee_bps": 0, "a": "10"},
+     "pools": [{"id": "pool1", "reserve0": "100", "reserve1": "100"},
+               {"id": "pool2", "reserve0": "100", "reserve1": "100"}]},
+    {"schema_version": 1, "scenario": "relocation_asym_zero_fee",
+     "recipe": "RelocationZeroFee",
+     "params": {"numeric_mode": "rational", "fee_bps": 0, "a": "12"},
+     "pools": [{"id": "pool1", "reserve0": "250", "reserve1": "140"},
+               {"id": "pool2", "reserve0": "180", "reserve1": "100.8"}]},
+    {"schema_version": 1, "scenario": "relocation_operator_is_principal",
+     "recipe": "RelocationZeroFee",
+     "params": {"numeric_mode": "rational", "fee_bps": 0, "a": "10",
+                "operator_is_principal": True}},
+    {"schema_version": 1, "scenario": "relocation_fee_calibrated",
+     "recipe": "RelocationFeeCalibrated", "params": {}},
+    *({"schema_version": 1, "scenario": name, "recipe": recipe,
+       "params": {"numeric_mode": "rational", "making": "1000",
+                  "taking": "990", "fee_bps": 30},
+       "pools": [{"id": "pool", "reserve0": "1000000",
+                  "reserve1": "1000000"}]}
+      for name, recipe in (("peb_limit_order", "PEBLimitOrder"),
+                           ("peb_flash_swap", "PEBFlashSwapVariant"))),
+    {"schema_version": 1, "scenario": "benign_arbitrage",
+     "recipe": "BenignArbitrage",
+     "params": {"numeric_mode": "rational", "fee_bps": 0}},
+    {"schema_version": 1, "scenario": "benign_routing",
+     "recipe": "BenignRouting", "params": {"numeric_mode": "rational"}},
+]
+
+
+def library() -> dict[str, Callable[[], ScenarioRun]]:
+    """Each shipped scenario's name and its build from the config rows."""
+    return {row["scenario"]: partial(_build, row) for row in _LIBRARY}

@@ -8,6 +8,7 @@ away.  No role label given to an address is consulted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .amm import BPS_DENOM, NumericMode
 from .engine import ExecutionTrace, WorldState, net_deltas
@@ -23,38 +24,23 @@ class Migration:
     amount: object
 
     def to_dict(self) -> dict:
-        return {
-            "principal": self.principal,
-            "beneficiary": self.beneficiary,
-            "asset": self.asset,
-            "amount": str(self.amount),
-        }
+        return dict(vars(self), amount=str(self.amount))
 
 
-class MigrationReport:
-    __slots__ = ("migrations", "roles", "efficiency", "executor_profit",
-                 "unresolved")
+class MigrationReport(NamedTuple):
+    migrations: list[Migration]
+    roles: dict[str, str]
+    efficiency: float | None
+    executor_profit: dict[str, object]
+    unresolved: list[dict]
     atomic = True  # a bundle applies fully or not at all
 
-    def __init__(self, migrations: list[Migration], roles: dict[str, str],
-                 efficiency: float | None, executor_profit: dict[str, object],
-                 unresolved: list[dict]):
-        self.migrations = migrations
-        self.roles = roles
-        self.efficiency = efficiency
-        self.executor_profit = executor_profit
-        self.unresolved = unresolved
-
     def to_dict(self) -> dict:
-        return {
-            "migrations": [m.to_dict() for m in self.migrations],
-            "roles": dict(sorted(self.roles.items())),
-            "efficiency": self.efficiency,
-            "atomic": self.atomic,
-            "executor_profit": {k: str(v)
-                                for k, v in sorted(self.executor_profit.items())},
-            "unresolved": self.unresolved,
-        }
+        return {**self._asdict(), "atomic": self.atomic,
+                "migrations": [m.to_dict() for m in self.migrations],
+                "roles": dict(sorted(self.roles.items())),
+                "executor_profit": {k: str(v) for k, v in
+                                    sorted(self.executor_profit.items())}}
 
     def summary(self) -> str:
         lines = []

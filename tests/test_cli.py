@@ -90,7 +90,7 @@ class TestSimulate:
         assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("text, message", [
-        ("- schema_version: 1\n", "config root must be a mapping"),
+        ("- schema_version: 1\n", "the root must be a mapping"),
         ("schema_version: 1\nscenario: x\nrecipe: RelocationZeroFee\n"
          "params: [a, 5]\n", "params must be a mapping"),
     ], ids=["root_is_a_list", "params_is_a_list"])
@@ -103,27 +103,37 @@ class TestSimulate:
         assert message in result.stderr
         assert "Traceback" not in result.stderr
 
-    @pytest.mark.parametrize("body", [
-        "recipe: RelocationZeroFee\nparams:\n  fee_bps: 30\n",
-        "recipe: RelocationZeroFee\nparams:\n  a: \"-5\"\n",
-        "recipe: PEBLimitOrder\nparams:\n  taking: \"2000000\"\n",
-        "recipe: BenignArbitrage\nparams:\n  fee_bps: 30.9\n",
-        "recipe: BenignArbitrage\nparams:\n  fee_bps: true\n",
-        "recipe: RelocationZeroFee\nparams:\n  a: \"Infinity\"\n",
-        "recipe: RelocationZeroFee\nparams:\n  a: \"1e30000\"\n",
-        "recipe: RelocationZeroFee\nparams:\n  a: \"1e3000000\"\n",
+    @pytest.mark.parametrize("body, message", [
+        ("recipe: RelocationZeroFee\nparams:\n  fee_bps: 30\n",
+         "bad scenario parameters"),
+        ("recipe: RelocationZeroFee\nparams:\n  a: \"-5\"\n",
+         "bad scenario parameters"),
+        ("recipe: PEBLimitOrder\nparams:\n  taking: \"2000000\"\n",
+         "bad scenario parameters"),
+        # the config table refuses these before any recipe runs
+        ("recipe: BenignArbitrage\nparams:\n  fee_bps: 30.9\n",
+         "params.fee_bps must be an int, got 30.9"),
+        ("recipe: BenignArbitrage\nparams:\n  fee_bps: true\n",
+         "params.fee_bps must be an int, got True"),
+        ("recipe: RelocationZeroFee\nparams:\n  a: \"Infinity\"\n",
+         "params.a: bad amount 'Infinity'"),
+        ("recipe: RelocationZeroFee\nparams:\n  a: \"1e30000\"\n",
+         "params.a: amount '1e30000' is not below 10**78"),
+        ("recipe: RelocationZeroFee\nparams:\n  a: \"1e3000000\"\n",
+         "params.a: amount '1e3000000' is not below 10**78"),
     ], ids=["fee_outside_exact_field", "negative_principal",
             "taking_drains_pool", "fee_not_an_integer", "fee_is_a_boolean",
             "infinite_principal", "principal_past_str_limit",
             "principal_exponent_huge"])
-    def test_recipe_failure_exits_2(self, cli, tmp_path, body):
+    def test_recipe_failure_exits_2(self, cli, tmp_path, body, message):
         config = tmp_path / "bad.yaml"
         config.write_text("schema_version: 1\nscenario: x\n" + body,
                           encoding="utf-8")
         result = cli(["simulate", str(config),
                       "--out", str(tmp_path / "runs")])
         assert result.exit_code == 2, result.stderr
-        assert "bad scenario parameters" in result.stderr
+        assert result.stderr.startswith("Error: config error: ")
+        assert message in result.stderr
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("body", [
@@ -142,6 +152,48 @@ class TestSimulate:
         assert result.stderr.startswith("Error: config error: bundle does "
                                         "not execute: E holds")
         assert result.stderr.count("\n") == 1
+        assert not (tmp_path / "runs").exists()
+
+    def test_two_sources_of_one_scenario_exit_2_before_a_write(self, cli,
+                                                                tmp_path):
+        config = tmp_path / "dup.yaml"
+        config.write_text("schema_version: 1\nscenario: "
+                          "relocation_sym_zero_fee\nrecipe: BenignRouting\n",
+                          encoding="utf-8")
+        result = cli(["simulate", "relocation_sym_zero_fee", str(config),
+                      "--out", str(tmp_path / "runs")])
+        assert result.exit_code == 2, result.stderr
+        assert result.stderr == ("Error: two sources name the scenario "
+                                 "relocation_sym_zero_fee\n")
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        (("params",), 0, "params must be a mapping, got 0"),
+        (("params",), [], "params must be a mapping, got []"),
+        (("pools",), {}, "pools must be a list, got {}"),
+        (("schema_version",), True, "schema_version must be one of (1,)"),
+        (("schema_version",), 1.0, "schema_version must be one of (1,)"),
+        (("pools", 0, "reserve1"), 1000,
+         "pools.0.reserve1 must be a string, got 1000"),
+        (("pools", 0, "reserve1"), 100.5,
+         "pools.0.reserve1 must be a string, got 100.5"),
+    ])
+    def test_a_value_the_config_table_refuses_exits_2(self, cli, tmp_path,
+                                                      field, value, message):
+        import yaml
+        from importlib import resources
+        data = yaml.safe_load((resources.files("ammflow") / "configs"
+                               / "relocation_sym.yaml").read_text())
+        holder = data
+        for key in field[:-1]:
+            holder = holder[key]
+        holder[field[-1]] = value
+        config = tmp_path / "bad.yaml"
+        config.write_text(yaml.safe_dump(data), encoding="utf-8")
+        result = cli(["simulate", str(config),
+                      "--out", str(tmp_path / "runs")])
+        assert result.exit_code == 2, result.stderr
+        assert result.stderr.startswith(f"Error: config error: {message}")
         assert not (tmp_path / "runs").exists()
 
     def test_library_name_wins_in_config_hash(self, cli, tmp_path,
@@ -272,6 +324,25 @@ class TestAnalyze:
                       "--beneficiary", "B"])
         assert result.exit_code == 2, result.stderr
         assert "bad trace file" in result.stderr
+
+    @pytest.mark.parametrize("where, key, value, message", [
+        ("root", "mode", "float", "mode: 'float' is not a valid NumericMode"),
+        ("root", "extra", 1, "unknown key extra"),
+        ("event", "extra", 1, "unknown key events.0.extra"),
+        ("event", "bundle_id", 3, "events.0.bundle_id must be a string, got 3"),
+        ("event", "amount", 5, "events.0.amount must be a string, got 5"),
+        ("call", "extra", 1, "unknown key calls.0.extra"),
+    ])
+    def test_a_field_the_trace_table_refuses_is_named(self, cli, tmp_path,
+                                                      where, key, value,
+                                                      message):
+        trace = tmp_path / "bad.json"
+        trace.write_text(json.dumps(one_event(where, key, value)),
+                         encoding="utf-8")
+        result = cli(["analyze", str(trace), "--principal", "P",
+                      "--beneficiary", "B"])
+        assert result.exit_code == 2, result.stderr
+        assert result.stderr == f"Error: bad trace file: {message}\n"
 
     def test_cross_field_sum_exits_2(self, cli, tmp_path):
         # a Q(sqrt(2)) amount meets the Q(sqrt(21)) ones in O's TOKA sum:
@@ -406,6 +477,16 @@ class TestCalibrate:
         assert result.exit_code == 2, result.stderr
         assert "bad observations file" in result.stderr
 
+    def test_an_unknown_key_exits_2(self, cli, tmp_path):
+        from ammflow.calibration import PUBLISHED_OBSERVATIONS
+        path = tmp_path / "obs.json"
+        path.write_text(json.dumps({**PUBLISHED_OBSERVATIONS.to_dict(),
+                                    "extra": 1}), encoding="utf-8")
+        result = cli(["calibrate", "--observations", str(path)])
+        assert result.exit_code == 2, result.stderr
+        assert result.stderr == \
+            "Error: bad observations file: unknown key extra\n"
+
     def test_bad_file_exits_2(self, cli, tmp_path):
         path = tmp_path / "obs.json"
         for body in ("not json", "[1, 2]"):  # the second is not an object
@@ -496,12 +577,18 @@ def run_python(*args):
                           capture_output=True, text=True)
 
 
-def test_cold_import_loads_neither_click_nor_yaml():
-    # nor the claims, which only selftest reads
-    proc = run_python("-c", "import sys, ammflow.cli; print(sorted({"
-                      "'click', 'yaml', 'ammflow.claims'} & set(sys.modules)))")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+def test_cold_import_loads_neither_click_nor_yaml(tmp_path):
+    # nor the claims, which only selftest reads; the library's rows are
+    # read by the config reader, so simulating them needs no YAML either
+    for work in ("", "from ammflow.scenarios import library; main(["
+                 "'simulate', *library(), '--out', sys.argv[1]], False); "):
+        proc = run_python("-c", "import sys; from ammflow.cli import main; "
+                          f"{work}print(sorted({{'click', 'yaml', "
+                          "'ammflow.claims'} & set(sys.modules)), "
+                          "file=sys.stderr)", str(tmp_path / "runs"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "[]\n", work
+    assert len(list(tmp_path.glob("runs/*/manifest.json"))) == 8
 
 
 def test_module_entry_point_exits_with_status(tmp_path):

@@ -7,7 +7,9 @@ class bodies (whose names are attributes, not locals) are not checked.
 Every public module-level function and class of the package must be
 referenced somewhere in `src/`, `tests/` or `bench/`, `__all__` apart: by
 a load (a name or an attribute), an import, or a string naming it, as
-`bench/spans.py` names the functions it wraps.
+`bench/spans.py` names the functions it wraps.  A private module-level
+function, class or constant belongs to its module, so the module itself
+must load it.
 """
 
 import ast
@@ -71,6 +73,23 @@ def public_definitions(tree: ast.Module) -> list[str]:
             and not node.name.startswith("_")]
 
 
+def private_definitions(tree: ast.Module) -> list[str]:
+    """The module-level functions, classes and assigned names that begin
+    with one underscore."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            found.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            found += [n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+    return [name for name in found
+            if name.startswith("_") and not name.startswith("__")]
+
+
 def own_scope(function: ast.AST):
     """The nodes of a function's body, not descending into nested
     functions, lambdas or classes."""
@@ -124,6 +143,14 @@ def test_no_dead_public_definitions():
     assert [d for d in defined if d.split(": ")[1] not in used] == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_dead_private_definitions(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = loaded_names(tree)
+    assert [name for name in private_definitions(tree)
+            if name not in used] == []
+
+
 def test_checks_catch_what_they_name():
     tree = ast.parse(
         "import os\nfrom x import y as z\n"
@@ -141,3 +168,10 @@ def test_checks_catch_what_they_name():
         "def _i():\n    return x.j, 'k'\n")
     assert public_definitions(tree) == ["g", "H"]
     assert references(tree) == {"f", "x", "j", "k"}
+    tree = ast.parse(
+        "_A, (_B, c) = 1, (2, 3)\n_C: int = 4\n__d__ = 5\n"
+        "def _f():\n    return _A\n"
+        "class _K:\n    _e = 6\n")
+    assert private_definitions(tree) == ["_A", "_B", "_C", "_f", "_K"]
+    assert [name for name in private_definitions(tree)
+            if name not in loaded_names(tree)] == ["_B", "_C", "_f", "_K"]

@@ -2,6 +2,7 @@ import copy
 import math
 import operator
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -546,3 +547,40 @@ def test_constructor_refuses_broken_invariant(p, q, d):
     x = QuadExact(p, q, d)
     assert in_q(x) and x == make_exact(p, q, d)
     assert x == (p + q * rational_sqrt(d) if q else p)
+
+
+READ_TABLE = {"n": (int, numeric.REQUIRED), "f": (float, 0.0),
+              "b": (bool, False), "c": (("x", 1), "x"),
+              "items": ([{"id": (str, numeric.REQUIRED)}], []),
+              "mode": (NumericMode, None), "any": (object, None)}
+
+
+@pytest.mark.parametrize("data, message", [
+    ({}, "n is required"),
+    ({"n": True}, "n must be an int, got True"),
+    ({"n": 1, "f": "1"}, "f must be a number in float range, got '1'"),
+    ({"n": 1, "f": 10 ** 400}, "f must be a number in float range"),
+    ({"n": 1, "c": True}, "c must be one of ('x', 1), got True"),
+    ({"n": 1, "c": 1.0}, "c must be one of ('x', 1), got 1.0"),
+    ({"n": 1, "items": {}}, "items must be a list, got {}"),
+    ({"n": 1, "items": [{"id": 5}]}, "items.0.id must be a string, got 5"),
+    ({"n": 1, "items": [{"id": "a", "k": 1}]}, "unknown key items.0.k"),
+    ({"n": 1, "mode": "float"}, "mode: 'float' is not a valid NumericMode"),
+    ({"n": 1, "mode": 1}, "mode must be a string, got 1"),
+    ([], "the root must be a mapping, got []"),
+])
+def test_read_refuses_naming_the_path(data, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        numeric.read(READ_TABLE, data)
+
+
+def test_read_fills_defaults_and_reads_each_kind():
+    values = numeric.read(READ_TABLE, {
+        "n": 1, "f": 2, "c": 1, "items": [{"id": "a"}], "mode": "integer",
+        "any": [None]})
+    assert values == {"n": 1, "f": 2.0, "b": False, "c": 1,
+                      "items": [{"id": "a"}], "mode": NumericMode.INTEGER,
+                      "any": [None]}
+    assert type(values["f"]) is float
+    assert numeric.read({"a": (numeric.decimal_text, None)},
+                        {"a": "1.5e3"}) == {"a": "1.5e3"}

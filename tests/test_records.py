@@ -1,9 +1,10 @@
 """The library's records: tuples, checked tuples and slotted classes.
 
-Actions, call records and graph edges are NamedTuples; `AssetId`,
-`Address`, `LimitOrderIntent` and `ObservationSet` are NamedTuples whose
-every construction runs the record's check; the mutable containers are
-plain classes with `__slots__`.  Each takes its fields by position and by
+Actions, call records, graph edges, transfer graphs, migration reports
+and scenario runs are NamedTuples; `AssetId`, `Address`,
+`LimitOrderIntent` and `ObservationSet` are NamedTuples whose every
+construction runs the record's check; the records that default a
+container to a fresh empty one are plain classes with `__slots__`.  Each takes its fields by position and by
 keyword, with a default only where some caller leaves the field out.  A
 field that takes one value is a class constant, not a parameter, and a
 `WorldState` starts empty: its state is set through its methods.

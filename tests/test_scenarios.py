@@ -175,7 +175,7 @@ class TestConfigLoading:
             params:
               a: 5
             """)
-        with pytest.raises(ConfigError, match="decimal string"):
+        with pytest.raises(ConfigError, match="params.a must be a string"):
             load_scenario_config(path)
 
     @pytest.mark.parametrize("recipe,key", [
@@ -211,32 +211,33 @@ class TestConfigLoading:
             params:
               fee_bps: [1]
             """)
-        with pytest.raises(ConfigError, match="bad scenario parameters"):
+        with pytest.raises(ConfigError,
+                           match=re.escape("params.fee_bps must be an int")):
             load_scenario_config(path)
 
     @pytest.mark.parametrize("recipe, tail, message", [
         ("RelocationZeroFee", "paramz: {numeric_mode: integer}\n",
-         "unknown config keys paramz"),
+         "unknown key paramz"),
         ("RelocationZeroFee",
          "pools:\n  - {id: [1], reserve0: '1', reserve1: '1'}\n",
-         "reads no pool [1]"),
+         "pools.0.id must be one of ('pool1', 'pool2'), got [1]"),
         ("RelocationZeroFee",
          "pools:\n  - {id: poolX, reserve0: '1', reserve1: '1'}\n",
-         "reads no pool 'poolX'"),
+         "pools.0.id must be one of ('pool1', 'pool2'), got 'poolX'"),
         ("RelocationFeeCalibrated",
          "pools:\n  - {id: pool1, reserve0: '1', reserve1: '1'}\n",
-         "reads no pool 'pool1'"),
+         "pools.0.id must be one of (), got 'pool1'"),
         ("RelocationZeroFee",
          "pools:\n  - {id: pool1, reserve0: '1', reserve1: '1'}\n"
          "  - {id: pool1, reserve0: '2', reserve1: '1'}\n",
          "pool pool1 is listed twice"),
         ("PEBLimitOrder",
          "pools:\n  - {id: pool, reserve0: '1', reserve1: '1', fee: 3}\n",
-         "pool pool has unknown keys fee"),
+         "unknown key pools.0.fee"),
         ("PEBLimitOrder", "params: {receiver: 5}\n",
-         "receiver must be a string: an address"),
+         "params.receiver must be a string, got 5"),
         ("PEBLimitOrder", "params: {receiver: null}\n",
-         "receiver must be a string: an address"),
+         "params.receiver must be a string, got None"),
     ], ids=["top-level typo", "list id", "unread id", "pool for no pool",
             "repeated id", "pool key typo", "int receiver", "null receiver"])
     def test_every_key_is_read_or_refused(self, tmp_path, recipe, tail,
@@ -252,6 +253,16 @@ class TestConfigLoading:
         path.write_text("{{nope", encoding="utf-8")
         with pytest.raises(ConfigError):
             load_scenario_config(str(path))
+
+    def test_each_shipped_config_is_its_library_row(self):
+        import yaml
+        from importlib import resources
+        from ammflow.scenarios import _LIBRARY
+        rows = {row["scenario"]: row for row in _LIBRARY}
+        for path in (resources.files("ammflow") / "configs").iterdir():
+            data = yaml.safe_load(path.read_text(encoding="utf-8"))
+            assert rows.pop(data["scenario"]) == data, path.name
+        assert rows == {}
 
     def test_shipped_configs_all_load(self):
         from importlib import resources
