@@ -1,10 +1,11 @@
 """Constant-product pool arithmetic in two numeric modes.
 
 Rational mode keeps reserves as exact ``QuadExact`` elements, of Q (the
-degree-1 level, where every parsed amount starts) or of one quadratic
-field, and preserves the reserve product exactly at zero fee.  Integer
-mode keeps reserves as big-integer smallest units and floors every swap
-output, matching Uniswap-V2-style on-chain semantics.
+degree-1 level, where every parsed amount starts and a caller's Fraction
+enters) or of one quadratic field, and preserves the reserve product
+exactly at zero fee.  Integer mode keeps reserves as big-integer smallest
+units and floors every swap output, matching Uniswap-V2-style on-chain
+semantics.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .numeric import ExactNumber, QuadExact, exact_div, read_decimal
+from .numeric import ExactNumber, QuadExact, as_q, exact_div, read_decimal
 
 BPS_DENOM = 10_000
 
@@ -129,6 +130,9 @@ class PoolState:
     mode: NumericMode = NumericMode.RATIONAL
 
     def __post_init__(self):
+        # setattr keeps the attributes inline, where reads are fastest
+        object.__setattr__(self, "reserve0", as_q(self.reserve0))
+        object.__setattr__(self, "reserve1", as_q(self.reserve1))
         if not all(is_amount(r, self.mode) and r > 0
                    for r in (self.reserve0, self.reserve1)):
             raise ValueError(
@@ -160,10 +164,12 @@ class PoolState:
     def with_reserves(self, asset_in: AssetId, reserve_in,
                       reserve_out) -> "PoolState":
         """This pool with asset_in's reserve set to reserve_in and the
-        other to reserve_out.  The copy skips `__post_init__`, so the
-        caller must pass positive reserves: a swap or flash swap of a
+        other to reserve_out.  The copy skips `__post_init__`'s check, so
+        the caller must pass positive reserves: a swap or flash swap of a
         valid pool by a positive amount yields them by construction."""
         new = object.__new__(PoolState)
+        if type(reserve_in) is Fraction or type(reserve_out) is Fraction:
+            reserve_in, reserve_out = as_q(reserve_in), as_q(reserve_out)
         if asset_in == self.asset0:
             new.__dict__.update(self.__dict__, reserve0=reserve_in,
                                 reserve1=reserve_out)

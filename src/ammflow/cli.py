@@ -151,7 +151,7 @@ def analyze(trace_path, principal, beneficiary):
     try:  # net_deltas refuses a sum across two quadratic fields
         trace = trace_from_dict(json.loads(path.read_text(encoding="utf-8")))
         report = recover_migrations(trace, None, None)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # or nests too deep
         raise UsageFailure(f"bad trace file: {exc}") from exc
 
     results = {sym: attribute(graph, principal, beneficiary)
@@ -172,7 +172,7 @@ def calibrate(observations):
         try:
             obs = ObservationSet.from_dict(
                 json.loads(path.read_text(encoding="utf-8")))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise UsageFailure(f"bad observations file: {exc}") from exc
     else:
         obs = PUBLISHED_OBSERVATIONS
@@ -212,7 +212,7 @@ def _read_run_file(path: Path) -> dict:
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
         read(_RUN_FILES[path.stem], data)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise UsageFailure(f"bad run file {path}: {exc}") from exc
     return data
 

@@ -15,7 +15,7 @@ from typing import NamedTuple, Union
 
 from .amm import (EXACT_TYPES, AssetId, NumericMode, PoolState, checked,
                   is_amount, keeps_fee_adjusted_k, swap_exact_in)
-from .numeric import (MAX_AMOUNT, REQUIRED, ExactNumber, exact_div,
+from .numeric import (MAX_AMOUNT, REQUIRED, ExactNumber, as_q, exact_div,
                       parse_exact, read)
 
 ROLE_LABELS = ("Principal", "Executor", "Beneficiary", "Operator",
@@ -96,7 +96,7 @@ class WorldState:
 
     def set_balance(self, addr: str, asset: AssetId, amount) -> None:
         self._check(amount)
-        self.balances[(addr, asset.symbol)] = amount
+        self.balances[(addr, asset.symbol)] = as_q(amount)
 
     def allowance(self, owner: str, spender: str, asset: AssetId):
         return self.allowances.get((owner, spender, asset.symbol), 0)
@@ -104,7 +104,7 @@ class WorldState:
     def approve(self, owner: str, spender: str, asset: AssetId,
                 amount) -> None:
         self._check(amount)
-        self.allowances[(owner, spender, asset.symbol)] = amount
+        self.allowances[(owner, spender, asset.symbol)] = as_q(amount)
 
     def copy(self) -> "WorldState":
         world = WorldState(self.mode)
@@ -484,7 +484,12 @@ def trace_from_dict(data: dict) -> ExecutionTrace:
     increasing seq, each by an amount in [0, 10**116), where zero is legal
     since integer swaps can floor an output to 0."""
     fields = read(_TRACE, data)
-    assets = {sym: AssetId(sym, dec) for sym, dec in fields["assets"].items()}
+    assets = {}
+    for sym, dec in fields["assets"].items():
+        try:
+            assets[sym] = AssetId(sym, dec)
+        except ValueError as exc:
+            raise ValueError(f"assets.{sym} is refused: {exc}") from None
     trace = ExecutionTrace(fields["bundle_id"], fields["initiator"])
     for i, ev in enumerate(fields["events"]):
         if not 0 <= ev["amount"] < MAX_AMOUNT:

@@ -7,8 +7,10 @@ repayments, balance deltas) stays inside that quadratic extension.
 ``QuadExact`` is the number type rational mode builds: Q is its degree-1
 level (b = 0), so equality checks like "pool reserves restored" are true
 equalities on ints, not tolerance comparisons.  Parsed amounts are ints
-or QuadExacts; a Fraction a caller passes in (a pool reserve, a balance,
-an action amount) is kept, and computes with Fraction's own operators.
+or QuadExacts, and `as_q` turns a Fraction that a caller stores as a
+pool reserve, a balance or an allowance, or passes to the planner, into
+the equal element of Q; a Fraction in an action a caller builds is kept,
+and computes with Fraction's own operators.
 Amounts compare exactly with Python's operators; ``sign()`` is the one
 sign method, and ``exact_div`` divides where both operands may be ints.
 
@@ -49,6 +51,13 @@ def _ratio(value: Rational) -> tuple[int, int]:
     if value.b:
         raise ValueError(f"{value} is not rational")
     return value.a, value.n
+
+
+def as_q(value):
+    """The element of Q that a Fraction equals; any other value as it is."""
+    if type(value) is Fraction:
+        return _element(value.numerator, 0, value.denominator, _Q)
+    return value
 
 
 def _element(a: int, b: int, n: int, field: tuple) -> QuadExact:
@@ -243,6 +252,11 @@ class QuadExact:
         return self if self.sign() >= 0 else -self
 
     # -- misc -----------------------------------------------------------
+
+    def __int__(self):  # truncates, as a Fraction's int() does
+        if self.b:
+            raise TypeError(f"{self} is irrational")
+        return -(-self.a // self.n) if self.a < 0 else self.a // self.n
 
     def __float__(self):
         return self.a / self.n + self.b / self.n * math.sqrt(self.d)

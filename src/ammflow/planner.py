@@ -17,7 +17,8 @@ from .amm import (BPS_DENOM, AssetId, NumericMode, PoolState, ZeroInput,
                   amount_out, solve_input_for_output, swap_exact_in)
 from .engine import (Action, FlashBorrow, FlashRepay, FlashSwapBorrow,
                      FlashSwapRepay, Swap, Transfer, TransferFrom)
-from .numeric import ExactNumber, ExactSqrtError, exact_sqrt, solve_quadratic
+from .numeric import (ExactNumber, ExactSqrtError, as_q, exact_sqrt,
+                      solve_quadratic)
 
 
 class PlannerError(Exception):
@@ -275,6 +276,9 @@ def plan_relocation(pool1: PoolState, pool2: PoolState, asset: AssetId,
     emitted bundle reproduces them exactly in either numeric mode.
     """
     counter = _check_pair(pool1, pool2, asset)
+    if pool1.mode is NumericMode.RATIONAL:  # a caller's Fraction enters Q
+        a, target, x_override, y_override = map(
+            as_q, (a, target, x_override, y_override))
 
     x = x_override if x_override is not None \
         else solve_flash_amount(pool1, pool2, asset, a)

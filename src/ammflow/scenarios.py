@@ -372,7 +372,7 @@ def load_scenario_config(path: str) -> ScenarioRun:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:  # or nests too deep
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     return _build(data)
 

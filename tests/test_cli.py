@@ -625,3 +625,57 @@ def test_simulate_rerun_byte_identical(cli, tmp_path):
                  "manifest.json", "plan.json"):
         assert (out1 / "relocation_sym_zero_fee" / name).read_bytes() == \
             (out2 / "relocation_sym_zero_fee" / name).read_bytes()
+
+
+@pytest.mark.parametrize("decimals, message", [
+    (18.5, "asset decimals must be an int, got 18.5"),
+    (True, "asset decimals must be an int, got True"),
+    (39, "asset decimals must be in [0, 38]"),
+], ids=["decimals_a_float", "decimals_a_bool", "decimals_above_38"])
+def test_asset_decimals_refusal_names_the_asset(cli, tmp_path, decimals,
+                                                 message):
+    trace = tmp_path / "bad.json"
+    trace.write_text(json.dumps(one_event("root", "assets",
+                                          {"TOKA": decimals})),
+                     encoding="utf-8")
+    result = cli(["analyze", str(trace), "--principal", "P",
+                  "--beneficiary", "B"])
+    assert result.exit_code == 2, result.stderr
+    assert result.stderr == \
+        f"Error: bad trace file: assets.TOKA is refused: {message}\n"
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("command", ["analyze", "calibrate", "report"])
+def test_deeply_nested_json_exits_2(cli, tmp_path, command):
+    # json.loads raises RecursionError long before 100,000 levels
+    run_dir = tmp_path / "runs" / "deep"
+    run_dir.mkdir(parents=True)
+    source = run_dir / "manifest.json"
+    source.write_text(DEEP_JSON, encoding="utf-8")
+    argv = {"analyze": ["analyze", str(source), "--principal", "P",
+                        "--beneficiary", "B"],
+            "calibrate": ["calibrate", "--observations", str(source)],
+            "report": ["report", str(tmp_path / "runs")]}[command]
+    result = cli(argv)
+    assert result.exit_code == 2, result.stderr
+    assert result.stderr.startswith("Error: bad ")
+    assert result.stderr.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.rglob("*")) == \
+        ["deep", "manifest.json", "runs"]
+
+
+@pytest.mark.parametrize("text", [
+    "a: " + "[" * 5000 + "]" * 5000,
+    "{a: " * 5000 + "}" * 5000,
+], ids=["a_list_5000_deep", "a_mapping_5000_deep"])
+def test_deeply_nested_config_exits_2(cli, tmp_path, text):
+    config = tmp_path / "deep.yaml"
+    config.write_text(text, encoding="utf-8")
+    result = cli(["simulate", str(config), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.stderr
+    assert result.stderr.startswith("Error: config error: ")
+    assert result.stderr.count("\n") == 1
+    assert not (tmp_path / "out").exists()

@@ -14,7 +14,8 @@ empty and a full list and mapping, a bool, an int, a float, a string),
 or moves its value: a decimal string or a number times 10 and over 10, a
 negated amount, a number as a float, `fee_bps` 9999.  Every mutation runs
 alone, and a derandomized Hypothesis strategy draws a fixed number of
-pairs of them.
+pairs of them.  One more mutation per input nests its deepest field past
+the reader's recursion limit.
 
 The oracle reads the same tables.  A value of a type the table refuses
 must exit 2 with one `Error:` line that names the field's dotted path.  A
@@ -280,12 +281,11 @@ def files_outside(root: Path) -> set[str]:
             and out not in p.parents and not p.name.startswith("input.")}
 
 
-def run_mutant(cli, root: Path, case, data, changes):
-    """The failures of one mutant of case's sample, run in root."""
+def write_mutant(root: Path, case, data, changes, dump) -> list[str]:
+    """Write one mutant of case's sample in root, each file by dump, and
+    return the argv of the command that reads it."""
     kind, _, _ = case_data(case)
-    dump, command, options, verdicts = KINDS[kind]
-    what = ", ".join(f"{'.'.join(map(str, path))} = {value!r}"
-                     for path, value, _ in changes)
+    _, command, options, _ = KINDS[kind]
     out = root / "out"
     if kind == "run":  # the other run files stay as simulated
         run_dir = out / "relocation_sym_zero_fee"
@@ -303,6 +303,17 @@ def run_mutant(cli, root: Path, case, data, changes):
         argv = [*command, str(source), *options]
         if kind == "yaml":
             argv += ["--out", str(out)]
+    return argv
+
+
+def run_mutant(cli, root: Path, case, data, changes):
+    """The failures of one mutant of case's sample, run in root."""
+    kind, _, _ = case_data(case)
+    dump, _, _, verdicts = KINDS[kind]
+    what = ", ".join(f"{'.'.join(map(str, path))} = {value!r}"
+                     for path, value, _ in changes)
+    out = root / "out"
+    argv = write_mutant(root, case, data, changes, dump)
     try:
         result = cli(argv)
     except Exception as exc:  # a traceback on the command line
@@ -358,6 +369,35 @@ def test_two_field_mutations_follow_the_tables(cli, tmp_path, monkeypatch,
     monkeypatch.chdir(tmp_path)  # a relative write would land here
     failures = run_mutant(cli, tmp_path, case, case_data(case)[1], changes)
     assert failures == [], "\n".join(failures)
+    assert files_outside(tmp_path) == set()
+
+
+DEEP = "<deeply nested>"  # a value that `deep_dump` writes nested
+
+
+def deep_dump(kind):
+    """json.dumps, but writing the value DEEP nested past the reader's
+    recursion limit, which json.dumps itself would hit: 100,000 lists
+    deep, or in a config 5,000 mappings `{"a": ...}` deep, which PyYAML
+    refuses in milliseconds where a list that deep takes it a second."""
+    deep = '{"a": ' * 5_000 + "1" + "}" * 5_000 if kind == "yaml" \
+        else "[" * 100_000 + "]" * 100_000
+    return lambda data: json.dumps(data).replace(json.dumps(DEEP), deep)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_deep_nesting_exits_2(cli, tmp_path, monkeypatch, case):
+    """The deepest field of each input, nested too deep to read, is one
+    refusal, not a traceback."""
+    monkeypatch.chdir(tmp_path)  # a relative write would land here
+    kind, data, _ = case_data(case)
+    deepest = max(paths(data), key=len)
+    result = cli(write_mutant(tmp_path, case, data,
+                              [(deepest, DEEP, REFUSED)], deep_dump(kind)))
+    assert result.exit_code == 2, result.stderr
+    assert result.stderr.startswith("Error: ")
+    assert result.stderr.count("\n") == 1
+    assert not (tmp_path / "out" / "report.json").exists()
     assert files_outside(tmp_path) == set()
 
 
