@@ -65,8 +65,8 @@ def build_graph(trace: ExecutionTrace, asset: AssetId) -> TransferGraph:
 def _implicit_initials(edges: list[tuple[str, str, object]]) -> dict:
     """Per node, the largest prefix deficit: outflow not covered by inflow.
 
-    That deficit is the node's implicit initial balance; for intermediaries
-    it counts as unattributed value.
+    That deficit is the node's implicit initial balance, the one starting
+    balance that attribution and haircut taint both read.
     """
     held: dict = {}
     initial: dict = {}
@@ -185,17 +185,16 @@ def taint_poison(graph: TransferGraph,
 def taint_haircut(graph: TransferGraph,
                   tainted: set[str]) -> dict[str, float]:
     """Proportional dilution: each edge carries the sender's current taint
-    fraction and flagged sources stay fully tainted.  A sender that pays
-    more than it holds is topped up to the amount paid with clean value,
-    its implicit initial balance.  The sums are exact in the graph's own
-    numbers, so dirty <= held by construction and each fraction is
-    rounded to float once."""
-    held: dict = defaultdict(int)
+    fraction and flagged sources stay fully tainted.  Every node holds its
+    implicit initial balance, clean, from the start, as in attribution, so
+    a late overdraft dilutes earlier payouts too.  The sums are exact in
+    the graph's own numbers, so dirty <= held and each fraction is rounded
+    to float once."""
+    edges = _edges(graph)[0]
+    held = defaultdict(int, _implicit_initials(edges))
     # an exact zero keeps each quotient below exact (int / int is a float)
     dirty: dict = defaultdict(QuadExact)
-    for src, dst, amount in _edges(graph)[0]:
-        if held[src] < amount:
-            held[src] = amount
+    for src, dst, amount in edges:
         if src in tainted:
             moved = amount
         else:

@@ -258,6 +258,21 @@ class QuadExact:
             raise TypeError(f"{self} is irrational")
         return -(-self.a // self.n) if self.a < 0 else self.a // self.n
 
+    __trunc__ = __int__
+
+    def __round__(self, ndigits=None):  # as the equal Fraction's, in Q
+        if self.b:
+            raise TypeError(f"{self} is irrational")
+        return as_q(round(self.p, ndigits))
+
+    def __floor__(self):  # isqrt floors |b|*sqrt(f*g); f*g is no square
+        _, f, g = self.field
+        r = math.isqrt(self.b * self.b * f * g)
+        return (self.a * g + (r if self.b >= 0 else -r - 1)) // (self.n * g)
+
+    def __ceil__(self):
+        return -math.floor(-self)
+
     def __float__(self):
         return self.a / self.n + self.b / self.n * math.sqrt(self.d)
 
@@ -387,9 +402,6 @@ def parse_exact(text: str) -> ExactNumber:
     m = _QUAD_RE.match(text)
     return QuadExact(*map(_rational, m.group("p", "q", "d"))) if m \
         else _rational(text)
-
-
-
 
 
 # -- input tables ---------------------------------------------------------

@@ -44,6 +44,14 @@ class ScenarioRun(NamedTuple):
                               bundle_id=self.name)
 
 
+def _pool(pool_id: str, assets: tuple, reserves: tuple[str, str],
+          fee_bps: int, mode: NumericMode) -> PoolState:
+    """A pool whose reserves are amount texts of its two assets."""
+    (x, y), (r0, r1) = assets, reserves
+    return PoolState(pool_id, x, y, parse_amount(r0, x, mode),
+                     parse_amount(r1, y, mode), fee_bps, mode)
+
+
 # -- relocation scenarios ----------------------------------------------
 
 
@@ -65,14 +73,8 @@ def build_relocation_scenario(
     p_id, b_id, flash_id = "P", "B", "flash"
     o_id = p_id if operator_is_principal else "O"
 
-    pool1 = PoolState("pool1", asset, counter,
-                      parse_amount(reserves1[0], asset, mode),
-                      parse_amount(reserves1[1], counter, mode),
-                      fee_bps, mode)
-    pool2 = PoolState("pool2", asset, counter,
-                      parse_amount(reserves2[0], asset, mode),
-                      parse_amount(reserves2[1], counter, mode),
-                      fee_bps, mode)
+    pool1 = _pool("pool1", (asset, counter), reserves1, fee_bps, mode)
+    pool2 = _pool("pool2", (asset, counter), reserves2, fee_bps, mode)
     amount_a = parse_amount(a, asset, mode)
 
     world = WorldState(mode=mode)
@@ -147,10 +149,7 @@ def build_peb_scenario(*, name: str = "peb",
     p_id, e_id, b_id, s_id, f_id, pool_id = \
         "P", "E", receiver, "settlement", "flash", "pool"
 
-    pool = PoolState(pool_id, usd, dai,
-                     parse_amount(pool_reserves[0], usd, mode),
-                     parse_amount(pool_reserves[1], dai, mode),
-                     fee_bps, mode)
+    pool = _pool(pool_id, (usd, dai), pool_reserves, fee_bps, mode)
     making_amt = parse_amount(making, usd, mode)
     taking_amt = parse_amount(taking, dai, mode)
 
@@ -256,12 +255,8 @@ def build_benign_arbitrage(*, name: str = "benign_arbitrage",
     as a relocation's extraction phase, no migration behind it."""
     tok_a = AssetId("TOKA", 18)
     tok_b = AssetId("TOKB", 18)
-    pool1 = PoolState("pool1", tok_a, tok_b,
-                      parse_amount("120", tok_a, mode),
-                      parse_amount("100", tok_b, mode), fee_bps, mode)
-    pool2 = PoolState("pool2", tok_a, tok_b,
-                      parse_amount("100", tok_a, mode),
-                      parse_amount("110", tok_b, mode), fee_bps, mode)
+    pool1 = _pool("pool1", (tok_a, tok_b), ("120", "100"), fee_bps, mode)
+    pool2 = _pool("pool2", (tok_a, tok_b), ("100", "110"), fee_bps, mode)
     world = WorldState(mode=mode)
     world.add_address(Address("trader"))
     world.add_pool(pool1)

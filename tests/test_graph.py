@@ -225,6 +225,36 @@ class TestTaint:
         graph = graph_of(("P", "X", 10))
         assert all(f == 0.0 for f in taint_haircut(graph, set()).values())
 
+    def test_haircut_holds_the_implicit_initial_balance_from_the_start(self):
+        # X pays out 15 after receiving 10, so it held 5 of its own all
+        # along: both payouts are 2/3 tainted, not the first 1 and the
+        # second 0, the two ends of attribution's ranges
+        graph = graph_of(("P", "X", 10), ("X", "Y", 10), ("X", "Z", 5))
+        fractions = taint_haircut(graph, {"P"})
+        assert fractions["Y"] == fractions["Z"] == 2 / 3
+        y, z = attribute(graph, "P", "Y"), attribute(graph, "P", "Z")
+        assert (y.p_to_b_min, y.p_to_b_max) == (5, 10)
+        assert (z.p_to_b_min, z.p_to_b_max) == (0, 5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from("PXFO"),
+                              st.sampled_from("BXFO"),
+                              st.integers(0, 10 ** 20)),
+                    min_size=1, max_size=7))
+    @example([("P", "X", 10), ("X", "B", 10), ("X", "F", 5)])
+    @example([("P", "X", 10), ("X", "F", 10), ("X", "B", 5)])
+    def test_haircut_value_lies_within_attribution_bounds(self, edges):
+        # the principal only sends and the beneficiary only receives, so
+        # haircut's proportional tagging is one of the taggings attribution
+        # ranges over, and the beneficiary's tainted value is its fraction
+        # of everything it received
+        graph = graph_of(*edges)
+        bounds = attribute(graph, "P", "B")
+        received = sum(n for _, dst, n in edges if dst == "B" and n > 0)
+        value = taint_haircut(graph, {"P"}).get("B", 0.0) * received
+        assert bounds.p_to_b_min * (1 - 1e-9) <= value \
+            <= bounds.p_to_b_max * (1 + 1e-9)
+
     def test_divergence_on_relocation(self):
         graph = build_graph(relocation_trace(), TOKA)
         marks = taint_poison(graph, {"P"})

@@ -6,7 +6,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ammflow import numeric
 from ammflow.amm import NumericMode, parse_amount
@@ -167,6 +167,38 @@ def test_float_projection_and_sign_agree(p, q, d):
     if abs(approx) > 1e-6:
         assert value.sign() == (1 if approx > 0 else -1)
         assert (value > 0) is (0 < value) is (approx > 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(-10 ** 40, 10 ** 40, max_denominator=10 ** 40),
+       st.none() | st.integers(-45, 45))
+@example(Fraction(10 ** 20 + 1), None)  # float(x) would drop the 1
+@example(Fraction(-7, 2), None)  # a tie rounds to even
+@example(Fraction(-125, 100), 1)
+def test_rounding_an_element_of_q_matches_its_fraction(value, ndigits):
+    x = QuadExact(value)
+    for rule in (math.floor, math.ceil, math.trunc, round):
+        got = rule(x)
+        assert got == rule(value) and type(got) is int, rule.__name__
+    got = round(x, ndigits)
+    assert got == round(value, ndigits)
+    assert type(got) is (int if ndigits is None else QuadExact)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(-10 ** 40, 10 ** 40, max_denominator=10 ** 20),
+       st.fractions(-10 ** 20, 10 ** 20, max_denominator=10 ** 20)
+       .filter(bool),
+       st.sampled_from(NON_SQUARES + [Fraction(2, 9), Fraction(1001, 7)]))
+@example(0, 10 ** 20, 2)  # through float, the floor was 4,752 too high
+def test_floor_of_an_irrational_element_is_exact(p, q, d):
+    x = QuadExact(p, q, d)
+    floor = math.floor(x)
+    assert type(floor) is int and floor <= x < floor + 1
+    assert math.ceil(x) == floor + 1
+    for rule in (int, math.trunc, round):
+        with pytest.raises(TypeError, match="irrational"):
+            rule(x)
 
 
 @given(st.integers(-20, 20), st.integers(-20, 20).filter(bool),
