@@ -192,6 +192,17 @@ def integer_amounts(calibrated: CalibratedPools,
     return (*pools, *(round(v * sa) for v in (obs.a, obs.x, obs.y)))
 
 
+def _whole_tokens(plan, counter: AssetId) -> dict:
+    """The plan's seven observed quantities in whole tokens (integer-mode
+    smallest units over 10**decimals): a dict, since an ObservationSet
+    refuses the non-positive amount that a replay may yield."""
+    sa, sc = (10 ** plan.asset.decimals, 10 ** counter.decimals) \
+        if plan.mode is NumericMode.INTEGER else (1, 1)
+    return {"a": plan.a / sa, "x": plan.x / sa, "b": plan.b / sc,
+            "x_prime": plan.x_recovered / sa, "b_prime": plan.b_prime / sc,
+            "y": plan.y / sa, "a_prime": plan.predicted_a_prime / sa}
+
+
 def replay_and_validate(calibrated: CalibratedPools,
                         obs: ObservationSet) -> dict[str, float]:
     """Integer-mode full-bundle replay; per-quantity relative errors."""
@@ -199,7 +210,6 @@ def replay_and_validate(calibrated: CalibratedPools,
 
     asset = AssetId("ASSET", obs.asset_decimals)
     counter = AssetId("COUNTER", obs.counter_decimals)
-    sa, sc = 10 ** obs.asset_decimals, 10 ** obs.counter_decimals
     reserves1, reserves2, a, x, y = integer_amounts(calibrated, obs)
     pool1, pool2 = (PoolState(pool_id, asset, counter, *reserves,
                               obs.fee_bps, NumericMode.INTEGER)
@@ -207,20 +217,14 @@ def replay_and_validate(calibrated: CalibratedPools,
                                               ("pool2", reserves2)))
     plan = plan_relocation(pool1, pool2, asset, "P", "B", "O", a,
                            x_override=x, y_override=y)
-    replayed = {
-        "b": plan.b / sc,
-        "x_prime": plan.x_recovered / sa,
-        "b_prime": plan.b_prime / sc,
-        "a_prime": plan.predicted_a_prime / sa,
-        "eta": plan.predicted_a_prime / sa / obs.a,
-    }
-    expected = {
-        "b": obs.b, "x_prime": obs.x_prime, "b_prime": obs.b_prime,
-        "a_prime": obs.a_prime, "eta": obs.a_prime / obs.a,
-    }
-    report = {f"{k}_rel_err": abs(replayed[k] - expected[k]) / expected[k]
-              for k in expected}
-    report.update({f"{k}_replayed": replayed[k] for k in replayed})
+    expected = {k: getattr(obs, k) for k in ("b", "x_prime", "b_prime",
+                                             "a_prime")}
+    expected["eta"] = obs.a_prime / obs.a
+    replayed = _whole_tokens(plan, counter)
+    replayed["eta"] = replayed["a_prime"] / obs.a
+    report = {f"{k}_rel_err": abs(replayed[k] - v) / v
+              for k, v in expected.items()}
+    report.update({f"{k}_replayed": replayed[k] for k in expected})
     return report
 
 
@@ -239,12 +243,7 @@ def generate_observations(pool1: PoolState, pool2: PoolState,
     plan = plan_relocation(pool1, pool2, asset, "P", "B", "O", a,
                            y_override=y)
     counter = pool1.other_asset(asset)
-    sa, sc = (10 ** asset.decimals, 10 ** counter.decimals) \
-        if pool1.mode is NumericMode.INTEGER else (1, 1)
     return ObservationSet(
-        a=float(a / sa), x=float(plan.x / sa), b=float(plan.b / sc),
-        x_prime=float(plan.x_recovered / sa),
-        b_prime=float(plan.b_prime / sc), y=float(y / sa),
-        a_prime=float(plan.predicted_a_prime / sa),
+        **{k: float(v) for k, v in _whole_tokens(plan, counter).items()},
         fee_bps=pool1.fee_bps, asset_decimals=asset.decimals,
         counter_decimals=counter.decimals)

@@ -239,15 +239,16 @@ def _encode(edges, extra) -> str:
 def to_dot(graph: TransferGraph,
            labels: dict[str, str] | None = None) -> str:
     """Deterministic DOT rendering; node label = id plus role tag."""
+    esc = str.maketrans({"\\": "\\\\", '"': '\\"'})  # in a quoted string
     labels = labels or {}
     lines = ["digraph transfers {"]
     for node in graph.nodes:
-        tag = labels.get(node)
-        text = f"{node}\\n[{tag}]" if tag else node
+        tag, node = labels.get(node), node.translate(esc)
+        text = f"{node}\\n[{tag.translate(esc)}]" if tag else node
         lines.append(f'  "{node}" [label="{text}"];')
+    symbol = graph.asset.symbol.translate(esc)
     for e in graph.edges:
-        lines.append(
-            f'  "{e.src}" -> "{e.dst}" '
-            f'[label="{e.seq}:{float(e.amount):.6g} {graph.asset.symbol}"];')
+        lines.append(f'  "{e.src.translate(esc)}" -> "{e.dst.translate(esc)}" '
+                     f'[label="{e.seq}:{float(e.amount):.6g} {symbol}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

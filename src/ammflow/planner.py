@@ -17,8 +17,7 @@ from .amm import (BPS_DENOM, AssetId, NumericMode, PoolState, ZeroInput,
                   amount_out, solve_input_for_output, swap_exact_in)
 from .engine import (Action, FlashBorrow, FlashRepay, FlashSwapBorrow,
                      FlashSwapRepay, Swap, Transfer, TransferFrom)
-from .numeric import (ExactNumber, ExactSqrtError, as_q, exact_sqrt,
-                      solve_quadratic)
+from .numeric import ExactNumber, ExactSqrtError, as_q, exact_sqrt
 
 
 class PlannerError(Exception):
@@ -119,6 +118,27 @@ def _loop_coeffs(first: PoolState, second: PoolState, asset: AssetId):
             _times(d1 * d2, r1_in * r2_in))
 
 
+def _roots(a, b, c, mode: NumericMode):
+    """Roots of a*s^2 + b*s + c = 0, a > 0, smaller first: exact in
+    rational mode; in integer mode the ceiling of the smaller root and the
+    floor of the larger, which isqrt's floor of the discriminant's root
+    gives exactly.  Raises TargetExceedsMaxProfit when no root is real and
+    PlannerError when one leaves the coefficients' field (TypeError: a
+    new field's root met an irrational coefficient)."""
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        raise TargetExceedsMaxProfit("the loop never reaches this output")
+    if mode is NumericMode.INTEGER:
+        root = math.isqrt(disc)
+        return -((b + root) // (2 * a)), (root - b) // (2 * a)
+    try:
+        root = exact_sqrt(disc)
+        return (-b - root) / (2 * a), (root - b) / (2 * a)
+    except (ExactSqrtError, TypeError) as exc:
+        raise PlannerError(
+            "loop root leaves the exact field; use integer mode") from exc
+
+
 def solve_flash_amount(pool1: PoolState, pool2: PoolState, asset: AssetId,
                        a) -> ExactNumber:
     """Flash amount x whose phase-1 loop output repays x exactly.
@@ -139,7 +159,7 @@ def solve_flash_amount(pool1: PoolState, pool2: PoolState, asset: AssetId,
         # A2*x^2 + (B0 + A2*a - K)*x - K*a = 0; its constant term is
         # negative, so the larger root is the only positive one
         k_top, a2, b0 = _loop_coeffs(pool1, pool2, asset)
-        return solve_quadratic(a2, b0 + a2 * a - k_top, -k_top * a)[1]
+        return _roots(a2, b0 + a2 * a - k_top, -k_top * a, pool1.mode)[1]
 
     lo, hi = 1, int(pool2.reserve_of(asset))  # output < r_a2: f(hi) < 0
     try:
@@ -178,22 +198,12 @@ def _net_profit(pool1_after: PoolState, pool2_after: PoolState,
 def _extraction_optimum(pool1_after: PoolState, pool2_after: PoolState,
                         asset: AssetId) -> ExactNumber:
     """The profit-maximising repayment y, or zero when the reverse loop
-    (pool 2, then pool 1) nets nothing.  out(y) - y peaks at
-    A2*y* = sqrt(K*B0) - B0; integer mode floors y*, whose floored profit
-    is within one counter unit's worth of output plus two units of the
-    integer maximum."""
+    (pool 2, then pool 1) nets nothing.  out(y) - y peaks where
+    (B0 + A2*y)^2 = K*B0, at its larger root y*; integer mode floors y*,
+    whose floored profit is within one counter unit's worth of output
+    plus two units of the integer maximum."""
     k_top, a2, b0 = _loop_coeffs(pool2_after, pool1_after, asset)
-    if pool1_after.mode is NumericMode.INTEGER:
-        # on the scaled ints, isqrt gives the exact floor of y*
-        y = (math.isqrt(k_top * b0) - b0) // a2
-    else:
-        try:
-            root = exact_sqrt(k_top * b0)
-        except ExactSqrtError as exc:
-            raise PlannerError(
-                "extraction optimum leaves the exact field; use integer mode"
-            ) from exc
-        y = (root - b0) / a2
+    y = _roots(a2 * a2, 2 * a2 * b0, (b0 - k_top) * b0, pool1_after.mode)[1]
     nets = y > 0 and _net_profit(pool1_after, pool2_after, asset, y) > 0
     return y if nets else 0
 
@@ -215,40 +225,28 @@ def solve_extraction(pool1_after: PoolState, pool2_after: PoolState,
     """Repayment y and borrow b' so the phase-2 loop nets the target.
 
     Rational mode returns the smaller root of out(y) - y = target, where
-    the loop nets the target exactly.  Integer mode returns the least y
-    whose floored profit reaches the target.  Raises
-    TargetExceedsMaxProfit when the reverse loop cannot net the target.
+    the loop nets the target exactly.  Integer mode walks up from that
+    root's ceiling to the least y whose floored profit reaches the target.
+    Raises TargetExceedsMaxProfit when the loop cannot net the target.
     """
     if target == 0:
         return 0, 0
     if target < 0:
         raise PlannerError("extraction target must be non-negative")
-
+    if pool1_after.mode is NumericMode.INTEGER:  # bounds the walk below
+        best = max_extractable(pool1_after, pool2_after, asset)
+        if best < target:
+            raise TargetExceedsMaxProfit(
+                f"target {target} above the reverse-loop optimum {best}")
     k_top, a2, b0 = _loop_coeffs(pool2_after, pool1_after, asset)
     # out(y) - y = target  =>  A2*y^2 + (t*A2 + B0 - K)*y + t*B0 = 0
-    qb, qc = target * a2 + b0 - k_top, target * b0
-    if pool1_after.mode is NumericMode.RATIONAL:
-        try:
-            y = solve_quadratic(a2, qb, qc)[0]
-        except ValueError as exc:
-            raise TargetExceedsMaxProfit(
-                f"target {target} above the reverse-loop optimum") from exc
-        except ExactSqrtError as exc:
-            raise PlannerError(
-                "extraction root leaves the exact field; use integer mode"
-            ) from exc
-        if y <= 0:
-            raise TargetExceedsMaxProfit("no positive extraction root")
-        return y, amount_out(pool2_after, asset, y)
-
-    best = max_extractable(pool1_after, pool2_after, asset)
-    if best < target:
-        raise TargetExceedsMaxProfit(
-            f"target {target} above the reverse-loop optimum {best}")
-    # start at the exact ceiling of the smaller root: the floored profit
-    # never exceeds the continuous one, so no smaller y reaches the target
-    y = -((qb + math.isqrt(qb * qb - 4 * a2 * qc)) // (2 * a2))
+    y = _roots(a2, target * a2 + b0 - k_top, target * b0,
+               pool1_after.mode)[0]
+    if y <= 0:
+        raise TargetExceedsMaxProfit("no positive extraction root")
     counter = pool1_after.other_asset(asset)
+    # floored profit never exceeds the continuous one, so no y below the
+    # root reaches the target; an exact root nets it and skips the walk
     while _net_profit(pool1_after, pool2_after, asset, y) < target:
         # a larger y qualifies only if its floored output reaches
         # target + y + 1: step to the least y that delivers that much

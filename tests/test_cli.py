@@ -60,6 +60,19 @@ class TestSimulate:
         out = simulate(cli, tmp_path, str(config))
         assert (out / "from_config" / "trace.json").is_file()
 
+    def test_quoted_receiver_keeps_the_dot_file_well_formed(self, cli,
+                                                           tmp_path):
+        config = tmp_path / "s.yaml"
+        config.write_text(
+            "schema_version: 1\n"
+            "scenario: quoted\n"
+            "recipe: PEBLimitOrder\n"
+            "params:\n"
+            "  receiver: 'a\"b'\n", encoding="utf-8")
+        out = simulate(cli, tmp_path, str(config))
+        dot = (out / "quoted" / "transfers_DAI.dot").read_text()
+        assert '"a\\"b" [label="a\\"b\\n[Beneficiary]"];' in dot
+
     def test_peb_trace_initiator_is_executor(self, cli, tmp_path):
         out = simulate(cli, tmp_path, "peb_limit_order")
         trace = json.loads(

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -479,3 +480,62 @@ class TestTraceSerialization:
     def test_golden_file(self):
         trace, mode = self.build_trace()
         assert trace_to_json(trace, mode) == GOLDEN.read_text()
+
+
+FUNDS = 3  # each address's starting balance of each asset
+
+
+def small_scope_alphabet():
+    """Every action over two integer pools of a few units, the addresses
+    P, O and the flash provider F, and amounts 1, 2 and 3."""
+    assets, amounts, pools = (TOKA, TOKB), (1, 2, 3), ("p1", "p2")
+    legs = [(asset, n) for asset in assets for n in amounts]
+    return (
+        [Transfer(src, dst, asset, n) for src, dst in (("P", "O"), ("O", "F"))
+         for asset, n in legs]
+        + [Swap("O", pool, asset, n, "O") for pool in pools
+           for asset, n in legs]
+        + [FlashBorrow("F", "O", asset, n) for asset, n in legs]
+        + [FlashRepay("O", "F", asset, n) for asset, n in legs]
+        + [kind(pool, "O", asset, n) for kind in (FlashSwapBorrow,
+                                                   FlashSwapRepay)
+           for pool in pools for asset, n in legs])
+
+
+def test_every_small_bundle_keeps_the_engine_invariants():
+    """Small-scope exhaustive check (Jackson, Software Abstractions, 2006):
+    each bundle of up to 3 actions of `small_scope_alphabet` is refused by
+    an EngineError with the world untouched, or it is accepted with each
+    asset's supply conserved, no pool's k below its k before, no balance
+    negative, and the flash provider no poorer."""
+    world = WorldState(NumericMode.INTEGER)
+    for aid, label in (("P", "Principal"), ("O", "Operator"),
+                       ("F", "FlashProvider")):
+        world.add_address(Address(aid, label))
+        for asset in (TOKA, TOKB):
+            world.set_balance(aid, asset, FUNDS)
+    world.add_pool(make_pool("p1", 4, 5, 0, NumericMode.INTEGER))
+    world.add_pool(make_pool("p2", 6, 3, 30, NumericMode.INTEGER))
+    before = snapshot(world)
+    supply = [world.total_supply(asset) for asset in (TOKA, TOKB)]
+    k_before = {pid: pool.k for pid, pool in world.pools.items()}
+    alphabet = small_scope_alphabet()
+    accepted = 0
+    for size in (1, 2, 3):
+        for bundle in itertools.product(alphabet, repeat=size):
+            try:
+                after, _ = execute_bundle(world, list(bundle), "O")
+            except EngineError:
+                continue
+            finally:  # compared in place, without a snapshot per bundle
+                assert (world.balances, world.pools,
+                        world.allowances) == before, bundle
+            accepted += 1
+            assert [after.total_supply(asset)
+                    for asset in (TOKA, TOKB)] == supply, bundle
+            assert all(after.pools[pid].k >= k
+                       for pid, k in k_before.items()), bundle
+            assert all(after.balance("F", asset) >= FUNDS
+                       for asset in (TOKA, TOKB)), bundle
+            assert all(v >= 0 for v in after.balances.values()), bundle
+    assert accepted > 10_000  # of 219,660 bundles: the happy path is hit

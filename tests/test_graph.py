@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
@@ -345,3 +346,26 @@ def test_to_dot_deterministic_and_labeled():
     assert '"P" -> "B"' in dot
     assert "[Principal]" in dot
     assert dot.startswith("digraph")
+
+
+def dot_strings(line):
+    """The quoted strings of one DOT line with their quotes and
+    backslashes unescaped (a label's \\n kept), or None when a quote or
+    a backslash stands outside them."""
+    pattern = re.compile(r'"((?:[^"\\]|\\.)*)"')
+    if re.search(r'["\\]', pattern.sub("", line)):
+        return None
+    return [re.sub(r'\\([\\"])', r"\1", body)
+            for body in pattern.findall(line)]
+
+
+def test_to_dot_escapes_quotes_and_backslashes():
+    graph = graph_of(('a"b', "c\\", 10), ("c\\", "d", 5))
+    dot = to_dot(graph, labels={'a"b': 'Bene"ficiary', "c\\": "x\\"})
+    lines = dot.splitlines()[1:-1]
+    assert [dot_strings(line) for line in lines] == [
+        ['a"b', 'a"b\\n[Bene"ficiary]'],
+        ["c\\", "c\\\\n[x\\]"],
+        ["d", "d"],
+        ['a"b', "c\\", "1:10 TOKA"],
+        ["c\\", "d", "2:5 TOKA"]]

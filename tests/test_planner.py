@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from ammflow import planner
 from ammflow.amm import (BPS_DENOM, AssetId, NumericMode, PoolState,
                          swap_exact_in)
 from ammflow.engine import (Address, WorldState, execute_bundle, net_deltas)
@@ -452,3 +454,81 @@ def test_integer_solvers_build_no_pool(monkeypatch):
     y, _ = solve_extraction(pool1_after, pool2_after, TOKA, best // 2)
     assert y > 0
     assert calls == []
+
+
+COEFFS = st.integers(-10**30, 10**30)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 10**30), COEFFS, COEFFS)
+@example(1, -4, 4)   # a double root
+@example(2, 0, -8)   # rational roots
+@example(1, 0, 1)    # no real root
+def test_roots_are_the_exact_roots_rounded_inward(a, b, c):
+    """Rational mode returns the exact roots, smaller first; integer mode
+    their ceiling and floor, which isqrt must get right where a float
+    square root would not."""
+    if b * b < 4 * a * c:
+        for mode in NumericMode:
+            with pytest.raises(TargetExceedsMaxProfit):
+                planner._roots(a, b, c, mode)
+        return
+    lo, hi = solve_quadratic(a, b, c)
+    assert planner._roots(a, b, c, NumericMode.RATIONAL) == (lo, hi)
+    assert planner._roots(a, b, c, NumericMode.INTEGER) == \
+        (math.ceil(lo), math.floor(hi))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**40), st.integers(1, 10**40), st.integers(1, 10**40))
+def test_integer_optimum_is_the_floor_of_the_unsquared_root(k, a2, b0):
+    """The larger root of (B0 + A2*y)^2 = K*B0, floored, is the nested
+    floor (isqrt(K*B0) - B0) // A2 of y* = (sqrt(K*B0) - B0)/A2."""
+    y = planner._roots(a2 * a2, 2 * a2 * b0, (b0 - k) * b0,
+                       NumericMode.INTEGER)[1]
+    assert y == (math.isqrt(k * b0) - b0) // a2
+
+
+def zero_fee_rational_pools(reserves):
+    return tuple(make_pool(pid, Fraction(r_a), Fraction(r_b))
+                 for pid, r_a, r_b in (("pool1", *reserves[:2]),
+                                       ("pool2", *reserves[2:])))
+
+
+RESERVES = st.lists(st.integers(50, 5000), min_size=4, max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(RESERVES, st.data())
+def test_rational_target_root_in_another_field_is_refused(reserves, data):
+    """After a zero-fee phase 1 the pools lie in a field Q(sqrt(d)).  A
+    target root whose discriminant is rational but no square there lies in
+    another field: the plan is refused as a PlannerError, not a TypeError
+    where that root meets the pools, and is otherwise delivered exactly."""
+    pools = zero_fee_rational_pools(reserves)
+    a = data.draw(st.integers(1, reserves[0] // 10))
+    target = Fraction(a * data.draw(st.integers(1, 9)), 10)
+    try:
+        plan = plan_relocation(*pools, TOKA, "P", "B", "O", Fraction(a),
+                               target=target)
+    except PlannerError:
+        return
+    assert plan.predicted_a_prime == target
+
+
+@settings(max_examples=40, deadline=None)
+@given(RESERVES, st.data())
+def test_rational_optimum_in_another_field_is_refused(reserves, data):
+    """The same for the optimum: sqrt(K*B0) of the dislocated zero-fee
+    pools is refused unless it lies in their field, where the optimum
+    nets at least the principal, which the undo y = x' nets."""
+    pool1, pool2 = zero_fee_rational_pools(reserves)
+    a = Fraction(data.draw(st.integers(1, reserves[0] // 10)))
+    x = solve_flash_amount(pool1, pool2, TOKA, a)
+    b, pool1_after = swap_exact_in(pool1, TOKA, a + x)
+    _, pool2_after = swap_exact_in(pool2, TOKB, b)
+    try:
+        best = max_extractable(pool1_after, pool2_after, TOKA)
+    except PlannerError:
+        return
+    assert best >= a
