@@ -148,10 +148,15 @@ class PoolState:
         return asset in (self.asset0, self.asset1)
 
     def reserve_of(self, asset: AssetId):
+        return self.sides(asset)[0]
+
+    def sides(self, asset: AssetId) -> tuple:
+        """(reserve of asset, reserve of the other asset), from one
+        lookup; UnknownAsset if asset is foreign."""
         if asset == self.asset0:
-            return self.reserve0
+            return self.reserve0, self.reserve1
         if asset == self.asset1:
-            return self.reserve1
+            return self.reserve1, self.reserve0
         raise UnknownAsset(f"{asset.symbol} not in pool {self.pool_id}")
 
     def other_asset(self, asset: AssetId) -> AssetId:
@@ -183,10 +188,9 @@ def _price(pool: PoolState, input_asset: AssetId, amount_in):
     """The one copy of the swap pricing and its checks: returns
     (r_in, out, r_out - out).  Like every pricing function here, it takes
     amount_in as an amount of the pool's mode and coerces nothing."""
-    r_in = pool.reserve_of(input_asset)  # UnknownAsset if foreign
+    r_in, r_out = pool.sides(input_asset)  # UnknownAsset if foreign
     if amount_in <= 0:
         raise ZeroInput("swap input must be positive")
-    r_out = pool.reserve_of(pool.other_asset(input_asset))
     integer = pool.mode is NumericMode.INTEGER
     # in*g*r_out / (r_in*D + in*g), g = D - fee: at zero fee g/D is 1
     fee = pool.fee_bps
@@ -221,8 +225,7 @@ def keeps_fee_adjusted_k(pool: PoolState, input_asset: AssetId, amount_in,
     Only the input net of the fee counts, as in the Uniswap V2 core
     whitepaper, section 2.3; a flash-swap repayment must pass this check.
     """
-    r_in = pool.reserve_of(input_asset)
-    r_out = pool.reserve_of(pool.other_asset(input_asset))
+    r_in, r_out = pool.sides(input_asset)
     # (r_in + in*g/D) * r_out >= k_before, scaled by D with a fee
     if pool.fee_bps:
         r_in, k_before = r_in * BPS_DENOM, k_before * BPS_DENOM
@@ -233,10 +236,9 @@ def keeps_fee_adjusted_k(pool: PoolState, input_asset: AssetId, amount_in,
 def solve_input_for_output(pool: PoolState, output_asset: AssetId,
                            amount_out) -> ExactNumber:
     """Minimal input whose swap yields at least amount_out of output_asset."""
-    r_out = pool.reserve_of(output_asset)  # UnknownAsset if foreign
+    r_out, r_in = pool.sides(output_asset)  # UnknownAsset if foreign
     if amount_out <= 0:
         raise ZeroInput("requested output must be positive")
-    r_in = pool.reserve_of(pool.other_asset(output_asset))
     if not r_out > amount_out:
         raise OutputNotLessThanReserve(
             f"cannot take {amount_out} from reserve {r_out}")
@@ -252,6 +254,5 @@ def solve_input_for_output(pool: PoolState, output_asset: AssetId,
 
 def spot_price(pool: PoolState, base_asset: AssetId) -> ExactNumber:
     """Quote-per-base reserve ratio (marginal price ignoring fees)."""
-    r_base = pool.reserve_of(base_asset)
-    r_quote = pool.reserve_of(pool.other_asset(base_asset))
+    r_base, r_quote = pool.sides(base_asset)
     return exact_div(r_quote, r_base)

@@ -381,7 +381,7 @@ def _apply_action(ex: _Execution, idx: int, act: Action) -> None:
         ex.flash_debts[key] = max(debt - act.amount, 0)
     elif isinstance(act, FlashSwapBorrow):
         pool = world.pools[act.pool]
-        reserve = pool.reserve_of(act.asset)
+        reserve, other = pool.sides(act.asset)
         if reserve <= act.amount:
             raise InsufficientBalance(
                 f"flash swap {act.amount} exceeds reserve {reserve}")
@@ -390,8 +390,7 @@ def _apply_action(ex: _Execution, idx: int, act: Action) -> None:
         ex.call(idx, "flash_swap_borrow", act.borrower, act.pool)
         ex.flash_swap_k[act.pool] = pool.k
         world.pools[act.pool] = pool.with_reserves(
-            act.asset, reserve - act.amount,
-            pool.reserve_of(pool.other_asset(act.asset)))
+            act.asset, reserve - act.amount, other)
         ex.pay_from_pool(act.pool, act.borrower, act.asset, act.amount, idx)
     elif isinstance(act, FlashSwapRepay):
         pool = world.pools[act.pool]
@@ -399,15 +398,14 @@ def _apply_action(ex: _Execution, idx: int, act: Action) -> None:
             raise EngineError(f"no pending flash swap on {act.pool}")
         ex.call(idx, "flash_swap_repay", act.borrower, act.pool)
         ex.pay(act.borrower, act.pool, act.asset, act.amount, idx)
-        r_repay = pool.reserve_of(act.asset) + act.amount
-        r_other = pool.reserve_of(pool.other_asset(act.asset))
+        reserve, other = pool.sides(act.asset)
         k_before = ex.flash_swap_k.pop(act.pool)
         if not keeps_fee_adjusted_k(pool, act.asset, act.amount, k_before):
             raise FlashSwapInvariantViolation(
                 f"flash swap repay on {act.pool} fails the fee-adjusted "
                 f"invariant")
-        world.pools[act.pool] = pool.with_reserves(act.asset, r_repay,
-                                                   r_other)
+        world.pools[act.pool] = pool.with_reserves(
+            act.asset, reserve + act.amount, other)
     else:
         _apply_fill(ex, idx, act)
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import reprlib
 from fractions import Fraction
 from typing import Union
 
@@ -70,8 +71,11 @@ def _element(a: int, b: int, n: int, field: tuple) -> QuadExact:
     c = math.gcd(a, b, n)
     if c != 1:
         a, b, n = a // c, b // c, n // c
-    x = object.__new__(QuadExact)
-    x.a, x.b, x.n, x.field = a, b, n, field if b else _Q
+    x = object.__new__(QuadExact)  # a store per slot beats a tuple unpack
+    x.a = a
+    x.b = b
+    x.n = n
+    x.field = field if b else _Q
     return x
 
 
@@ -106,15 +110,18 @@ def _comparison(test):
         if type(other) is int:  # the common operand, without _match
             _, f, g = self.field
             return test(_sign(self.a - other * self.n, self.b, f, g), 0)
-        m = self._match(other)
-        if m is None and isinstance(other, float):
-            if not math.isfinite(other):
-                return test(0.0, other)
-            m = self._match(Fraction(other))
-        if m is None:
-            return NotImplemented
-        (u, w, m, (_, f, g)), n = m, self.n
-        return test(_sign(self.a * m - u * n, self.b * m - w * n, f, g), 0)
+        if type(other) is not QuadExact or other.field is not self.field \
+                and self.b and other.b:
+            if isinstance(other, float):
+                if not math.isfinite(other):
+                    return test(0.0, other)
+                other = Fraction(other)
+            if (other := self._match(other)) is None:
+                return NotImplemented
+        _, f, g = self.field if self.b else other.field
+        m, n = other.n, self.n
+        return test(_sign(self.a * m - other.a * n, self.b * m - other.b * n,
+                          f, g), 0)
     return compare
 
 
@@ -149,46 +156,43 @@ class QuadExact:
     q = property(lambda self: Fraction(self.b, self.n))  # sqrt(d) coefficient
     d = property(lambda self: self.field[0])
 
-    # -- coercion -------------------------------------------------------
+    # -- coercion and arithmetic ---------------------------------------
+    # self = (a + b*sqrt(d))/n and a QuadExact operand (u + w*sqrt(d))/m,
+    # with d = f/g; every result is one _element call on ints.  An
+    # operator reads a QuadExact operand's ints directly when it shares
+    # this element's field tuple or when either one lies in Q, and any
+    # other operand through _match.  Python calls a reflected method only
+    # for a left operand of another type, so __rsub__ and __rtruediv__
+    # read every operand through _match.
 
-    def _match(self, other) -> tuple[int, int, int, tuple] | None:
-        """Ints (u, w, m) with other = (u + w*sqrt(d))/m, and the field
-        (d, f, g) that holds both operands: this element's own, or other's
-        when this one is in Q.  None if no field holds both, or if other
-        is no exact number."""
+    def _match(self, other) -> QuadExact | None:
+        """other as an element of the field that holds both operands: this
+        element's own, or other's when this one is in Q.  None if no field
+        holds both, or if other is no exact number."""
         if type(other) is not QuadExact:
             try:  # an int or a Fraction
-                return other.numerator, 0, other.denominator, self.field
+                return _element(other.numerator, 0, other.denominator, _Q)
             except AttributeError:
                 return None
-        u, w, m, field = other.a, other.b, other.n, other.field
-        if field is self.field or not w:
-            return u, w, m, self.field
-        if not self.b:
-            return u, w, m, field
-        if field[0] != self.field[0]:
+        if other.field is self.field or not (self.b and other.b):
+            return other
+        u, w, m = other.a, other.b, other.n
+        if other.d != self.d:
             # sqrt(d) = (s/t) * sqrt(self.d) when d/self.d is a square
-            ratio = rational_sqrt(field[0] / self.field[0])
+            ratio = rational_sqrt(other.d / self.d)
             if ratio is None:
                 return None
             u, w, m = u * ratio.n, w * ratio.a, m * ratio.n
-        return u, w, m, self.field
-
-    # -- arithmetic -----------------------------------------------------
-    # self = (a + b*sqrt(d))/n and an operand (u + w*sqrt(d))/m, with
-    # d = f/g; every result is one _element call on ints.
-
-    def _sum(self, k, other, l):
-        """k*self + l*other for k, l in {1, -1}."""
-        m = self._match(other)
-        if m is None:
-            return NotImplemented
-        (u, w, m, field), n = m, self.n
-        return _element(k * self.a * m + l * u * n,
-                        k * self.b * m + l * w * n, n * m, field)
+        return _element(u, w, m, self.field)
 
     def __add__(self, other):
-        return self._sum(1, other, 1)
+        if type(other) is not QuadExact or other.field is not self.field \
+                and self.b and other.b:
+            if (other := self._match(other)) is None:
+                return NotImplemented
+        n, m = self.n, other.n
+        return _element(self.a * m + other.a * n, self.b * m + other.b * n,
+                        n * m, self.field if self.b else other.field)
 
     __radd__ = __add__
 
@@ -196,39 +200,50 @@ class QuadExact:
         return _element(-self.a, -self.b, self.n, self.field)
 
     def __sub__(self, other):
-        return self._sum(1, other, -1)
+        if type(other) is not QuadExact or other.field is not self.field \
+                and self.b and other.b:
+            if (other := self._match(other)) is None:
+                return NotImplemented
+        n, m = self.n, other.n
+        return _element(self.a * m - other.a * n, self.b * m - other.b * n,
+                        n * m, self.field if self.b else other.field)
 
     def __rsub__(self, other):
-        return self._sum(-1, other, 1)
+        if (other := self._match(other)) is None:
+            return NotImplemented
+        n, m = self.n, other.n
+        return _element(other.a * n - self.a * m, other.b * n - self.b * m,
+                        n * m, self.field if self.b else other.field)
 
     def __mul__(self, other):
-        m = self._match(other)
-        if m is None:
-            return NotImplemented
-        u, w, m, field = m
+        if type(other) is not QuadExact or other.field is not self.field \
+                and self.b and other.b:
+            if (other := self._match(other)) is None:
+                return NotImplemented
+        u, w, m = other.a, other.b, other.n
         if w:
-            return _product(self.a, self.b, self.n, u, w, m, field)
-        return _element(self.a * u, self.b * u, self.n * m, field)
+            return _product(self.a, self.b, self.n, u, w, m, other.field)
+        return _element(self.a * u, self.b * u, self.n * m, self.field)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        m = self._match(other)
-        if m is None:
-            return NotImplemented
-        u, w, m, field = m
+        if type(other) is not QuadExact or other.field is not self.field \
+                and self.b and other.b:
+            if (other := self._match(other)) is None:
+                return NotImplemented
+        u, w, m = other.a, other.b, other.n
         if w:
             return _product(self.a, self.b, self.n,
-                            *_inverse(u, w, m, field), field)
-        return _element(self.a * m, self.b * m, self.n * u, field)
+                            *_inverse(u, w, m, other.field), other.field)
+        return _element(self.a * m, self.b * m, self.n * u, self.field)
 
     def __rtruediv__(self, other):
-        m = self._match(other)
-        if m is None:
+        if (other := self._match(other)) is None:
             return NotImplemented
-        field = m[3]
-        return _product(*m[:3], *_inverse(self.a, self.b, self.n, field),
-                        field)
+        field = self.field if self.b else other.field
+        return _product(other.a, other.b, other.n,
+                        *_inverse(self.a, self.b, self.n, field), field)
 
     # -- ordering -------------------------------------------------------
 
@@ -351,6 +366,13 @@ MAX_DECIMALS = 38
 MAX_AMOUNT = 10 ** (MAX_DIGITS + MAX_DECIMALS)  # 10**78 tokens in 10**-38s
 
 
+def _shown(value) -> str:
+    """value as a refusal quotes it: reprlib's repr, which elides long
+    strings, ints and nestings, cut to 60 characters."""
+    text = reprlib.repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 def read_decimal(text: str) -> tuple[int, int]:
     """Ints (n, scale) whose n * 10**scale is the decimal amount text.
 
@@ -364,7 +386,7 @@ def read_decimal(text: str) -> tuple[int, int]:
     """
     match = _DECIMAL.fullmatch(str(text).strip().replace("_", ""))
     if match is None or not (match[2] or match[3]):
-        raise ValueError(f"bad amount {text!r}")
+        raise ValueError(f"bad amount {_shown(text)}")
     sign, whole, frac, exp = match.groups("")
     digits = (whole + frac).lstrip("0")
     significant = digits.rstrip("0")
@@ -372,10 +394,12 @@ def read_decimal(text: str) -> tuple[int, int]:
         return 0, 0
     scale = int(exp or 0) - len(frac) + len(digits) - len(significant)
     if scale + len(significant) > MAX_DIGITS:
-        raise ValueError(f"amount {text!r} is not below 10**{MAX_DIGITS}")
+        raise ValueError(
+            f"amount {_shown(text)} is not below 10**{MAX_DIGITS}")
     if scale < -MAX_DECIMALS:
         raise ValueError(
-            f"amount {text!r} has a digit finer than 10**-{MAX_DECIMALS}")
+            f"amount {_shown(text)} has a digit finer than "
+            f"10**-{MAX_DECIMALS}")
     return int(sign + significant), scale
 
 
@@ -389,9 +413,9 @@ def _rational(text: str) -> Rational:
         return _element(n * 10 ** max(scale, 0), 0, 10 ** max(-scale, 0), _Q)
     num, den = int(num), int(den) if slash else 1
     if den <= 0:
-        raise ValueError(f"bad denominator in {text!r}")
+        raise ValueError(f"bad denominator in {_shown(text)}")
     if abs(num) >= MAX_AMOUNT * den:
-        raise ValueError(f"{text!r} is not below 10**116 in magnitude")
+        raise ValueError(f"{_shown(text)} is not below 10**116 in magnitude")
     return _element(num, 0, den, _Q) if slash else num
 
 
@@ -444,7 +468,8 @@ def read(kind, value, where: str = ""):
     if type(kind) is tuple:
         if any(type(value) is type(m) and value == m for m in kind):
             return value
-        raise ValueError(f"{where} must be one of {kind}, got {value!r}")
+        raise ValueError(
+            f"{where} must be one of {kind}, got {_shown(value)}")
     if type(kind) is list and type(value) is list:
         return [read(kind[0], item, f"{where}.{i}")
                 for i, item in enumerate(value)]
@@ -457,8 +482,10 @@ def read(kind, value, where: str = ""):
     elif kind not in _TYPE_NAMES and type(value) is str:
         try:
             return kind(value)
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
+        except ValueError as exc:  # an Enum's message repeats the value
+            message = str(exc).replace(repr(value), _shown(value))
+            raise ValueError(f"{where}: {message}") from None
     raise ValueError(f"{where or 'the root'} must be "
-                     f"{_TYPE_NAMES.get(kind, 'a string')}, got {value!r}")
+                     f"{_TYPE_NAMES.get(kind, 'a string')}, "
+                     f"got {_shown(value)}")
 

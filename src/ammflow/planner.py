@@ -108,9 +108,8 @@ def _loop_coeffs(first: PoolState, second: PoolState, asset: AssetId):
     BPS_DENOM, or 1/1 at zero fee, so all three come scaled by D1*D2 in
     both modes: a common scale moves none of the roots the solvers take.
     """
-    counter = _check_pair(first, second, asset)
-    r1_in, r1_out = first.reserve_of(asset), first.reserve_of(counter)
-    r2_in, r2_out = second.reserve_of(counter), second.reserve_of(asset)
+    _check_pair(first, second, asset)
+    (r1_in, r1_out), (r2_out, r2_in) = first.sides(asset), second.sides(asset)
     d1, d2 = (BPS_DENOM if pool.fee_bps else 1 for pool in (first, second))
     g1, g2 = d1 - first.fee_bps, d2 - second.fee_bps
     return (_times(g1 * g2, r1_out * r2_out),

@@ -692,3 +692,42 @@ def test_deeply_nested_config_exits_2(cli, tmp_path, text):
     assert result.stderr.startswith("Error: config error: ")
     assert result.stderr.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def nested(depth):
+    """A list depth levels deep around one string."""
+    value = "x"
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("field, value", [
+    (("params", "a"), "9" * 5000),
+    (("recipe",), nested(400)),
+    (("params", "numeric_mode"), "x" * 5000),
+    (("events", 0, "amount"), "9" * 4000 + "/7"),
+], ids=["amount_of_5000_digits", "recipe_400_deep", "mode_of_5000_letters",
+        "trace_ratio_of_4000_digits"])
+def test_a_refusal_quotes_a_long_value_in_short(cli, tmp_path, field, value):
+    # each refusal once repeated the whole value: a 5,061-character line
+    # for the amount, a 974-character one for the nested recipe
+    import yaml
+    from importlib import resources
+    if field[0] == "events":
+        data = one_event("event", "amount", value)
+        argv = ["analyze", str(tmp_path / "bad.json"), "--principal", "P",
+                "--beneficiary", "B"]
+    else:
+        data = yaml.safe_load((resources.files("ammflow") / "configs"
+                               / "relocation_sym.yaml").read_text())
+        data[field[0]] = value if len(field) == 1 else \
+            {**data[field[0]], field[1]: value}
+        argv = ["simulate", str(tmp_path / "bad.json"),
+                "--out", str(tmp_path / "runs")]
+    (tmp_path / "bad.json").write_text(json.dumps(data), encoding="utf-8")
+    result = cli(argv)
+    assert result.exit_code == 2, result.stderr
+    assert result.stderr.startswith("Error: ")
+    assert result.stderr.count("\n") == 1 and len(result.stderr) < 200, \
+        result.stderr

@@ -3,19 +3,21 @@ import math
 import operator
 import pickle
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ammflow import numeric
-from ammflow.amm import NumericMode, parse_amount
-from ammflow.engine import execute_bundle
+from ammflow.amm import AssetId, NumericMode, PoolState, parse_amount
+from ammflow.engine import Address, WorldState, execute_bundle
 from ammflow.numeric import (ExactSqrtError, QuadExact, exact_sqrt,
                              make_exact, parse_exact, rational_sqrt,
                              solve_quadratic)
+from ammflow.planner import build_relocation_bundle, plan_relocation
 from ammflow.scenarios import build_relocation_scenario
-from conftest import TOKA
+from conftest import TOKA, TOKB
 
 NON_SQUARES = [2, 3, 5, 6, 7, 10, 2100]
 FOREIGN = 11  # d / 11 is a perfect square for no d in NON_SQUARES
@@ -411,6 +413,53 @@ def test_float_loses_the_sign_of_the_61_unit():
     assert x > 0
 
 
+@st.composite
+def twins(draw, x):
+    """One operand for x built twice: a copy that x's operators read
+    directly (an element of x's field tuple or of Q) and one they read
+    through _match (an element of x's field in a tuple of its own, an int
+    or a Fraction).  An element of Q reads every QuadExact directly, so
+    it draws no irrational operand."""
+    if x.b and draw(st.booleans()):
+        c, e = draw(FRACTIONS), draw(FRACTIONS.filter(bool))
+        y = c + e * (x - x.p) / x.q  # c + e*sqrt(d), sharing x's tuple
+        return y, QuadExact(y.p, y.q, y.d)
+    value = draw(PARTS)
+    return QuadExact(value), value
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(elements(), PARTS.map(QuadExact)), st.data())
+def test_the_operand_shortcut_agrees_with_match(x, data):
+    """Each operator and comparison gives the same (a, b, n) or truth
+    value whether it reads its operand directly or through _match.  Python
+    calls a reflected method only for a left operand of another type, so
+    __rsub__ and __rtruediv__ read both copies through _match."""
+    shared, rebuilt = data.draw(twins(x))
+    calls = []
+    real = QuadExact._match
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(QuadExact, "_match", lambda self, other:
+                      calls.append(other) or real(self, other))
+        for name in [*TEXTBOOK, *COMPARISONS]:
+            results = []
+            for operand in (shared, rebuilt):
+                calls.clear()
+                try:
+                    got = getattr(x, name)(operand)
+                except ZeroDivisionError:
+                    got = ZeroDivisionError
+                results.append(got if type(got) is not QuadExact
+                               else (got.a, got.b, got.n, got.d))
+                if operand is shared:  # a reflected method always reads
+                    reads = name in ("__rsub__", "__rtruediv__")
+                else:  # an int comparison has a shortcut of its own
+                    reads = not (type(rebuilt) is int and name in COMPARISONS)
+                assert len(calls) == reads, (name, operand)
+            assert results[0] == results[1], name
+            assert type(results[0]) is type(results[1]), name
+
+
 @pytest.fixture
 def fractions_built(monkeypatch):
     """Arguments of every Fraction built from here on."""
@@ -466,6 +515,65 @@ def test_relocation_builds_one_fraction(fractions_built):
     assert fractions_built == [(84000000, 1)]
     execute_bundle(run.world, run.bundle, run.initiator)
     assert fractions_built == [(84000000, 1)]
+
+
+def counted(monkeypatch, owner, names):
+    """A Counter of the calls, from here on, to owner's methods names."""
+    calls = Counter()
+    for name in names:
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, real=real, name=name:
+                            calls.update([name]) or real(*args))
+    return calls
+
+
+def relocation(pool1, pool2, asset, a):
+    """The plan, bundle and execution of P's relocation of a through O to
+    B, as one call, over a world whose flash provider covers any flash
+    amount."""
+    world = WorldState(mode=pool1.mode)
+    for aid in ("P", "B", "O", "flash"):
+        world.add_address(Address(aid))
+    world.add_pool(pool1)
+    world.add_pool(pool2)
+    world.set_balance("P", asset, a)
+    world.set_balance("flash", asset, pool1.reserve0 + pool2.reserve0)
+    world.approve("P", "O", asset, a)
+
+    def relocate():
+        plan = plan_relocation(pool1, pool2, asset, "P", "B", "O", a)
+        bundle = build_relocation_bundle(plan, pool1, pool2)
+        execute_bundle(world, bundle, "O")
+    return relocate
+
+
+def test_relocation_work_counts(monkeypatch):
+    """Operands that share an element's field or lie in Q skip _match, and
+    each swap reads its pool's two reserves from one lookup.  Before both,
+    the rational relocation (the first of the sweep_rational benchmark's
+    seed 1) made 83 _match calls and 46 reserve_of + other_asset calls,
+    and the integer one (the first of fee_integer's) 305 reserve_of
+    calls.  The 7 _match calls left read ints, and the lookups left are
+    other_asset calls."""
+    weth, usdt = AssetId("WETH", 18), AssetId("USDT", 6)
+    integer = NumericMode.INTEGER
+    rational = relocation(
+        PoolState("pool1", TOKA, TOKB, Fraction(1150), Fraction(4712)),
+        PoolState("pool2", TOKA, TOKB, Fraction(566), Fraction(2139)),
+        TOKA, Fraction(16))
+    fee_bearing = relocation(
+        PoolState("pool1", weth, usdt, 4111914272603397778143,
+                  5769397031883, 30, integer),
+        PoolState("pool2", weth, usdt, 233832401659235910865,
+                  328043612484, 30, integer),
+        weth, 15549377870619113110)
+    matches = counted(monkeypatch, QuadExact, ["_match"])
+    lookups = counted(monkeypatch, PoolState, ["reserve_of", "other_asset"])
+    rational()
+    assert (matches["_match"], lookups.total()) == (7, 12)
+    lookups.clear()
+    fee_bearing()
+    assert lookups["reserve_of"] == 1
 
 
 RATIONALS = st.one_of(st.integers(-10**6, 10**6),
