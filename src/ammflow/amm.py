@@ -48,10 +48,6 @@ class ZeroInput(AmmError):
     pass
 
 
-class OutputExceedsReserve(AmmError):
-    pass
-
-
 class OutputNotLessThanReserve(AmmError):
     pass
 
@@ -196,11 +192,9 @@ def _price(pool: PoolState, input_asset: AssetId, amount_in):
     fee = pool.fee_bps
     eff = amount_in * (BPS_DENOM - fee) if fee else amount_in
     num, den = eff * r_out, (r_in * BPS_DENOM if fee else r_in) + eff
+    # r_in > 0, fee < D, amount_in > 0: den > eff > 0, so out < r_out
     out = num // den if integer else exact_div(num, den)
-    rest = r_out - out
-    if not rest > 0:
-        raise OutputExceedsReserve("swap would drain the pool")
-    return r_in, out, rest
+    return r_in, out, r_out - out
 
 
 def amount_out(pool: PoolState, input_asset: AssetId,

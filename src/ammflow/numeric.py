@@ -366,7 +366,7 @@ MAX_DECIMALS = 38
 MAX_AMOUNT = 10 ** (MAX_DIGITS + MAX_DECIMALS)  # 10**78 tokens in 10**-38s
 
 
-def _shown(value) -> str:
+def shown(value) -> str:
     """value as a refusal quotes it: reprlib's repr, which elides long
     strings, ints and nestings, cut to 60 characters."""
     text = reprlib.repr(value)
@@ -386,7 +386,7 @@ def read_decimal(text: str) -> tuple[int, int]:
     """
     match = _DECIMAL.fullmatch(str(text).strip().replace("_", ""))
     if match is None or not (match[2] or match[3]):
-        raise ValueError(f"bad amount {_shown(text)}")
+        raise ValueError(f"bad amount {shown(text)}")
     sign, whole, frac, exp = match.groups("")
     digits = (whole + frac).lstrip("0")
     significant = digits.rstrip("0")
@@ -395,10 +395,10 @@ def read_decimal(text: str) -> tuple[int, int]:
     scale = int(exp or 0) - len(frac) + len(digits) - len(significant)
     if scale + len(significant) > MAX_DIGITS:
         raise ValueError(
-            f"amount {_shown(text)} is not below 10**{MAX_DIGITS}")
+            f"amount {shown(text)} is not below 10**{MAX_DIGITS}")
     if scale < -MAX_DECIMALS:
         raise ValueError(
-            f"amount {_shown(text)} has a digit finer than "
+            f"amount {shown(text)} has a digit finer than "
             f"10**-{MAX_DECIMALS}")
     return int(sign + significant), scale
 
@@ -413,9 +413,9 @@ def _rational(text: str) -> Rational:
         return _element(n * 10 ** max(scale, 0), 0, 10 ** max(-scale, 0), _Q)
     num, den = int(num), int(den) if slash else 1
     if den <= 0:
-        raise ValueError(f"bad denominator in {_shown(text)}")
+        raise ValueError(f"bad denominator in {shown(text)}")
     if abs(num) >= MAX_AMOUNT * den:
-        raise ValueError(f"{_shown(text)} is not below 10**116 in magnitude")
+        raise ValueError(f"{shown(text)} is not below 10**116 in magnitude")
     return _element(num, 0, den, _Q) if slash else num
 
 
@@ -469,7 +469,7 @@ def read(kind, value, where: str = ""):
         if any(type(value) is type(m) and value == m for m in kind):
             return value
         raise ValueError(
-            f"{where} must be one of {kind}, got {_shown(value)}")
+            f"{where} must be one of {kind}, got {shown(value)}")
     if type(kind) is list and type(value) is list:
         return [read(kind[0], item, f"{where}.{i}")
                 for i, item in enumerate(value)]
@@ -483,9 +483,9 @@ def read(kind, value, where: str = ""):
         try:
             return kind(value)
         except ValueError as exc:  # an Enum's message repeats the value
-            message = str(exc).replace(repr(value), _shown(value))
+            message = str(exc).replace(repr(value), shown(value))
             raise ValueError(f"{where}: {message}") from None
     raise ValueError(f"{where or 'the root'} must be "
                      f"{_TYPE_NAMES.get(kind, 'a string')}, "
-                     f"got {_shown(value)}")
+                     f"got {shown(value)}")
 

@@ -86,11 +86,16 @@ def _check_pair(pool1: PoolState, pool2: PoolState, asset: AssetId) -> AssetId:
     return counter
 
 
+def _loop_out(first, second, asset, counter, s) -> ExactNumber:
+    """Output of s of asset swapped into `first`, its output into `second`."""
+    return amount_out(second, counter, amount_out(first, asset, s))
+
+
 def dislocation_output(pool1: PoolState, pool2: PoolState, asset: AssetId,
                        a, x) -> ExactNumber:
     """Amount of the migrated asset recovered by the phase-1 loop."""
-    counter = _check_pair(pool1, pool2, asset)
-    return amount_out(pool2, counter, amount_out(pool1, asset, a + x))
+    return _loop_out(pool1, pool2, asset, _check_pair(pool1, pool2, asset),
+                     a + x)
 
 
 def _times(k: int, value):
@@ -99,8 +104,7 @@ def _times(k: int, value):
 
 
 def _loop_coeffs(first: PoolState, second: PoolState, asset: AssetId):
-    """(K, A2, B0) of the loop that swaps s of asset into `first`, then
-    the counter it yields into `second`: unfloored, it returns
+    """(K, A2, B0) of `_loop_out`'s loop: unfloored, it returns
         out(s) = K*s / (B0 + A2*s),   K = g1*g2*r1_out*r2_out,
         A2 = g1*r2_in + g1*g2*r1_out,  B0 = r1_in*r2_in,
     with g the pools' fee factors and r their reserves of what goes in
@@ -108,7 +112,6 @@ def _loop_coeffs(first: PoolState, second: PoolState, asset: AssetId):
     BPS_DENOM, or 1/1 at zero fee, so all three come scaled by D1*D2 in
     both modes: a common scale moves none of the roots the solvers take.
     """
-    _check_pair(first, second, asset)
     (r1_in, r1_out), (r2_out, r2_in) = first.sides(asset), second.sides(asset)
     d1, d2 = (BPS_DENOM if pool.fee_bps else 1 for pool in (first, second))
     g1, g2 = d1 - first.fee_bps, d2 - second.fee_bps
@@ -151,7 +154,11 @@ def solve_flash_amount(pool1: PoolState, pool2: PoolState, asset: AssetId,
     not the largest admissible x.  Raises NoPositiveRoot when x = 1 does
     not repay itself, or when a + 1 buys no counter unit.
     """
-    _check_pair(pool1, pool2, asset)
+    return _flash(pool1, pool2, asset, _check_pair(pool1, pool2, asset), a)
+
+
+def _flash(pool1, pool2, asset, counter, a) -> ExactNumber:
+    """`solve_flash_amount` over a checked pair."""
     if a <= 0:
         raise PlannerError("principal amount must be positive")
     if pool1.mode is NumericMode.RATIONAL:
@@ -162,14 +169,14 @@ def solve_flash_amount(pool1: PoolState, pool2: PoolState, asset: AssetId,
 
     lo, hi = 1, int(pool2.reserve_of(asset))  # output < r_a2: f(hi) < 0
     try:
-        covered = dislocation_output(pool1, pool2, asset, a, lo) >= lo
+        covered = _loop_out(pool1, pool2, asset, counter, a + lo) >= lo
     except ZeroInput:  # a + 1 buys no counter unit: x = 1 repays nothing
         covered = False
     if not covered:
         raise NoPositiveRoot("no positive flash amount solves the loop")
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if dislocation_output(pool1, pool2, asset, a, mid) >= mid:
+        if _loop_out(pool1, pool2, asset, counter, a + mid) >= mid:
             lo = mid
         else:
             hi = mid
@@ -184,27 +191,24 @@ def extraction_result(pool1_after: PoolState, pool2_after: PoolState,
     return b_prime, amount_out(pool1_after, counter, b_prime)
 
 
-def _net_profit(pool1_after: PoolState, pool2_after: PoolState,
-                asset: AssetId, y) -> ExactNumber:
+def _net_profit(pool1_after, pool2_after, asset, counter, y) -> ExactNumber:
     """Phase-2 gross output less y."""
     try:
-        _, out = extraction_result(pool1_after, pool2_after, asset, y)
+        return _loop_out(pool2_after, pool1_after, asset, counter, y) - y
     except ZeroInput:  # y <= 0, or b' floors to zero: y buys nothing
         return -y
-    return out - y
 
 
-def _extraction_optimum(pool1_after: PoolState, pool2_after: PoolState,
-                        asset: AssetId) -> ExactNumber:
-    """The profit-maximising repayment y, or zero when the reverse loop
-    (pool 2, then pool 1) nets nothing.  out(y) - y peaks where
-    (B0 + A2*y)^2 = K*B0, at its larger root y*; integer mode floors y*,
-    whose floored profit is within one counter unit's worth of output
-    plus two units of the integer maximum."""
+def _extraction_optimum(pool1_after, pool2_after, asset, counter) -> tuple:
+    """(y, profit) at the profit-maximising repayment y, or (0, 0) when
+    the reverse loop (pool 2, then pool 1) nets nothing.  out(y) - y
+    peaks where (B0 + A2*y)^2 = K*B0, at its larger root y*; integer mode
+    floors y*, whose floored profit is within one counter unit's worth of
+    output plus two units of the integer maximum."""
     k_top, a2, b0 = _loop_coeffs(pool2_after, pool1_after, asset)
     y = _roots(a2 * a2, 2 * a2 * b0, (b0 - k_top) * b0, pool1_after.mode)[1]
-    nets = y > 0 and _net_profit(pool1_after, pool2_after, asset, y) > 0
-    return y if nets else 0
+    profit = y > 0 and _net_profit(pool1_after, pool2_after, asset, counter, y)
+    return (y, profit) if profit > 0 else (0, 0)
 
 
 def max_extractable(pool1_after: PoolState, pool2_after: PoolState,
@@ -214,8 +218,8 @@ def max_extractable(pool1_after: PoolState, pool2_after: PoolState,
     Evaluated at the closed-form optimum (floored in integer mode).
     Equal-price fresh pools admit no arbitrage and yield zero.
     """
-    return _net_profit(pool1_after, pool2_after, asset,
-                       _extraction_optimum(pool1_after, pool2_after, asset))
+    counter = _check_pair(pool1_after, pool2_after, asset)
+    return _extraction_optimum(pool1_after, pool2_after, asset, counter)[1]
 
 
 def solve_extraction(pool1_after: PoolState, pool2_after: PoolState,
@@ -228,12 +232,14 @@ def solve_extraction(pool1_after: PoolState, pool2_after: PoolState,
     root's ceiling to the least y whose floored profit reaches the target.
     Raises TargetExceedsMaxProfit when the loop cannot net the target.
     """
+    counter = _check_pair(pool1_after, pool2_after, asset)
     if target == 0:
         return 0, 0
     if target < 0:
         raise PlannerError("extraction target must be non-negative")
-    if pool1_after.mode is NumericMode.INTEGER:  # bounds the walk below
-        best = max_extractable(pool1_after, pool2_after, asset)
+    integer = pool1_after.mode is NumericMode.INTEGER
+    if integer:  # bounds the walk below
+        best = _extraction_optimum(pool1_after, pool2_after, asset, counter)[1]
         if best < target:
             raise TargetExceedsMaxProfit(
                 f"target {target} above the reverse-loop optimum {best}")
@@ -243,10 +249,10 @@ def solve_extraction(pool1_after: PoolState, pool2_after: PoolState,
                pool1_after.mode)[0]
     if y <= 0:
         raise TargetExceedsMaxProfit("no positive extraction root")
-    counter = pool1_after.other_asset(asset)
     # floored profit never exceeds the continuous one, so no y below the
-    # root reaches the target; an exact root nets it and skips the walk
-    while _net_profit(pool1_after, pool2_after, asset, y) < target:
+    # root reaches the target; rational mode's exact root nets it
+    while integer and _net_profit(pool1_after, pool2_after, asset, counter,
+                                  y) < target:
         # a larger y qualifies only if its floored output reaches
         # target + y + 1: step to the least y that delivers that much
         y = solve_input_for_output(
@@ -278,7 +284,7 @@ def plan_relocation(pool1: PoolState, pool2: PoolState, asset: AssetId,
             as_q, (a, target, x_override, y_override))
 
     x = x_override if x_override is not None \
-        else solve_flash_amount(pool1, pool2, asset, a)
+        else _flash(pool1, pool2, asset, counter, a)
     b, pool1_after = swap_exact_in(pool1, asset, a + x)
     x_recovered, pool2_after = swap_exact_in(pool2, counter, b)
     shortfall = x - x_recovered
@@ -300,9 +306,9 @@ def plan_relocation(pool1: PoolState, pool2: PoolState, asset: AssetId,
         y = x_recovered
     else:
         # the profit-maximising repayment; zero when the loop nets nothing
-        y = _extraction_optimum(pool1_after, pool2_after, asset)
-    b_prime, out = extraction_result(pool1_after, pool2_after, asset, y) \
-        if y > 0 else (0, 0)
+        y = _extraction_optimum(pool1_after, pool2_after, asset, counter)[0]
+    b_prime = amount_out(pool2_after, asset, y) if y > 0 else 0
+    out = amount_out(pool1_after, counter, b_prime) if y > 0 else 0
 
     # what is left after the flash repayment; -shortfall when y is 0
     net = out - y - shortfall

@@ -17,7 +17,7 @@ from .engine import (Action, Address, ExecutionTrace, FillLimitOrder,
                      FlashBorrow, FlashRepay, FlashSwapBorrow, FlashSwapRepay,
                      INFRA_LABELS, LimitOrderIntent, Swap, Transfer,
                      WorldState, execute_bundle)
-from .numeric import REQUIRED, decimal_text, read
+from .numeric import REQUIRED, decimal_text, read, shown
 from .planner import (ExtractionStyle, FundingPolicy, PlannerError,
                       RelocationPlan, build_relocation_bundle,
                       plan_relocation)
@@ -27,7 +27,7 @@ class ConfigError(Exception):
     """Scenario configuration failed validation."""
 
 
-_SCENARIO_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
+_SCENARIO_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]{0,99}")
 
 
 class ScenarioRun(NamedTuple):
@@ -342,10 +342,10 @@ def _build(data) -> ScenarioRun:
         config = read(_RECIPE_TABLES[read(_CONFIG, data)["recipe"]], data)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    # the name becomes a directory under --out, so no path syntax
+    # the name becomes a directory under --out: no path syntax, no long name
     if not _SCENARIO_NAME.fullmatch(config["scenario"]):
-        raise ConfigError(f"scenario {config['scenario']!r} is not letters, "
-                          "digits, '_', '-' and '.' (not first)")
+        raise ConfigError(f"scenario {shown(config['scenario'])} is not 1-100 "
+                          "letters, digits, '_', '-' and '.' (not first)")
     builder, fixed, _, pool_args = _RECIPES[config["recipe"]]
     kwargs = {"mode" if key == "numeric_mode" else key: value
               for key, value in config["params"].items() if value is not None}

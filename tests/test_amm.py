@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ammflow import engine, planner
 from ammflow.amm import (BPS_DENOM, AmmError, AssetId, NumericMode,
@@ -325,6 +325,21 @@ def test_quote_is_the_swap_output(mode, fee_bps, asset_in, data):
         assert type(quoted.value) is type(exc)
     else:
         assert amount_out(pool, asset_in, amount) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(NumericMode), st.integers(0, BPS_DENOM - 1),
+       st.integers(1, 10 ** 30), st.integers(1, 10 ** 30),
+       st.integers(1, 10 ** 40))
+@example(NumericMode.RATIONAL, 0, 1, 10 ** 30, 10 ** 40)
+@example(NumericMode.INTEGER, 0, 1, 1, 10 ** 40)
+def test_no_swap_drains_a_reserve(mode, fee_bps, r_in, r_out, amount_in):
+    # r_in > 0, fee < 10,000 bps and a positive input put the output
+    # below r_out in both modes, so pricing needs no drain guard
+    pool = PoolState("p", TOKA, TOKB, r_in, r_out, fee_bps, mode)
+    assert amount_out(pool, TOKA, amount_in) < r_out
+    _, after = swap_exact_in(pool, TOKA, amount_in)
+    assert after.reserve0 > 0 and after.reserve1 > 0
 
 
 FEES = [0, 1, 5, 30, 100, 2500, 5000, 9999]

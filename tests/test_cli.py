@@ -707,11 +707,14 @@ def nested(depth):
     (("recipe",), nested(400)),
     (("params", "numeric_mode"), "x" * 5000),
     (("events", 0, "amount"), "9" * 4000 + "/7"),
+    (("scenario",), "x" * 5000),
 ], ids=["amount_of_5000_digits", "recipe_400_deep", "mode_of_5000_letters",
-        "trace_ratio_of_4000_digits"])
+        "trace_ratio_of_4000_digits", "scenario_of_5000_letters"])
 def test_a_refusal_quotes_a_long_value_in_short(cli, tmp_path, field, value):
     # each refusal once repeated the whole value: a 5,061-character line
-    # for the amount, a 974-character one for the nested recipe
+    # for the amount, a 974-character one for the nested recipe; the long
+    # scenario name got past its check and failed as a directory name,
+    # quoting the whole path in 5,052 characters
     import yaml
     from importlib import resources
     if field[0] == "events":
@@ -731,3 +734,4 @@ def test_a_refusal_quotes_a_long_value_in_short(cli, tmp_path, field, value):
     assert result.stderr.startswith("Error: ")
     assert result.stderr.count("\n") == 1 and len(result.stderr) < 200, \
         result.stderr
+    assert not (tmp_path / "runs").exists()

@@ -445,6 +445,12 @@ def test_malformed_pool_actions_are_engine_errors(action):
     assert snapshot(world) == before
 
 
+def test_an_action_of_no_known_type_is_an_engine_error():
+    world = library()["relocation_sym_zero_fee"]().world
+    with pytest.raises(EngineError, match="unknown action str"):
+        execute_bundle(world, ["transfer"], "O")
+
+
 def test_insufficient_balance_rolls_back_mid_bundle():
     world = basic_world("a", "b")
     world.set_balance("a", TOKA, Fraction(10))

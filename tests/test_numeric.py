@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ammflow import numeric
+from ammflow import numeric, planner
 from ammflow.amm import AssetId, NumericMode, PoolState, parse_amount
 from ammflow.engine import Address, WorldState, execute_bundle
 from ammflow.numeric import (ExactSqrtError, QuadExact, exact_sqrt,
@@ -75,6 +75,20 @@ def test_cross_field_coercion_on_square_ratio():
     assert exact_sqrt(8) == 2 * exact_sqrt(2)
     with pytest.raises(TypeError):
         exact_sqrt(2) + exact_sqrt(3)  # genuinely different fields
+
+
+def test_a_non_number_operand_is_a_type_error():
+    # _match finds no field element in a str, so each operator declines
+    x = make_exact(1, 1, 2)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv,
+               operator.lt):
+        with pytest.raises(TypeError):
+            op(x, "1")
+
+
+def test_an_irrational_value_where_a_rational_is_needed():
+    with pytest.raises(ValueError, match="is not rational"):
+        QuadExact(exact_sqrt(2), 1, 3)
 
 
 def test_hash_agrees_with_equality_across_radicands():
@@ -553,8 +567,16 @@ def test_relocation_work_counts(monkeypatch):
     the rational relocation (the first of the sweep_rational benchmark's
     seed 1) made 83 _match calls and 46 reserve_of + other_asset calls,
     and the integer one (the first of fee_integer's) 305 reserve_of
-    calls.  The 7 _match calls left read ints, and the lookups left are
-    other_asset calls."""
+    calls.  The 7 _match calls left read ints.
+
+    The plan checks its pool pair once, and every solver it runs trusts
+    that check: the 6 other_asset calls left are the check's 2, the
+    bundle's 1 and one per engine swap.  Before, the rational relocation
+    made 4 pair checks and 12 other_asset calls, and the integer one 74
+    and 152, one check per probe of the flash bisection.  The integer
+    plan's 142 quotes are 2 per bisection probe (69) plus the optimum's
+    and the phase-2 replay's 2 each; the rational plan quotes only the
+    phase-2 replay."""
     weth, usdt = AssetId("WETH", 18), AssetId("USDT", 6)
     integer = NumericMode.INTEGER
     rational = relocation(
@@ -569,11 +591,28 @@ def test_relocation_work_counts(monkeypatch):
         weth, 15549377870619113110)
     matches = counted(monkeypatch, QuadExact, ["_match"])
     lookups = counted(monkeypatch, PoolState, ["reserve_of", "other_asset"])
+    planning = counted(monkeypatch, planner, ["_check_pair", "amount_out"])
     rational()
-    assert (matches["_match"], lookups.total()) == (7, 12)
+    assert matches["_match"] == 7
+    assert lookups == {"other_asset": 6}
+    assert planning == {"_check_pair": 1, "amount_out": 2}
     lookups.clear()
+    planning.clear()
     fee_bearing()
-    assert lookups["reserve_of"] == 1
+    assert lookups == {"reserve_of": 1, "other_asset": 6}
+    assert planning == {"_check_pair": 1, "amount_out": 142}
+
+
+def test_rational_target_plan_skips_the_walk(monkeypatch, sym_pools):
+    """Only integer mode walks up from the extraction root: rational
+    mode's exact root nets the target.  So a rational target plan quotes
+    b' once in solve_extraction and twice in the phase-2 replay; the
+    walk's loop test used to replay the exact root first, for 5 quotes."""
+    quotes = counted(monkeypatch, planner, ["amount_out"])
+    plan = plan_relocation(*sym_pools, TOKA, "P", "B", "O", Fraction(10),
+                           target=Fraction(5), x_override=Fraction(10))
+    assert plan.predicted_a_prime == 5
+    assert quotes == {"amount_out": 3}
 
 
 RATIONALS = st.one_of(st.integers(-10**6, 10**6),

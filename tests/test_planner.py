@@ -169,8 +169,12 @@ A_C_POOL = PoolState("pool2", TOKA, TOKC, Fraction(100), Fraction(100))
      "pools must trade the same asset pair"),
     (lambda p1, p2: solve_extraction(p1, p2, TOKA, Fraction(-1)),
      "extraction target must be non-negative"),
+    # equal-price pools: both roots of out(y) - y = 1000 are negative
+    (lambda p1, p2: solve_extraction(p1, p2, TOKA, Fraction(1000)),
+     "no positive extraction root"),
 ], ids=["flash_foreign_asset", "optimum_foreign_asset", "flash_other_pair",
-        "optimum_other_pair", "extraction_negative_target"])
+        "optimum_other_pair", "extraction_negative_target",
+        "extraction_no_positive_root"])
 def test_planner_refusals(sym_pools, call, message):
     with pytest.raises(PlannerError, match=message):
         call(*sym_pools)
@@ -196,7 +200,7 @@ class TestIntegerOptimum:
     def test_within_one_counter_unit_of_brute_force(self, reserves, f1, f2):
         c1, c2, c3, c4 = reserves
         pools = int_pools(c1, c2, c3, c4, f1, f2)
-        y = argmax_extraction_int(*pools, TOKA)
+        y = argmax_extraction_int(*pools, TOKA, TOKB)[0]
         got = int_profit(c1, c2, c3, c4, f1, f2, y) if y > 0 else 0
         assert got >= 0
         assert max_extractable(*pools, TOKA) == got
@@ -210,7 +214,7 @@ class TestIntegerOptimum:
     def test_borrow_flooring_to_zero_nets_nothing(self, c3):
         # y* is positive but its b' floors to zero counter units
         pools = int_pools(2000, 20, c3, 2000)
-        assert argmax_extraction_int(*pools, TOKA) == 0
+        assert argmax_extraction_int(*pools, TOKA, TOKB) == (0, 0)
         assert max_extractable(*pools, TOKA) == 0
 
 
