@@ -100,19 +100,13 @@ def parse_amount(text: str, asset: AssetId, mode: NumericMode):
     return n * 10 ** (scale + asset.decimals)
 
 
-def format_amount(amount, asset: AssetId, mode: NumericMode) -> str:
-    """Render an internal amount as a whole-token decimal/exact string.
-
-    Integer amounts are split exactly by divmod, with no trailing zeros in
-    the fraction and no fraction for a whole number of tokens.
-    """
-    if mode is NumericMode.INTEGER:
-        whole, rest = divmod(abs(amount), 10 ** asset.decimals)
-        text = str(whole)
-        if rest:
-            text += "." + str(rest).zfill(asset.decimals).rstrip("0")
-        return "-" + text if amount < 0 else text
-    return str(amount)
+def format_amount(amount: int, asset: AssetId) -> str:
+    """Render an integer amount of smallest units as a whole-token decimal
+    string, split exactly by divmod, with no trailing zeros in the fraction
+    and no fraction for a whole number of tokens."""
+    whole, rest = divmod(abs(amount), 10 ** asset.decimals)
+    text = f"{whole}.{rest:0{asset.decimals}d}".rstrip("0").rstrip(".")
+    return "-" + text if amount < 0 else text
 
 
 @dataclass(frozen=True)

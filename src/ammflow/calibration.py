@@ -87,10 +87,6 @@ class CalibratedPools:
         self.pool2_reserves = pool2_reserves
         self.residuals = {} if residuals is None else residuals
 
-    @property
-    def max_residual(self) -> float:
-        return max(abs(v) for v in self.residuals.values())
-
     def to_dict(self) -> dict:
         return {"pool1": dict(zip(("asset", "counter"), self.pool1_reserves)),
                 "pool2": dict(zip(("asset", "counter"), self.pool2_reserves)),

@@ -233,6 +233,10 @@ def solve_extraction(pool1_after: PoolState, pool2_after: PoolState,
     Raises TargetExceedsMaxProfit when the loop cannot net the target.
     """
     counter = _check_pair(pool1_after, pool2_after, asset)
+    return _solve_extraction(pool1_after, pool2_after, asset, counter, target)
+
+
+def _solve_extraction(pool1_after, pool2_after, asset, counter, target):
     if target == 0:
         return 0, 0
     if target < 0:
@@ -297,8 +301,8 @@ def plan_relocation(pool1: PoolState, pool2: PoolState, asset: AssetId,
         y = y_override
     elif target is not None:
         raw_target = target + shortfall
-        y = solve_extraction(pool1_after, pool2_after, asset, raw_target)[0] \
-            if raw_target > 0 else 0
+        y = _solve_extraction(pool1_after, pool2_after, asset, counter,
+                              raw_target)[0] if raw_target > 0 else 0
     elif pool1.fee_bps == pool2.fee_bps == 0:
         # fee-free phase 2 with y equal to the phase-1 withdrawal undoes
         # both pool moves: exactly in rational mode (b' = b and the loop

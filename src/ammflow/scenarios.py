@@ -7,9 +7,12 @@ traces.
 
 from __future__ import annotations
 
+import json
 import re
-from functools import partial
-from typing import Callable, NamedTuple, Optional
+from functools import cache, partial
+from pathlib import Path
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from .amm import AmmError, AssetId, NumericMode, PoolState, amount_out, \
     format_amount, parse_amount, solve_input_for_output
@@ -117,13 +120,13 @@ def build_calibrated_relocation_scenario(name: str = "relocation_fee_calibrated"
                                                     obs)
 
     def text(reserves):
-        return tuple(format_amount(r, token, mode)
+        return tuple(format_amount(r, token)
                      for r, token in zip(reserves, (asset, counter)))
 
     return build_relocation_scenario(
         name=name, mode=mode, fee_bps=obs.fee_bps, asset=asset,
         counter=counter, reserves1=text(reserves1), reserves2=text(reserves2),
-        a=format_amount(a, asset, mode), x_override=x, y_override=y)
+        a=format_amount(a, asset), x_override=x, y_override=y)
 
 
 # -- PEB limit-order scenarios -----------------------------------------
@@ -173,7 +176,6 @@ def build_peb_scenario(*, name: str = "peb",
 
     # the filler's swap cost for sourcing exactly the taker amount
     repay_usdc = solve_input_for_output(pool, dai, taking_amt)
-    bundle: list[Action]
     if variant == "flash_loan":
         bundle = [
             FlashBorrow(f_id, e_id, dai, taking_amt),
@@ -336,8 +338,85 @@ _RECIPE_TABLES = {
     for recipe, (_, _, params, pools) in _RECIPES.items()}
 
 
+_QUOTED = re.compile(r"""'[^']*'|"[^"\\]*\"""")  # with no escape
+# a line: indentation, then `- `, `key:`, value and comment, all optional
+_LINE = re.compile(
+    rf"""( *)(- +)?(?:({_QUOTED.pattern}|[^\s'"#{{\[-][^:#]*?):(?: +|$))?"""
+    rf"""({_QUOTED.pattern}|[^\s'"#][^#]*?)?(?: *(?<!\S)#.*)? *""")
+# true, false, an int of at most 78 digits, or words YAML 1.1 reads as str
+_PLAIN = re.compile(r"(true|false)|([-+]?(?:0|[1-9][0-9]{0,77}))|(?!(?i:"
+                    r"yes|no|on|off|true|false|null)$)[A-Za-z_][\w.-]*"
+                    r"(?: +[\w.-]+)*", re.ASCII)
+
+
+def _scalar(text: str, n: int, flow: bool = False):
+    """A scalar, or (unless in a flow) a one-line flow of scalars."""
+    if _QUOTED.fullmatch(text):
+        return text[1:-1]
+    if plain := _PLAIN.fullmatch(text):
+        return text == "true" if plain[1] else int(text) if plain[2] else text
+    if not flow and text[0] + text[-1] in ("{}", "[]"):
+        items = [item.strip(" ") for item in text[1:-1].split(",")] \
+            if text[1:-1].strip(" ") else []
+        if text[0] == "[":
+            return [_scalar(item, n, True) for item in items]
+        pairs = {_scalar(key, n, True): _scalar(value.strip(" "), n, True)
+                 for key, value in (item.split(": ", 1) for item in items
+                                    if ": " in item)}
+        if len(pairs) == len(items):  # no pair is missing or repeated
+            return pairs
+    raise ConfigError(f"line {n}: {shown(text)} is outside the YAML subset")
+
+
+def _block(lines: list, i: int, depth: int = 1) -> tuple:
+    """The mapping or list at lines[i] and the index of the line after it."""
+    indent, dash = lines[i][1:3]
+    node = {}  # a list's items by index
+    while i < len(lines) and lines[i][1:3] == (indent, dash):
+        n, _, _, key, value = lines[i]
+        key, i = len(node) if dash else key, i + 1
+        if key in node:
+            raise ConfigError(f"line {n}: key {shown(key)} is repeated")
+        if value is None:  # YAML's null, unless a block opens below
+            if depth == 3 or i == len(lines) or lines[i][1] < indent or \
+                    lines[i][1] == indent and (dash or not lines[i][2]):
+                raise ConfigError(f"line {n}: no value, or one too deep")
+            value, i = _block(lines, i, depth + 1)
+        node[key] = value
+    if depth == 1 and i < len(lines):
+        raise ConfigError(f"line {lines[i][0]}: indentation opens no block")
+    return list(node.values()) if dash else node, i
+
+
+def _parse(text: str):
+    """A config text as YAML 1.1 reads it: JSON, or else a block subset."""
+    if text.lstrip()[:1] == "{":
+        try:  # YAML 1.1 reads NaN, Infinity, 1e5 and 1.5e5 as strings
+            return json.loads(text, parse_constant=str, parse_float=lambda t:
+                              float(t) if re.fullmatch(
+                                  r"-?\d+\.\d+(?:[eE][-+]\d+)?", t) else t)
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    lines = []
+    for n, line in enumerate(text.split("\n"), 1):
+        match = _LINE.fullmatch(line.removesuffix("\r"))
+        # printable is stricter than YAML: no tab, no line break but \n
+        if not (match and match[0].isprintable()) or match[4] and not (
+                match[2] or match[3]):
+            raise ConfigError(f"line {n}: {shown(line.strip(' '))} is outside "
+                              "the YAML subset")
+        indent, dash, key, value = match.groups()
+        if dash and key:  # a list item that opens a mapping
+            lines.append((n, len(indent), "- ", None, None))
+            indent, dash = indent + dash, None
+        if dash or key:
+            lines.append((n, len(indent), dash and "- ", key and _scalar(
+                key, n), value and _scalar(value, n)))
+    return _block(lines, 0)[0] if lines else None
+
+
 def _build(data) -> ScenarioRun:
-    """The run that a config, as YAML parses it, describes."""
+    """The run that a config, as read, describes."""
     try:
         config = read(_RECIPE_TABLES[read(_CONFIG, data)["recipe"]], data)
     except ValueError as exc:
@@ -361,50 +440,17 @@ def _build(data) -> ScenarioRun:
 
 
 def load_scenario_config(path: str) -> ScenarioRun:
-    """Build a scenario from a versioned YAML config file."""
-    import yaml  # imported here: only config files need it
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
-    except (yaml.YAMLError, RecursionError) as exc:  # or nests too deep
-        raise ConfigError(f"config is not valid YAML: {exc}") from exc
-    return _build(data)
+    """Build a scenario from a versioned config file."""
+    return _build(_parse(Path(path).read_text(encoding="utf-8")))
 
 
-# the shipped configs, as YAML parses them, by scenario name
-_LIBRARY = [
-    {"schema_version": 1, "scenario": "relocation_sym_zero_fee",
-     "recipe": "RelocationZeroFee",
-     "params": {"numeric_mode": "rational", "fee_bps": 0, "a": "10"},
-     "pools": [{"id": "pool1", "reserve0": "100", "reserve1": "100"},
-               {"id": "pool2", "reserve0": "100", "reserve1": "100"}]},
-    {"schema_version": 1, "scenario": "relocation_asym_zero_fee",
-     "recipe": "RelocationZeroFee",
-     "params": {"numeric_mode": "rational", "fee_bps": 0, "a": "12"},
-     "pools": [{"id": "pool1", "reserve0": "250", "reserve1": "140"},
-               {"id": "pool2", "reserve0": "180", "reserve1": "100.8"}]},
-    {"schema_version": 1, "scenario": "relocation_operator_is_principal",
-     "recipe": "RelocationZeroFee",
-     "params": {"numeric_mode": "rational", "fee_bps": 0, "a": "10",
-                "operator_is_principal": True}},
-    {"schema_version": 1, "scenario": "relocation_fee_calibrated",
-     "recipe": "RelocationFeeCalibrated", "params": {}},
-    *({"schema_version": 1, "scenario": name, "recipe": recipe,
-       "params": {"numeric_mode": "rational", "making": "1000",
-                  "taking": "990", "fee_bps": 30},
-       "pools": [{"id": "pool", "reserve0": "1000000",
-                  "reserve1": "1000000"}]}
-      for name, recipe in (("peb_limit_order", "PEBLimitOrder"),
-                           ("peb_flash_swap", "PEBFlashSwapVariant"))),
-    {"schema_version": 1, "scenario": "benign_arbitrage",
-     "recipe": "BenignArbitrage",
-     "params": {"numeric_mode": "rational", "fee_bps": 0}},
-    {"schema_version": 1, "scenario": "benign_routing",
-     "recipe": "BenignRouting", "params": {"numeric_mode": "rational"}},
-]
-
-
-def library() -> dict[str, Callable[[], ScenarioRun]]:
-    """Each shipped scenario's name and its build from the config rows."""
-    return {row["scenario"]: partial(_build, row) for row in _LIBRARY}
+@cache  # the shipped configs are read once per process
+def library() -> Mapping[str, Callable[[], ScenarioRun]]:
+    """Each shipped scenario's name and its build from its config."""
+    names = """relocation_sym relocation_asym relocation_operator_is_principal
+        relocation_fee_calibrated peb_limit_order peb_flash_swap
+        benign_arbitrage benign_routing""".split()  # the library's order
+    rows = [_parse((Path(__file__).parent / "configs" / f"{name}.yaml")
+                   .read_text(encoding="utf-8")) for name in names]
+    return MappingProxyType({row["scenario"]: partial(_build, row)
+                             for row in rows})

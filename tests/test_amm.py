@@ -187,7 +187,7 @@ class TestAmountIo:
 
     def test_format_round_trip(self):
         usdt = AssetId("USDT", 6)
-        text = format_amount(1_500_000, usdt, NumericMode.INTEGER)
+        text = format_amount(1_500_000, usdt)
         assert text == "1.5"
         assert parse_amount(text, usdt, NumericMode.INTEGER) == 1_500_000
 
@@ -240,17 +240,16 @@ class TestAmountIo:
 
     def test_format_is_exact_beyond_28_digits(self):
         weth = AssetId("WETH", 18)
-        assert format_amount(10 ** 40 + 1, weth, NumericMode.INTEGER) \
+        assert format_amount(10 ** 40 + 1, weth) \
             == "10000000000000000000000.000000000000000001"
-        assert format_amount(-5 * 10 ** 17, weth, NumericMode.INTEGER) \
-            == "-0.5"
-        assert format_amount(0, weth, NumericMode.INTEGER) == "0"
+        assert format_amount(-5 * 10 ** 17, weth) == "-0.5"
+        assert format_amount(0, weth) == "0"
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(-(2 ** 256) + 1, 2 ** 256 - 1), st.integers(0, 38))
     def test_format_parse_round_trip(self, n, decimals):
         asset = AssetId("TOK", decimals)
-        text = format_amount(n, asset, NumericMode.INTEGER)
+        text = format_amount(n, asset)
         assert parse_amount(text, asset, NumericMode.INTEGER) == n
 
     @settings(max_examples=300, deadline=None)
@@ -262,7 +261,7 @@ class TestAmountIo:
         want = format(Decimal(whole.numerator) / Decimal(whole.denominator),
                       "f")
         asset = AssetId("TOK", decimals)
-        assert format_amount(n, asset, NumericMode.INTEGER) == want
+        assert format_amount(n, asset) == want
 
 
 def test_pool_validation():

@@ -123,9 +123,10 @@ class TestSimulate:
          "bad scenario parameters"),
         ("recipe: PEBLimitOrder\nparams:\n  taking: \"2000000\"\n",
          "bad scenario parameters"),
-        # the config table refuses these before any recipe runs
+        # the reader or the config table refuses these before any recipe
+        # runs: a YAML float is outside the reader's subset
         ("recipe: BenignArbitrage\nparams:\n  fee_bps: 30.9\n",
-         "params.fee_bps must be an int, got 30.9"),
+         "line 5: '30.9' is outside the YAML subset"),
         ("recipe: BenignArbitrage\nparams:\n  fee_bps: true\n",
          "params.fee_bps must be an int, got True"),
         ("recipe: RelocationZeroFee\nparams:\n  a: \"Infinity\"\n",
@@ -201,8 +202,9 @@ class TestSimulate:
         for key in field[:-1]:
             holder = holder[key]
         holder[field[-1]] = value
-        config = tmp_path / "bad.yaml"
-        config.write_text(yaml.safe_dump(data), encoding="utf-8")
+        # JSON: the block YAML subset has no float for the table to refuse
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(data), encoding="utf-8")
         result = cli(["simulate", str(config),
                       "--out", str(tmp_path / "runs")])
         assert result.exit_code == 2, result.stderr
@@ -690,6 +692,7 @@ def test_deeply_nested_config_exits_2(cli, tmp_path, text):
     result = cli(["simulate", str(config), "--out", str(tmp_path / "out")])
     assert result.exit_code == 2, result.stderr
     assert result.stderr.startswith("Error: config error: ")
+    assert "line 1" in result.stderr
     assert result.stderr.count("\n") == 1
     assert not (tmp_path / "out").exists()
 

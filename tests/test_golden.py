@@ -140,12 +140,11 @@ def seeded_relocations():
         rb1 = int(ra1 * price) * usd // eth
         rb2 = int(ra2 * price2) * usd // eth
         yield dict(mode=mode, fee_bps=30, asset=weth, counter=usdt,
-                   reserves1=(format_amount(ra1, weth, mode),
-                              format_amount(rb1, usdt, mode)),
-                   reserves2=(format_amount(ra2, weth, mode),
-                              format_amount(rb2, usdt, mode)),
-                   a=format_amount(rng.randint(1 * eth, 20 * eth), weth,
-                                   mode))
+                   reserves1=(format_amount(ra1, weth),
+                              format_amount(rb1, usdt)),
+                   reserves2=(format_amount(ra2, weth),
+                              format_amount(rb2, usdt)),
+                   a=format_amount(rng.randint(1 * eth, 20 * eth), weth))
 
 
 def test_seeded_executions_match_engine_digest():

@@ -110,6 +110,16 @@ def test_exact_sqrt_denesting():
         exact_sqrt(-r5)
 
 
+def test_a_square_norm_that_still_does_not_denest():
+    """3+sqrt(5) has norm 9 - 5 = 4, a rational square, so it passes the
+    norm test; but it is ((1+sqrt 5)/sqrt 2)^2, whose root lies only in
+    Q(sqrt 2, sqrt 5), so neither candidate root squares back to it."""
+    value = QuadExact(3, 1, 5)
+    assert rational_sqrt(value.p ** 2 - value.q ** 2 * value.d) == 2
+    with pytest.raises(ExactSqrtError, match="does not denest"):
+        exact_sqrt(value)
+
+
 def test_solve_quadratic_orders_roots():
     lo, hi = solve_quadratic(1, 10, -500)
     assert lo < hi
@@ -606,13 +616,14 @@ def test_relocation_work_counts(monkeypatch):
 def test_rational_target_plan_skips_the_walk(monkeypatch, sym_pools):
     """Only integer mode walks up from the extraction root: rational
     mode's exact root nets the target.  So a rational target plan quotes
-    b' once in solve_extraction and twice in the phase-2 replay; the
-    walk's loop test used to replay the exact root first, for 5 quotes."""
-    quotes = counted(monkeypatch, planner, ["amount_out"])
+    b' once in the extraction solve and twice in the phase-2 replay; the
+    walk's loop test used to replay the exact root first, for 5 quotes.
+    The plan checks its pool pair once: the solve trusts that check."""
+    calls = counted(monkeypatch, planner, ["amount_out", "_check_pair"])
     plan = plan_relocation(*sym_pools, TOKA, "P", "B", "O", Fraction(10),
                            target=Fraction(5), x_override=Fraction(10))
     assert plan.predicted_a_prime == 5
-    assert quotes == {"amount_out": 3}
+    assert calls == {"amount_out": 3, "_check_pair": 1}
 
 
 RATIONALS = st.one_of(st.integers(-10**6, 10**6),
