@@ -48,8 +48,11 @@ def _build_run(source: str):
         raise ConfigError(
             f"{source!r} is neither a library scenario nor a config file; "
             f"library scenarios: {', '.join(sorted(lib))}")
-    return load_scenario_config(source), \
-        hashlib.sha256(Path(source).read_bytes()).hexdigest()
+    try:  # one read: the hash is of the bytes that are parsed
+        data = Path(source).read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {source}: {exc.strerror}") from exc
+    return load_scenario_config(data), hashlib.sha256(data).hexdigest()
 
 
 def _simulate_one(run, config_hash: str, out_root: Path) -> None:

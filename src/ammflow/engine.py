@@ -109,7 +109,7 @@ class WorldState:
     def copy(self) -> "WorldState":
         world = WorldState(self.mode)
         for name in ("addresses", "balances", "pools", "allowances"):
-            setattr(world, name, dict(getattr(self, name)))
+            setattr(world, name, getattr(self, name).copy())
         return world
 
     def total_supply(self, asset: AssetId) -> ExactNumber:
@@ -246,50 +246,106 @@ class _Execution:
         self.flash_debts: dict[tuple[str, str, str], ExactNumber] = {}
         # pool_id -> pre-borrow reserve product for pending flash swaps
         self.flash_swap_k: dict[str, ExactNumber] = {}
-        self.seq = 0
 
-    def emit(self, src: str, dst: str, asset: AssetId, amount,
-             action_index: int) -> None:
-        self.seq += 1
+    # the one move: pool reserves sit outside the balance map, so a payment
+    # into a pool only debits its payer and one out only credits its payee
+    def move(self, src: str, dst: str, asset: AssetId, amount, idx: int,
+             debit=True, credit=True) -> None:
+        balances, sym = self.world.balances, asset.symbol
+        if debit:
+            bal = balances.get((src, sym), 0)
+            if bal < amount:
+                raise InsufficientBalance(
+                    f"{src} holds {bal} {sym}, needs {amount}")
+            balances[(src, sym)] = bal - amount
+        if credit:
+            held = balances.get((dst, sym))
+            balances[(dst, sym)] = amount if held is None else held + amount
         # built like PoolState.with_reserves, skipping the frozen __init__
         event = object.__new__(TransferEvent)
-        event.__dict__.update(seq=self.seq, src=src, dst=dst, asset=asset,
-                              amount=amount, action_index=action_index)
-        self.trace.events.append(event)
-
-    def call(self, action_index: int, kind: str, caller: str,
-             callee: str) -> None:
-        self.trace.calls.append(CallRecord(action_index, kind, caller, callee))
-
-    # pool reserves sit outside the balance map, so a payment into a pool
-    # only debits its payer and one out of a pool only credits its payee
-    def pay(self, src: str, dst: str, asset: AssetId, amount,
-            action_index: int) -> None:
-        """Debit src by amount and emit the event to dst: the one debit."""
-        bal = self.world.balance(src, asset)
-        left = bal - amount
-        if left < 0:
-            raise InsufficientBalance(
-                f"{src} holds {bal} {asset.symbol}, needs {amount}")
-        self.world.balances[(src, asset.symbol)] = left
-        self.emit(src, dst, asset, amount, action_index)
-
-    def credit(self, dst: str, asset: AssetId, amount) -> None:
-        key = (dst, asset.symbol)
-        self.world.balances[key] = self.world.balances.get(key, 0) + amount
-
-    def move(self, src: str, dst: str, asset: AssetId, amount,
-             action_index: int) -> None:
-        self.pay(src, dst, asset, amount, action_index)
-        self.credit(dst, asset, amount)
-
-    def pay_from_pool(self, pool_id: str, dst: str, asset: AssetId, amount,
-                      action_index: int) -> None:
-        self.credit(dst, asset, amount)
-        self.emit(pool_id, dst, asset, amount, action_index)
+        events = self.trace.events
+        event.__dict__.update({"seq": len(events) + 1, "src": src, "dst": dst,
+                               "asset": asset, "amount": amount,
+                               "action_index": idx})
+        events.append(event)
 
 
-def _apply_fill(ex: _Execution, idx: int, act: FillLimitOrder) -> None:
+def _pool(world: WorldState, pool_id: str, asset: AssetId) -> PoolState:
+    if pool_id not in world.pools:
+        raise EngineError(f"no pool {pool_id!r}")
+    if not world.pools[pool_id].has_asset(asset):
+        raise EngineError(f"pool {pool_id!r} does not trade {asset.symbol}")
+    return world.pools[pool_id]
+
+
+def _transfer_from(ex, idx, act):
+    key = (act.owner, act.spender, act.asset.symbol)
+    allowance = ex.world.allowances.get(key, 0)
+    if allowance < act.amount:
+        raise InsufficientAllowance(
+            f"{act.spender} allowance from {act.owner} is {allowance}, "
+            f"needs {act.amount}")
+    ex.world.allowances[key] = allowance - act.amount
+    ex.move(act.owner, act.dst, act.asset, act.amount, idx)
+
+
+def _swap(ex, idx, act):
+    pool = _pool(ex.world, act.pool, act.input_asset)
+    out, ex.world.pools[act.pool] = swap_exact_in(pool, act.input_asset,
+                                                  act.amount_in)
+    ex.move(act.caller, act.pool, act.input_asset, act.amount_in, idx,
+            credit=False)
+    ex.move(act.pool, act.recipient, pool.other_asset(act.input_asset), out,
+            idx, debit=False)
+
+
+def _borrow(ex, idx, act):
+    ex.move(act.provider, act.borrower, act.asset, act.amount, idx)
+    key = (act.borrower, act.provider, act.asset.symbol)
+    debt = ex.flash_debts.get(key)
+    ex.flash_debts[key] = act.amount if debt is None else debt + act.amount
+
+
+def _repay(ex, idx, act):
+    key = (act.borrower, act.provider, act.asset.symbol)
+    debt = ex.flash_debts.get(key, 0)
+    if debt <= 0:
+        raise EngineError(f"no flash debt {key}")
+    ex.move(act.borrower, act.provider, act.asset, act.amount, idx)
+    # an over-repayment is a gift, not credit against a later borrow
+    ex.flash_debts[key] = max(debt - act.amount, 0)
+
+
+def _swap_borrow(ex, idx, act):
+    pool = _pool(ex.world, act.pool, act.asset)
+    reserve, other = pool.sides(act.asset)
+    if reserve <= act.amount:
+        raise InsufficientBalance(
+            f"flash swap {act.amount} exceeds reserve {reserve}")
+    if act.pool in ex.flash_swap_k:
+        raise EngineError(f"flash swap already pending on {act.pool}")
+    ex.flash_swap_k[act.pool] = pool.k
+    ex.world.pools[act.pool] = pool.with_reserves(
+        act.asset, reserve - act.amount, other)
+    ex.move(act.pool, act.borrower, act.asset, act.amount, idx, debit=False)
+
+
+def _swap_repay(ex, idx, act):
+    pool = _pool(ex.world, act.pool, act.asset)
+    if act.pool not in ex.flash_swap_k:
+        raise EngineError(f"no pending flash swap on {act.pool}")
+    ex.move(act.borrower, act.pool, act.asset, act.amount, idx, credit=False)
+    reserve, other = pool.sides(act.asset)
+    k_before = ex.flash_swap_k.pop(act.pool)
+    if not keeps_fee_adjusted_k(pool, act.asset, act.amount, k_before):
+        raise FlashSwapInvariantViolation(
+            f"flash swap repay on {act.pool} fails the fee-adjusted "
+            f"invariant")
+    ex.world.pools[act.pool] = pool.with_reserves(
+        act.asset, reserve + act.amount, other)
+
+
+def _fill(ex, idx, act):
     order = act.order
     if act.fill_amount > order.making_amount:
         raise Overfill(
@@ -300,14 +356,12 @@ def _apply_fill(ex: _Execution, idx: int, act: FillLimitOrder) -> None:
                    // order.making_amount)  # ceil, never underpay maker
     else:
         taking = exact_div(making * order.taking_amount, order.making_amount)
-    allowance = ex.world.allowance(order.maker, order.settlement,
-                                   order.maker_asset)
+    key = (order.maker, order.settlement, order.maker_asset.symbol)
+    allowance = ex.world.allowances.get(key, 0)
     if allowance < making:
         raise InsufficientAllowance(
             f"maker {order.maker} allowance {allowance} < {making}")
-    ex.world.allowances[(order.maker, order.settlement,
-                         order.maker_asset.symbol)] = allowance - making
-    ex.call(idx, "fill_limit_order", act.filler, order.maker)
+    ex.world.allowances[key] = allowance - making
     # taker side first: the maker only releases funds against payment
     ex.move(act.filler, order.receiver, order.taker_asset, taking, idx)
     if order.route_via_settlement:
@@ -317,97 +371,31 @@ def _apply_fill(ex: _Execution, idx: int, act: FillLimitOrder) -> None:
         ex.move(order.maker, act.filler, order.maker_asset, making, idx)
 
 
-def _amounts(act: Action) -> tuple:
-    if isinstance(act, FillLimitOrder):
-        order = act.order
-        return act.fill_amount, order.making_amount, order.taking_amount
-    return (act.amount_in if isinstance(act, Swap) else act.amount,)
+# per action kind: the amount fields the gate reads, the call record's
+# kind, caller and callee, and the step
+_KINDS = {kind: (tuple(map(operator.attrgetter, amounts.split())), name,
+                 operator.attrgetter(*parties.split()), step)
+          for kind, amounts, name, parties, step in (
+    (Transfer, "amount", "transfer", "src dst", lambda ex, idx, act:
+     ex.move(act.src, act.dst, act.asset, act.amount, idx)),
+    (TransferFrom, "amount", "transfer_from", "spender owner", _transfer_from),
+    (Swap, "amount_in", "swap", "caller pool", _swap),
+    (FlashBorrow, "amount", "flash_borrow", "borrower provider", _borrow),
+    (FlashRepay, "amount", "flash_repay", "borrower provider", _repay),
+    (FlashSwapBorrow, "amount", "flash_swap_borrow", "borrower pool",
+     _swap_borrow),
+    (FlashSwapRepay, "amount", "flash_swap_repay", "borrower pool",
+     _swap_repay),
+    (FillLimitOrder, "fill_amount order.making_amount order.taking_amount",
+     "fill_limit_order", "filler order.maker", _fill))}
 
 
-def _apply_action(ex: _Execution, idx: int, act: Action) -> None:
-    world = ex.world
-    if not isinstance(act, Action.__args__):
-        raise EngineError(f"unknown action {type(act).__name__}")
-    # the one amount gate, which every later step, pricing included,
-    # trusts: a positive amount keeps a valid pool's reserves positive, as
-    # PoolState.with_reserves requires
-    for amount in _amounts(act):
-        if not is_amount(amount, world.mode):
-            raise EngineError(f"amounts must be ints, or in rational mode "
-                              f"Fractions or QuadExacts: {act}")
-        if not amount > 0:
-            raise EngineError(f"amounts must be positive: {act}")
-    if isinstance(act, (Swap, FlashSwapBorrow, FlashSwapRepay)):
-        if act.pool not in world.pools:
-            raise EngineError(f"no pool {act.pool!r}")
-        asset = act.input_asset if isinstance(act, Swap) else act.asset
-        if not world.pools[act.pool].has_asset(asset):
-            raise EngineError(
-                f"pool {act.pool!r} does not trade {asset.symbol}")
-    if isinstance(act, Transfer):
-        ex.call(idx, "transfer", act.src, act.dst)
-        ex.move(act.src, act.dst, act.asset, act.amount, idx)
-    elif isinstance(act, TransferFrom):
-        allowance = world.allowance(act.owner, act.spender, act.asset)
-        if allowance < act.amount:
-            raise InsufficientAllowance(
-                f"{act.spender} allowance from {act.owner} is {allowance}, "
-                f"needs {act.amount}")
-        world.allowances[(act.owner, act.spender, act.asset.symbol)] = \
-            allowance - act.amount
-        ex.call(idx, "transfer_from", act.spender, act.owner)
-        ex.move(act.owner, act.dst, act.asset, act.amount, idx)
-    elif isinstance(act, Swap):
-        pool = world.pools[act.pool]
-        out, new_pool = swap_exact_in(pool, act.input_asset, act.amount_in)
-        ex.call(idx, "swap", act.caller, act.pool)
-        ex.pay(act.caller, act.pool, act.input_asset, act.amount_in, idx)
-        world.pools[act.pool] = new_pool
-        ex.pay_from_pool(act.pool, act.recipient,
-                         pool.other_asset(act.input_asset), out, idx)
-    elif isinstance(act, FlashBorrow):
-        ex.call(idx, "flash_borrow", act.borrower, act.provider)
-        ex.move(act.provider, act.borrower, act.asset, act.amount, idx)
-        key = (act.borrower, act.provider, act.asset.symbol)
-        ex.flash_debts[key] = ex.flash_debts.get(key, 0) + act.amount
-    elif isinstance(act, FlashRepay):
-        key = (act.borrower, act.provider, act.asset.symbol)
-        debt = ex.flash_debts.get(key, 0)
-        if debt <= 0:
-            raise EngineError(f"no flash debt {key}")
-        ex.call(idx, "flash_repay", act.borrower, act.provider)
-        ex.move(act.borrower, act.provider, act.asset, act.amount, idx)
-        # an over-repayment is a gift, not credit against a later borrow
-        ex.flash_debts[key] = max(debt - act.amount, 0)
-    elif isinstance(act, FlashSwapBorrow):
-        pool = world.pools[act.pool]
-        reserve, other = pool.sides(act.asset)
-        if reserve <= act.amount:
-            raise InsufficientBalance(
-                f"flash swap {act.amount} exceeds reserve {reserve}")
-        if act.pool in ex.flash_swap_k:
-            raise EngineError(f"flash swap already pending on {act.pool}")
-        ex.call(idx, "flash_swap_borrow", act.borrower, act.pool)
-        ex.flash_swap_k[act.pool] = pool.k
-        world.pools[act.pool] = pool.with_reserves(
-            act.asset, reserve - act.amount, other)
-        ex.pay_from_pool(act.pool, act.borrower, act.asset, act.amount, idx)
-    elif isinstance(act, FlashSwapRepay):
-        pool = world.pools[act.pool]
-        if act.pool not in ex.flash_swap_k:
-            raise EngineError(f"no pending flash swap on {act.pool}")
-        ex.call(idx, "flash_swap_repay", act.borrower, act.pool)
-        ex.pay(act.borrower, act.pool, act.asset, act.amount, idx)
-        reserve, other = pool.sides(act.asset)
-        k_before = ex.flash_swap_k.pop(act.pool)
-        if not keeps_fee_adjusted_k(pool, act.asset, act.amount, k_before):
-            raise FlashSwapInvariantViolation(
-                f"flash swap repay on {act.pool} fails the fee-adjusted "
-                f"invariant")
-        world.pools[act.pool] = pool.with_reserves(
-            act.asset, reserve + act.amount, other)
-    else:
-        _apply_fill(ex, idx, act)
+def _kind(act) -> tuple:
+    """The `_KINDS` row of act's kind, which it may subclass."""
+    for cls in type(act).__mro__:
+        if cls in _KINDS:
+            return _KINDS[cls]
+    raise EngineError(f"unknown action {type(act).__name__}")
 
 
 def execute_bundle(world: WorldState, bundle: list[Action], initiator: str,
@@ -417,8 +405,22 @@ def execute_bundle(world: WorldState, bundle: list[Action], initiator: str,
     if not bundle:
         raise EngineError("bundle must be non-empty")
     ex = _Execution(world, initiator, bundle_id)
+    calls, mode = ex.trace.calls, world.mode
     for idx, act in enumerate(bundle):
-        _apply_action(ex, idx, act)
+        amounts, name, parties, step = _KINDS.get(type(act)) or _kind(act)
+        # the one amount gate, which every later step, pricing included,
+        # trusts: a positive amount keeps a valid pool's reserves positive,
+        # as PoolState.with_reserves requires
+        for get in amounts:
+            amount = get(act)
+            if not is_amount(amount, mode):
+                raise EngineError(f"amounts must be ints, or in rational "
+                                  f"mode Fractions or QuadExacts: {act}")
+            if not amount > 0:
+                raise EngineError(f"amounts must be positive: {act}")
+        step(ex, idx, act)
+        # CallRecord's own __new__ is Python code: build the tuple directly
+        calls.append(tuple.__new__(CallRecord, (idx, name, *parties(act))))
     for key, debt in ex.flash_debts.items():
         if debt > 0:
             raise UnrepaidFlashDebt(f"flash debt {key} = {debt} at bundle end")

@@ -120,22 +120,21 @@ def _loop_coeffs(first: PoolState, second: PoolState, asset: AssetId):
             _times(d1 * d2, r1_in * r2_in))
 
 
-def _roots(a, b, c, mode: NumericMode):
-    """Roots of a*s^2 + b*s + c = 0, a > 0, smaller first: exact in
-    rational mode; in integer mode the ceiling of the smaller root and the
-    floor of the larger, which isqrt's floor of the discriminant's root
-    gives exactly.  Raises TargetExceedsMaxProfit when no root is real and
-    PlannerError when one leaves the coefficients' field (TypeError: a
-    new field's root met an irrational coefficient)."""
+def _root(a, b, c, mode: NumericMode, larger: bool):
+    """The larger or smaller root of a*s^2 + b*s + c = 0, a > 0: exact in
+    rational mode; in integer mode the larger's floor or the smaller's
+    ceiling, exactly, from isqrt of the discriminant.  TargetExceedsMaxProfit
+    if no root is real; PlannerError if the root leaves the coefficients'
+    field (TypeError: a new field's root met an irrational coefficient)."""
     disc = b * b - 4 * a * c
     if disc < 0:
         raise TargetExceedsMaxProfit("the loop never reaches this output")
     if mode is NumericMode.INTEGER:
         root = math.isqrt(disc)
-        return -((b + root) // (2 * a)), (root - b) // (2 * a)
+        return (root - b) // (2 * a) if larger else -((b + root) // (2 * a))
     try:
         root = exact_sqrt(disc)
-        return (-b - root) / (2 * a), (root - b) / (2 * a)
+        return (root - b if larger else -b - root) / (2 * a)
     except (ExactSqrtError, TypeError) as exc:
         raise PlannerError(
             "loop root leaves the exact field; use integer mode") from exc
@@ -165,7 +164,7 @@ def _flash(pool1, pool2, asset, counter, a) -> ExactNumber:
         # A2*x^2 + (B0 + A2*a - K)*x - K*a = 0; its constant term is
         # negative, so the larger root is the only positive one
         k_top, a2, b0 = _loop_coeffs(pool1, pool2, asset)
-        return _roots(a2, b0 + a2 * a - k_top, -k_top * a, pool1.mode)[1]
+        return _root(a2, b0 + a2 * a - k_top, -k_top * a, pool1.mode, True)
 
     lo, hi = 1, int(pool2.reserve_of(asset))  # output < r_a2: f(hi) < 0
     try:
@@ -206,7 +205,8 @@ def _extraction_optimum(pool1_after, pool2_after, asset, counter) -> tuple:
     floors y*, whose floored profit is within one counter unit's worth of
     output plus two units of the integer maximum."""
     k_top, a2, b0 = _loop_coeffs(pool2_after, pool1_after, asset)
-    y = _roots(a2 * a2, 2 * a2 * b0, (b0 - k_top) * b0, pool1_after.mode)[1]
+    y = _root(a2 * a2, 2 * a2 * b0, (b0 - k_top) * b0, pool1_after.mode,
+              True)
     profit = y > 0 and _net_profit(pool1_after, pool2_after, asset, counter, y)
     return (y, profit) if profit > 0 else (0, 0)
 
@@ -249,8 +249,8 @@ def _solve_extraction(pool1_after, pool2_after, asset, counter, target):
                 f"target {target} above the reverse-loop optimum {best}")
     k_top, a2, b0 = _loop_coeffs(pool2_after, pool1_after, asset)
     # out(y) - y = target  =>  A2*y^2 + (t*A2 + B0 - K)*y + t*B0 = 0
-    y = _roots(a2, target * a2 + b0 - k_top, target * b0,
-               pool1_after.mode)[0]
+    y = _root(a2, target * a2 + b0 - k_top, target * b0, pool1_after.mode,
+              False)
     if y <= 0:
         raise TargetExceedsMaxProfit("no positive extraction root")
     # floored profit never exceeds the continuous one, so no y below the

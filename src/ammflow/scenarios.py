@@ -439,9 +439,14 @@ def _build(data) -> ScenarioRun:
         raise ConfigError(f"bad scenario parameters: {exc}") from exc
 
 
-def load_scenario_config(path: str) -> ScenarioRun:
-    """Build a scenario from a versioned config file."""
-    return _build(_parse(Path(path).read_text(encoding="utf-8")))
+def load_scenario_config(config: str | bytes) -> ScenarioRun:
+    """Build a scenario from a versioned config file, or from its bytes."""
+    data = config if isinstance(config, bytes) else Path(config).read_bytes()
+    try:  # \r\n and \r end a line, as in a text-mode read
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"not UTF-8 text: {exc}") from None
+    return _build(_parse(text))
 
 
 @cache  # the shipped configs are read once per process

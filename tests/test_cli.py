@@ -221,6 +221,49 @@ class TestSimulate:
         assert (first / manifest).read_bytes() == \
             (second / manifest).read_bytes()
 
+    def test_config_hash_is_of_the_bytes_read_once(self, cli, tmp_path,
+                                                    monkeypatch):
+        """The file is read once, and the manifest hashes those bytes."""
+        import hashlib
+        config = tmp_path / "s.yaml"
+        config.write_bytes(b"schema_version: 1\nscenario: once\n"
+                           b"recipe: BenignRouting\n")
+        opened, real = [], Path.open
+        monkeypatch.setattr(Path, "open", lambda path, *args, **kwargs:
+                            opened.append(path) or real(path, *args, **kwargs))
+        out = simulate(cli, tmp_path, str(config))
+        assert opened.count(config) == 1
+        manifest = json.loads((out / "once" / "manifest.json").read_text())
+        assert manifest["config_hash"] == \
+            hashlib.sha256(config.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("body", [b"\xff\xfe", b"scenario: \xe9t\xe9\n"],
+                             ids=["utf16_bom", "latin1"])
+    def test_undecodable_config_exits_2(self, cli, tmp_path, body):
+        config = tmp_path / "f.yaml"
+        config.write_bytes(body)
+        result = cli(["simulate", str(config),
+                      "--out", str(tmp_path / "runs")])
+        assert result.exit_code == 2, result.stderr
+        assert result.stderr.startswith("Error: config error: not UTF-8 "
+                                        "text: 'utf-8' codec can't decode")
+        assert result.stderr.count("\n") == 1
+        assert not (tmp_path / "runs").exists()
+
+    def test_unreadable_config_exits_2(self, cli, tmp_path, monkeypatch):
+        # a permission a root process cannot be denied, raised as the read
+        def refuse(path):
+            raise PermissionError(13, "Permission denied", str(path))
+        config = tmp_path / "s.yaml"
+        config.write_text("schema_version: 1\n", encoding="utf-8")
+        monkeypatch.setattr(Path, "read_bytes", refuse)
+        result = cli(["simulate", str(config),
+                      "--out", str(tmp_path / "runs")])
+        assert result.exit_code == 2, result.stderr
+        assert result.stderr == (f"Error: config error: cannot read {config}: "
+                                 "Permission denied\n")
+        assert not (tmp_path / "runs").exists()
+
     @pytest.mark.parametrize("blocker, out", [
         ("afile", "afile/sub"),  # NotADirectoryError
         ("runs/benign_routing", "runs"),  # FileExistsError

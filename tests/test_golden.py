@@ -10,7 +10,8 @@ the zero-fee undo (rational), so they never reach the integer flash
 bisection, the extraction optimum or the target roots.
 `PLANNER_DIGEST` pins those through seeded plans, and `ENGINE_DIGEST`
 pins the traces and final reserves of seeded relocations executed by
-the engine.
+the engine.  `OUTCOME_DIGEST` pins the engine on seeded random bundles
+of every action kind: each outcome, accepted or refused, to the byte.
 """
 
 import hashlib
@@ -18,8 +19,13 @@ import json
 import random
 from fractions import Fraction
 
-from ammflow.amm import AssetId, NumericMode, PoolState, format_amount
-from ammflow.engine import execute_bundle, trace_to_json
+from ammflow.amm import (AssetId, NumericMode, PoolState, format_amount,
+                         is_amount)
+from ammflow.engine import (Address, FillLimitOrder, FlashBorrow, FlashRepay,
+                            FlashSwapBorrow, FlashSwapRepay, LimitOrderIntent,
+                            Swap, Transfer, TransferFrom, WorldState,
+                            execute_bundle, trace_to_json)
+from ammflow.numeric import QuadExact
 from ammflow.planner import PlannerError, plan_relocation
 from ammflow.scenarios import build_relocation_scenario, library
 
@@ -158,3 +164,142 @@ def test_seeded_executions_match_engine_digest():
         h.update(trace_to_json(trace, run.world.mode).encode()
                  + json.dumps(reserves).encode() + b"\0")
     assert h.hexdigest() == ENGINE_DIGEST
+
+
+OUTCOME_DIGEST = \
+    "dd57db5327a11c830202cafab9dc234095e95967006ce8f659aac3c1c2c7696d"
+
+
+class RoutedSwap(Swap):
+    """A subclass of an action kind, which the engine runs as its base."""
+
+
+def seeded_bundles():
+    """(world, bundle) for 1,000 integer then 1,000 rational random bundles
+    of 1-4 action groups over two pools, five addresses and three assets
+    (TOKC trades in no pool).  Every action kind appears, with fills routed
+    and unrouted, flash swaps, over-repayments, a `Swap` subclass, a str,
+    and amounts that are zero, negative or of a type the mode refuses;
+    rational amounts are ints, Fractions and QuadExacts of Q and of
+    Q(sqrt 2).  About a third of the bundles are accepted."""
+    rng = random.Random(20_261_020)
+    assets = tuple(AssetId(sym, 18) for sym in ("TOKA", "TOKB", "TOKC"))
+    addrs = ("A", "B", "C", "F", "S")
+    for mode in (NumericMode.INTEGER, NumericMode.RATIONAL):
+        rational = mode is NumericMode.RATIONAL
+
+        def good(top=60):
+            n = rng.randint(1, top)
+            if not rational:
+                return n
+            return rng.choice((n, Fraction(n, rng.randint(1, 7)),
+                               QuadExact(n), QuadExact(n, Fraction(1, 3), 2)))
+
+        def amount():
+            if rng.random() < 0.98:
+                return good()
+            return rng.choice((0, -3, True, 2.5, "7", Fraction(-1, 2),
+                               Fraction(3, 2), QuadExact(2)))
+
+        for _ in range(1000):
+            world = WorldState(mode)
+            for aid, label in zip(addrs, ("Principal", "Executor",
+                                          "Operator", "FlashProvider",
+                                          "SettlementContract")):
+                world.add_address(Address(aid, label))
+            for pid in ("p1", "p2"):
+                r0, r1 = (rng.randint(40, 400) for _ in range(2))
+                if rational and rng.random() < 0.3:
+                    r0 = QuadExact(r0, 1, 2)
+                world.add_pool(PoolState(pid, assets[0], assets[1], r0, r1,
+                                         rng.choice((0, 30)), mode))
+            for aid in addrs:  # some balances and allowances left absent
+                for asset in assets:
+                    if rng.random() < 0.95:
+                        world.set_balance(aid, asset, good(400))
+                    for spender in ("S", "C"):
+                        if rng.random() < 0.8:
+                            world.approve(aid, spender, asset, good(200))
+            bundle = []
+            for _ in range(rng.randint(1, 4)):
+                bundle.extend(random_actions(rng, addrs, assets, amount,
+                                             good))
+            yield world, bundle
+
+
+def random_actions(rng, addrs, assets, amount, good):
+    """One or two actions of a random kind; a flash borrow brings its
+    repayment (under, exact or over) most of the time."""
+    def who():
+        return rng.choice(addrs)
+
+    def asset():
+        return rng.choice(assets[:2] if rng.random() < 0.9 else assets)
+
+    def pool():
+        return rng.choice(("p1", "p2") * 9 + ("p3",))
+
+    kind = rng.choice((0, 0, 1, 2, 3, 4, 4, 6, 6, 8, 8, 8, 9) * 3 + (5, 7))
+    if kind == 0:
+        return [Transfer(who(), who(), asset(), amount())]
+    if kind == 1:
+        return [TransferFrom(who(), rng.choice(("S", "C")), who(), asset(),
+                             amount())]
+    if kind in (2, 3):
+        swap = RoutedSwap if kind == 3 else Swap
+        return [swap(who(), pool(), asset(), amount(), who())]
+    if kind == 4:
+        borrow = FlashBorrow("F", who(), asset(), amount())
+        if rng.random() < 0.1:
+            return [borrow]
+        repay = borrow.amount
+        if type(repay) is int and rng.random() < 0.4:
+            repay += rng.choice((-1, 1, 5))  # under- or over-repay
+        return [borrow, FlashRepay(borrow.borrower, "F", borrow.asset, repay)]
+    if kind == 5:
+        return [FlashRepay(who(), "F", asset(), amount())]
+    if kind == 6:
+        borrow = FlashSwapBorrow(pool(), who(), asset(), amount())
+        if rng.random() < 0.1:
+            return [borrow]
+        back = borrow.asset if rng.random() < 0.8 else asset()
+        extra = rng.choice((0, 1, 2, 30))
+        repay = borrow.amount + extra if back is borrow.asset \
+            and is_amount(borrow.amount, NumericMode.RATIONAL) else amount()
+        return [borrow, FlashSwapRepay(borrow.pool, borrow.borrower, back,
+                                       repay)]
+    if kind == 7:
+        return [FlashSwapRepay(pool(), who(), asset(), amount())]
+    if kind == 8:
+        making = good() if rng.random() < 0.97 else Fraction(5, 2)
+        order = LimitOrderIntent(who(), asset(), asset(), making, good(),
+                                 who(), "S", rng.random() < 0.5)
+        fill = making if rng.random() < 0.5 else amount()
+        return [FillLimitOrder(order, who(), fill)]
+    if rng.random() < 0.2:
+        return [rng.choice(("transfer", ("A", "B", assets[0], 1)))]
+    return [Transfer(who(), who(), asset(), amount())]
+
+
+def test_seeded_bundles_match_outcome_digest():
+    """Each random bundle's trace, final balances, allowances and reserves
+    in the engine's own order, with every amount's type; or the type and
+    message of the exception that refused it."""
+    h = hashlib.sha256()
+    for world, bundle in seeded_bundles():
+        try:
+            after, trace = execute_bundle(world, bundle, "C")
+        except Exception as exc:  # noqa: BLE001 - the refusal is the outcome
+            record = [type(exc).__name__, str(exc)]
+        else:
+            record = [trace_to_json(trace, world.mode),
+                      [[type(ev.amount).__name__] for ev in trace.events],
+                      *([[*key, str(v), type(v).__name__]
+                         for key, v in table.items()]
+                        for table in (after.balances, after.allowances)),
+                      [[pid, str(pool.reserve0), str(pool.reserve1),
+                        type(pool.reserve0).__name__,
+                        type(pool.reserve1).__name__]
+                       for pid, pool in after.pools.items()]]
+        h.update(json.dumps(record).encode() + b"\0")
+    assert h.hexdigest() == OUTCOME_DIGEST

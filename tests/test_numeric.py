@@ -552,9 +552,9 @@ def counted(monkeypatch, owner, names):
 
 
 def relocation(pool1, pool2, asset, a):
-    """The plan, bundle and execution of P's relocation of a through O to
-    B, as one call, over a world whose flash provider covers any flash
-    amount."""
+    """A call that plans P's relocation of a through O to B, over a world
+    whose flash provider covers any flash amount, and returns the call
+    that executes its bundle and returns the trace."""
     world = WorldState(mode=pool1.mode)
     for aid in ("P", "B", "O", "flash"):
         world.add_address(Address(aid))
@@ -564,11 +564,16 @@ def relocation(pool1, pool2, asset, a):
     world.set_balance("flash", asset, pool1.reserve0 + pool2.reserve0)
     world.approve("P", "O", asset, a)
 
-    def relocate():
+    def plan():
         plan = plan_relocation(pool1, pool2, asset, "P", "B", "O", a)
         bundle = build_relocation_bundle(plan, pool1, pool2)
-        execute_bundle(world, bundle, "O")
-    return relocate
+        return lambda: execute_bundle(world, bundle, "O")[1]
+    return plan
+
+
+QUAD_OPERATORS = ["__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                  "__rmul__", "__truediv__", "__rtruediv__", "__neg__",
+                  "__eq__", "__lt__", "__le__", "__gt__", "__ge__", "sign"]
 
 
 def test_relocation_work_counts(monkeypatch):
@@ -577,7 +582,15 @@ def test_relocation_work_counts(monkeypatch):
     the rational relocation (the first of the sweep_rational benchmark's
     seed 1) made 83 _match calls and 46 reserve_of + other_asset calls,
     and the integer one (the first of fee_integer's) 305 reserve_of
-    calls.  The 7 _match calls left read ints.
+    calls.  The 2 _match calls left read ints in the plan, which builds
+    only the root it reads (both roots took a third).
+
+    The engine credits a balance, or opens a flash debt, under a fresh
+    key by storing the amount itself: an int 0 on the left of a QuadExact
+    took 4 more _match calls, through __radd__, per rational relocation.
+    So the 9 actions of its bundle, with 12 transfer events and 9 call
+    records, make only the QuadExact operator calls pinned below; the
+    integer bundle makes none.
 
     The plan checks its pool pair once, and every solver it runs trusts
     that check: the 6 other_asset calls left are the check's 2, the
@@ -602,15 +615,25 @@ def test_relocation_work_counts(monkeypatch):
     matches = counted(monkeypatch, QuadExact, ["_match"])
     lookups = counted(monkeypatch, PoolState, ["reserve_of", "other_asset"])
     planning = counted(monkeypatch, planner, ["_check_pair", "amount_out"])
-    rational()
-    assert matches["_match"] == 7
+    execute = rational()
+    operators = counted(monkeypatch, QuadExact, QUAD_OPERATORS)
+    trace = execute()
+    assert matches["_match"] == 2
     assert lookups == {"other_asset": 6}
     assert planning == {"_check_pair": 1, "amount_out": 2}
+    assert operators == {"__add__": 13, "__sub__": 14, "__mul__": 5,
+                         "__truediv__": 3, "__lt__": 10, "__le__": 5,
+                         "__gt__": 10, "__ge__": 1}
+    assert (len(trace.events), len(trace.calls)) == (12, 9)
     lookups.clear()
     planning.clear()
-    fee_bearing()
+    execute = fee_bearing()
+    operators.clear()
+    trace = execute()
     assert lookups == {"reserve_of": 1, "other_asset": 6}
     assert planning == {"_check_pair": 1, "amount_out": 142}
+    assert operators == {}
+    assert (len(trace.events), len(trace.calls)) == (12, 9)
 
 
 def test_rational_target_plan_skips_the_walk(monkeypatch, sym_pools):

@@ -469,18 +469,21 @@ COEFFS = st.integers(-10**30, 10**30)
 @example(2, 0, -8)   # rational roots
 @example(1, 0, 1)    # no real root
 def test_roots_are_the_exact_roots_rounded_inward(a, b, c):
-    """Rational mode returns the exact roots, smaller first; integer mode
-    their ceiling and floor, which isqrt must get right where a float
-    square root would not."""
+    """Rational mode returns the exact smaller or larger root; integer mode
+    the smaller's ceiling or the larger's floor, which isqrt must get right
+    where a float square root would not."""
     if b * b < 4 * a * c:
         for mode in NumericMode:
-            with pytest.raises(TargetExceedsMaxProfit):
-                planner._roots(a, b, c, mode)
+            for larger in (False, True):
+                with pytest.raises(TargetExceedsMaxProfit):
+                    planner._root(a, b, c, mode, larger)
         return
     lo, hi = solve_quadratic(a, b, c)
-    assert planner._roots(a, b, c, NumericMode.RATIONAL) == (lo, hi)
-    assert planner._roots(a, b, c, NumericMode.INTEGER) == \
-        (math.ceil(lo), math.floor(hi))
+    rational, integer = NumericMode.RATIONAL, NumericMode.INTEGER
+    for mode, larger, root in ((rational, False, lo), (rational, True, hi),
+                               (integer, False, math.ceil(lo)),
+                               (integer, True, math.floor(hi))):
+        assert planner._root(a, b, c, mode, larger) == root
 
 
 @settings(max_examples=300, deadline=None)
@@ -488,8 +491,8 @@ def test_roots_are_the_exact_roots_rounded_inward(a, b, c):
 def test_integer_optimum_is_the_floor_of_the_unsquared_root(k, a2, b0):
     """The larger root of (B0 + A2*y)^2 = K*B0, floored, is the nested
     floor (isqrt(K*B0) - B0) // A2 of y* = (sqrt(K*B0) - B0)/A2."""
-    y = planner._roots(a2 * a2, 2 * a2 * b0, (b0 - k) * b0,
-                       NumericMode.INTEGER)[1]
+    y = planner._root(a2 * a2, 2 * a2 * b0, (b0 - k) * b0,
+                      NumericMode.INTEGER, True)
     assert y == (math.isqrt(k * b0) - b0) // a2
 
 

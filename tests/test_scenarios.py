@@ -3,6 +3,7 @@ import textwrap
 
 import pytest
 
+from ammflow.amm import NumericMode
 from ammflow.engine import (INFRA_LABELS, Address, WorldState, execute_bundle,
                             net_deltas, trace_to_json)
 from ammflow.graph import trace_canonical_form
@@ -253,6 +254,19 @@ class TestConfigLoading:
         path.write_text("{{nope", encoding="utf-8")
         with pytest.raises(ConfigError):
             load_scenario_config(str(path))
+
+    def test_config_bytes_end_lines_as_a_text_read_does(self):
+        """Bytes read as a text-mode file reads them: \r\n and a lone \r
+        end a line; bytes that are not UTF-8 are a ConfigError."""
+        text = ("schema_version: 1\nscenario: ends\nrecipe: RelocationZeroFee"
+                "\nparams:\n  a: '7'\n")
+        want = trace_to_json(load_scenario_config(text.encode()).execute()[1],
+                             NumericMode.RATIONAL)
+        for end in ("\r\n", "\r"):
+            run = load_scenario_config(text.replace("\n", end).encode())
+            assert trace_to_json(run.execute()[1], run.world.mode) == want
+        with pytest.raises(ConfigError, match="^not UTF-8 text: "):
+            load_scenario_config(text.encode("utf-16"))
 
     def test_shipped_configs_all_load(self):
         from importlib import resources
