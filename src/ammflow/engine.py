@@ -418,7 +418,11 @@ def execute_bundle(world: WorldState, bundle: list[Action], initiator: str,
                                   f"mode Fractions or QuadExacts: {act}")
             if not amount > 0:
                 raise EngineError(f"amounts must be positive: {act}")
-        step(ex, idx, act)
+        try:
+            step(ex, idx, act)
+        except TypeError:  # no one quadratic field holds both operands
+            raise EngineError(f"amounts of two quadratic fields meet in "
+                              f"{act}") from None
         # CallRecord's own __new__ is Python code: build the tuple directly
         calls.append(tuple.__new__(CallRecord, (idx, name, *parties(act))))
     for key, debt in ex.flash_debts.items():
@@ -437,8 +441,10 @@ def net_deltas(trace: ExecutionTrace) -> dict[tuple[str, str], ExactNumber]:
     for ev in trace.events:
         for addr, move in ((ev.src, operator.sub), (ev.dst, operator.add)):
             key = (addr, ev.asset.symbol)
-            try:
-                deltas[key] = move(deltas.get(key, 0), ev.amount)
+            held = deltas.get(key)
+            try:  # a fresh key takes the amount itself: no 0 - amount
+                deltas[key] = move(held, ev.amount) if held is not None \
+                    else -ev.amount if move is operator.sub else ev.amount
             except TypeError:  # no one quadratic field holds both
                 raise ValueError(
                     f"event {ev.seq}: {ev.amount} and {addr}'s {key[1]} sum "

@@ -28,20 +28,66 @@ class GraphEdge(NamedTuple):
     amount: object  # int, QuadExact, or a Fraction a caller passed in
 
 
-class TransferGraph(NamedTuple):
-    """The transfers of one asset, in time order (strictly increasing seq);
-    every observer walks the edges in list order."""
+class TransferGraph:
+    """The transfers of one asset, in time order (strictly increasing seq),
+    read once, at construction, into the model every observer shares:
 
-    asset: AssetId
-    edges: list[GraphEdge]
+    - `nodes`, in order of first appearance;
+    - `exact`, whether the amounts are the graph's own exact numbers.
+      Amounts that span more than one quadratic field (elements of Q lie
+      in every one) are read as floats, converted exactly to Fraction;
+    - `flows`, the positive edges as (src, dst, amount) in time order;
+    - `initial`, each node's implicit initial balance: its largest prefix
+      deficit, outflow not covered by inflow;
+    - `arcs`, attribution's time-expanded network as (tail, head,
+      capacity, the node a transfer arc pays), read by `_min_cost_flow`.
+    """
 
-    @property
-    def nodes(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for e in self.edges:
-            seen.setdefault(e.src)
-            seen.setdefault(e.dst)
-        return list(seen)
+    __slots__ = ("asset", "edges", "nodes", "exact", "flows", "initial",
+                 "arcs")
+
+    def __init__(self, asset: AssetId, edges: list[GraphEdge]):
+        self.asset, self.edges = asset, edges
+        self.nodes = list(dict.fromkeys(
+            node for e in edges for node in (e.src, e.dst)))
+        amounts = [e.amount for e in edges]
+        quads = [a for a in amounts if isinstance(a, QuadExact) and a.b]
+        self.exact = exact = all(type(a) in EXACT_TYPES for a in amounts) \
+            and all(quads[0]._match(a) is not None for a in quads[1:])
+        flows = [(e.src, e.dst, a if exact else Fraction(float(a)))
+                 for e, a in zip(edges, amounts)]
+        self.flows = flows = [f for f in flows if f[2] > 0]
+        held: dict = {}
+        self.initial = initial = {}
+        for src, dst, n in flows:
+            have = held.get(src, 0)
+            if have < n:
+                initial[src] = initial.get(src, 0) + (n - have)
+                have = n
+            held[src] = have - n
+            held[dst] = held.get(dst, 0) + n
+        # Every transfer gives its src and dst a new version (node, k): a
+        # holdover arc from a node's previous version is capped by its
+        # running total balance, the transfer arc by the amount and tagged
+        # with the node it pays, and every last version drains to the sink
+        # (None); a holdover or sink arc pays no node (None)
+        self.arcs = arcs = []
+        held = defaultdict(int, initial)
+        cur: dict[str, tuple[str, int]] = {}
+
+        def advance(node: str) -> tuple[str, int]:
+            old = cur.get(node, (node, 0))
+            cur[node] = (node, old[1] + 1)
+            arcs.append((old, cur[node], held[node], None))
+            return old
+
+        for src, dst, n in flows:
+            held[src] -= n
+            u = advance(src)
+            held[dst] += n
+            advance(dst)
+            arcs.append((u, cur[dst], n, dst))
+        arcs += [(v, None, held[node], None) for node, v in cur.items()]
 
 
 @dataclass(frozen=True)
@@ -62,90 +108,36 @@ def build_graph(trace: ExecutionTrace, asset: AssetId) -> TransferGraph:
     return TransferGraph(asset=asset, edges=edges)
 
 
-def _implicit_initials(edges: list[tuple[str, str, object]]) -> dict:
-    """Per node, the largest prefix deficit: outflow not covered by inflow.
-
-    That deficit is the node's implicit initial balance, the one starting
-    balance that attribution and haircut taint both read.
-    """
-    held: dict = {}
-    initial: dict = {}
-    for src, dst, n in edges:
-        have = held.get(src, 0)
-        if have < n:
-            initial[src] = initial.get(src, 0) + (n - have)
-            have = n
-        held[src] = have - n
-        held[dst] = held.get(dst, 0) + n
-    return initial
-
-
-def _edges(graph: TransferGraph) -> tuple[list[tuple], bool]:
-    """The positive edges as (src, dst, amount) in time order, and whether
-    the amounts are the graph's own exact numbers.  Amounts that span more
-    than one quadratic field (elements of Q lie in every one) are read as
-    floats, converted exactly to Fraction."""
-    amounts = [e.amount for e in graph.edges]
-    quads = [a for a in amounts if isinstance(a, QuadExact) and a.b]
-    exact = all(type(a) in EXACT_TYPES for a in amounts) \
-        and all(quads[0]._match(a) is not None for a in quads[1:])
-    edges = [(e.src, e.dst, e.amount if exact else Fraction(float(e.amount)))
-             for e in graph.edges]
-    return [e for e in edges if e[2] > 0], exact
-
-
 def attribute(graph: TransferGraph, principal: str,
               beneficiary: str) -> AttributionResult:
     """Least and greatest principal-origin value the beneficiary can have
     received; a unique positive amount is recoverable.  The result is
-    marked inexact when `_edges` read the amounts as floats."""
-    edges, exact = _edges(graph)
-    lo = _min_cost_flow(edges, principal, beneficiary, 1)
-    hi = -_min_cost_flow(edges, principal, beneficiary, -1)
+    marked inexact when the graph read its amounts as floats."""
+    lo = _min_cost_flow(graph, principal, beneficiary, 1)
+    hi = -_min_cost_flow(graph, principal, beneficiary, -1)
     return AttributionResult(float(lo), float(hi), lo == hi and lo > 0,
-                             exact)
+                             graph.exact)
 
 
-def _min_cost_flow(edges: list[tuple[str, str, object]], principal: str,
-                   beneficiary: str, sign: int):
+def _min_cost_flow(graph: TransferGraph, principal: str, beneficiary: str,
+                   sign: int):
     """Least sign * (principal value delivered to the beneficiary).
 
-    Every transfer gives its src and dst a new version (node, k); a
-    holdover arc from a node's previous version carries the principal value
-    it keeps, capped by its running total balance, and the transfer arc
-    carries the principal share of the amount, at cost `sign` when it pays
-    the beneficiary.  The principal's initial balance enters at its first
-    version and every last version drains to the sink (None).
+    On the graph's network, a holdover arc carries the principal value a
+    node keeps and a transfer arc the principal share of its amount, at
+    cost `sign` when it pays the beneficiary.  The principal's initial
+    balance enters at its first version.  Each solve builds its own
+    residual arcs from the graph's, so no solve changes the graph.
 
     Successive shortest paths ordered by (cost, hops): within one cost
     level this is Edmonds-Karp, so it ends for irrational capacities too.
     """
-    held = defaultdict(int, _implicit_initials(edges))
-    supply = held[principal]
+    arcs = []  # [tail, head, capacity, (cost, hops)]; i ^ 1 is i's residual
+    for u, v, capacity, pays in graph.arcs:
+        cost = sign if pays == beneficiary else 0
+        arcs += [u, v, capacity, (cost, 1)], [v, u, 0, (-cost, -1)]
+    supply = graph.initial.get(principal, 0)
     source = (principal, 0)
-    # [tail, head, capacity, (cost, hops)]; arc i ^ 1 is the residual of i
-    arcs: list[list] = []
-    cur: dict[str, tuple[str, int]] = {}
-
-    def arc(u, v, capacity, cost: int) -> None:
-        arcs.append([u, v, capacity, (cost, 1)])
-        arcs.append([v, u, 0, (-cost, -1)])
-
-    def advance(node: str) -> tuple[str, int]:
-        old = cur.get(node, (node, 0))
-        cur[node] = (node, old[1] + 1)
-        arc(old, cur[node], held[node], 0)
-        return old
-
-    for src, dst, n in edges:
-        held[src] -= n
-        u = advance(src)
-        held[dst] += n
-        advance(dst)
-        arc(u, cur[dst], n, sign if dst == beneficiary else 0)
-    for node, v in cur.items():
-        arc(v, None, held[node], 0)
-
     total = 0
     while supply > 0:
         dist, via = {source: (0, 0)}, {}
@@ -176,7 +168,7 @@ def taint_poison(graph: TransferGraph,
                  tainted: set[str]) -> dict[str, bool]:
     """Binary forward closure over the time-ordered positive edges."""
     marked = set(tainted)
-    for src, dst, _ in _edges(graph)[0]:
+    for src, dst, _ in graph.flows:
         if src in marked:
             marked.add(dst)
     return {node: node in marked for node in graph.nodes}
@@ -190,11 +182,10 @@ def taint_haircut(graph: TransferGraph,
     a late overdraft dilutes earlier payouts too.  The sums are exact in
     the graph's own numbers, so dirty <= held and each fraction is rounded
     to float once."""
-    edges = _edges(graph)[0]
-    held = defaultdict(int, _implicit_initials(edges))
+    held = defaultdict(int, graph.initial)
     # an exact zero keeps each quotient below exact (int / int is a float)
     dirty: dict = defaultdict(QuadExact)
-    for src, dst, amount in edges:
+    for src, dst, amount in graph.flows:
         if src in tainted:
             moved = amount
         else:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from ammflow.engine import (Address, EngineError, FillLimitOrder, FlashBorrow,
                             TransferFrom, UnrepaidFlashDebt, WorldState,
                             execute_bundle, net_deltas, trace_from_dict,
                             trace_to_dict, trace_to_json)
+from ammflow.numeric import QuadExact
 from ammflow.scenarios import library
 from conftest import TOKA, TOKB, make_pool
 
@@ -460,6 +462,32 @@ def test_insufficient_balance_rolls_back_mid_bundle():
     with pytest.raises(InsufficientBalance):
         execute_bundle(world, bundle, "a")
     assert snapshot(world) == before
+
+
+ROOT3 = QuadExact(1, 1, 3)
+
+
+@pytest.mark.parametrize("bundle", [
+    [Transfer("a", "b", TOKA, ROOT3)],
+    [Swap("a", "pool", TOKA, ROOT3, "a")],
+    # the rational debit passes; the repay meets Q(sqrt 2) reserves
+    [FlashSwapBorrow("pool", "a", TOKB, QuadExact(1)),
+     FlashSwapRepay("pool", "a", TOKB, ROOT3)]],
+    ids=["transfer", "swap", "flash_swap_repay"])
+def test_amounts_of_two_quadratic_fields_are_an_engine_error(bundle):
+    # each amount passes the gate, which reads its type alone; the step
+    # then meets a Q(sqrt 2) balance or reserve that no field shares
+    world = basic_world("a", "b")
+    world.set_balance("a", TOKA, QuadExact(10, 1, 2))
+    world.set_balance("a", TOKB, QuadExact(100))
+    world.add_pool(PoolState("pool", TOKA, TOKB, QuadExact(100, 1, 2),
+                             QuadExact(100, 1, 2)))
+    before = snapshot(world)
+    message = f"amounts of two quadratic fields meet in {bundle[-1]}"
+    with pytest.raises(EngineError, match=f"^{re.escape(message)}$"):
+        execute_bundle(world, bundle, "a")
+    assert snapshot(world) == before
+
 
 
 class TestTraceSerialization:

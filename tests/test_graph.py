@@ -3,14 +3,17 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
-from ammflow.engine import ExecutionTrace, TransferEvent
+from ammflow import graph as graph_module
+from ammflow.engine import (ExecutionTrace, TransferEvent, WorldState,
+                            execute_bundle)
 from ammflow.graph import (GraphEdge, TransferGraph, attribute, build_graph,
                            canonical_form, taint_haircut, taint_poison,
                            to_dot, trace_canonical_form)
 from ammflow.numeric import QuadExact
+from ammflow.planner import build_relocation_bundle, plan_relocation
 from ammflow.scenarios import (build_peb_scenario, build_relocation_scenario,
                                library)
-from conftest import TOKA, library_relocations
+from conftest import TOKA, TOKB, library_relocations, make_pool
 
 
 def graph_of(*edges):
@@ -311,6 +314,90 @@ class TestTaint:
         weth = run.plan.asset
         fractions = taint_haircut(build_graph(trace, weth), {"P"})
         assert fractions["O"] == 0.0
+
+
+class CountedList(list):
+    """A list that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def relocation_block(k):
+    """The trace of k zero-fee relocations P_i -> B_i through operator
+    O_i, sharing two pools and one flash provider, in one bundle."""
+    pool1 = make_pool("pool1", Fraction(1150), Fraction(4712))
+    pool2 = make_pool("pool2", Fraction(566), Fraction(2139))
+    world = WorldState(mode=pool1.mode)
+    world.add_pool(pool1)
+    world.add_pool(pool2)
+    world.set_balance("flash", TOKA, 2 * (pool1.reserve0 + pool2.reserve0))
+    bundle = []
+    for i in range(k):
+        p, a = f"P{i}", Fraction(16 + i)
+        world.set_balance(p, TOKA, a)
+        world.approve(p, f"O{i}", TOKA, a)
+        # both pools end where they began, so each plan starts from them
+        plan = plan_relocation(pool1, pool2, TOKA, p, f"B{i}", f"O{i}", a,
+                               flash_provider="flash")
+        bundle += build_relocation_bundle(plan, pool1, pool2)
+    return execute_bundle(world, bundle, "O0")[1]
+
+
+class TestSharedModel:
+    def test_each_graph_reads_its_edges_and_builds_its_network_once(
+            self, monkeypatch):
+        # attribute reads neither the edges nor the flows, so it cannot
+        # rebuild the network or rewalk the balances; each taint rule
+        # makes its one pass over the flows
+        solves = []
+        solve = graph_module._min_cost_flow
+        monkeypatch.setattr(graph_module, "_min_cost_flow",
+                            lambda *args: solves.append(args) or solve(*args))
+        trace = relocation_block(3)
+        pairs = [(f"P{i}", f"B{i}") for i in range(3)]
+        for asset in (TOKA, TOKB):
+            edges = CountedList(build_graph(trace, asset).edges)
+            graph = TransferGraph(asset, edges)
+            built, graph.flows = edges.passes, CountedList(graph.flows)
+            for p, b in pairs:
+                attribute(graph, p, b)
+                assert len(solves) == 2
+                assert {args[0] for args in solves} == {graph}
+                solves.clear()
+            assert graph.flows.passes == 0
+            taint_poison(graph, {p for p, _ in pairs})
+            taint_haircut(graph, {p for p, _ in pairs})
+            assert (edges.passes, graph.flows.passes) == (built, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from("PBXF"),
+                              st.sampled_from("PBXF"),
+                              st.integers(0, 5)),
+                    min_size=1, max_size=6),
+           st.lists(st.tuples(st.sampled_from(["attribute", "poison",
+                                               "haircut"]),
+                              st.sampled_from("PBXF"),
+                              st.sampled_from("PBXF")),
+                    min_size=1, max_size=6))
+    def test_queries_leave_the_shared_model_as_built(self, edges, queries):
+        # the parcel oracle's graphs, each queried twice over in the
+        # drawn order: every answer is that of a freshly built graph
+        def answer(graph, kind, p, b):
+            if kind == "attribute":
+                return attribute(graph, p, b)
+            rule = taint_poison if kind == "poison" else taint_haircut
+            return rule(graph, {p, b})
+
+        shared = graph_of(*edges)
+        for query in queries + queries:
+            assert answer(shared, *query) == answer(graph_of(*edges), *query)
+        fresh = graph_of(*edges)
+        assert [shared.nodes, shared.flows, shared.initial, shared.arcs] \
+            == [fresh.nodes, fresh.flows, fresh.initial, fresh.arcs]
 
 
 class TestCanonicalForm:

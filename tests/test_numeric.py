@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ammflow import numeric, planner
 from ammflow.amm import AssetId, NumericMode, PoolState, parse_amount
-from ammflow.engine import Address, WorldState, execute_bundle
+from ammflow.engine import Address, WorldState, execute_bundle, net_deltas
 from ammflow.numeric import (ExactSqrtError, QuadExact, exact_sqrt,
                              make_exact, parse_exact, rational_sqrt,
                              solve_quadratic)
@@ -590,7 +590,8 @@ def test_relocation_work_counts(monkeypatch):
     took 4 more _match calls, through __radd__, per rational relocation.
     So the 9 actions of its bundle, with 12 transfer events and 9 call
     records, make only the QuadExact operator calls pinned below; the
-    integer bundle makes none.
+    integer bundle makes none.  `net_deltas` sums the trace the same way,
+    so it makes no _match call; from an int 0 it made 9.
 
     The plan checks its pool pair once, and every solver it runs trusts
     that check: the 6 other_asset calls left are the check's 2, the
@@ -625,6 +626,9 @@ def test_relocation_work_counts(monkeypatch):
                          "__truediv__": 3, "__lt__": 10, "__le__": 5,
                          "__gt__": 10, "__ge__": 1}
     assert (len(trace.events), len(trace.calls)) == (12, 9)
+    matches.clear()
+    net_deltas(trace)
+    assert matches["_match"] == 0
     lookups.clear()
     planning.clear()
     execute = fee_bearing()

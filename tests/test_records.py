@@ -1,13 +1,15 @@
 """The library's records: tuples, checked tuples and slotted classes.
 
-Actions, call records, graph edges, transfer graphs, migration reports
-and scenario runs are NamedTuples; `AssetId`, `Address`,
-`LimitOrderIntent` and `ObservationSet` are NamedTuples whose every
-construction runs the record's check; the records that default a
-container to a fresh empty one are plain classes with `__slots__`.  Each takes its fields by position and by
-keyword, with a default only where some caller leaves the field out.  A
-field that takes one value is a class constant, not a parameter, and a
-`WorldState` starts empty: its state is set through its methods.
+Actions, call records, graph edges, migration reports and scenario
+runs are NamedTuples; `AssetId`, `Address`, `LimitOrderIntent` and
+`ObservationSet` are NamedTuples whose every construction runs the
+record's check; the records that default a container to a fresh empty
+one, and transfer graphs, which read their edges into their model as
+they are built, are plain classes with `__slots__`.  Each takes its
+fields by position and by keyword, with a default only where some
+caller leaves the field out.  A field that takes one value is a class
+constant, not a parameter, and a `WorldState` starts empty: its state
+is set through its methods.
 """
 
 import re
