@@ -25,6 +25,7 @@ class NumericMode(enum.Enum):
     INTEGER = "integer"
 
 
+RATIONAL, INTEGER = NumericMode  # globals: a member read is slow on 3.11
 EXACT_TYPES = (int, Fraction, QuadExact)  # rational mode's amount types
 
 
@@ -32,7 +33,7 @@ def is_amount(value, mode: NumericMode) -> bool:
     """The one amount rule: an int in integer mode; an int, a Fraction or
     a QuadExact in rational mode.  Types match exactly, so a bool, a
     float or a str is never an amount."""
-    return type(value) is int or (mode is NumericMode.RATIONAL
+    return type(value) is int or (mode is RATIONAL
                                   and type(value) in EXACT_TYPES)
 
 
@@ -92,7 +93,7 @@ def parse_amount(text: str, asset: AssetId, mode: NumericMode):
     are, in the mode's representation: an element of Q in whole tokens, or
     smallest units, refusing an amount finer than the asset's decimals."""
     n, scale = read_decimal(text)
-    if mode is NumericMode.RATIONAL:
+    if mode is RATIONAL:
         return QuadExact(n * 10 ** max(scale, 0)) / 10 ** max(-scale, 0)
     if scale + asset.decimals < 0:
         raise ValueError(
@@ -181,7 +182,7 @@ def _price(pool: PoolState, input_asset: AssetId, amount_in):
     r_in, r_out = pool.sides(input_asset)  # UnknownAsset if foreign
     if amount_in <= 0:
         raise ZeroInput("swap input must be positive")
-    integer = pool.mode is NumericMode.INTEGER
+    integer = pool.mode is INTEGER
     # in*g*r_out / (r_in*D + in*g), g = D - fee: at zero fee g/D is 1
     fee = pool.fee_bps
     eff = amount_in * (BPS_DENOM - fee) if fee else amount_in
@@ -230,7 +231,7 @@ def solve_input_for_output(pool: PoolState, output_asset: AssetId,
     if not r_out > amount_out:
         raise OutputNotLessThanReserve(
             f"cannot take {amount_out} from reserve {r_out}")
-    integer = pool.mode is NumericMode.INTEGER
+    integer = pool.mode is INTEGER
     # the swap yields at least amount_out exactly when
     # in*g*(r_out - out) >= out*r_in*D: the least such in is this
     # quotient, a ceiling in integer mode; D and g scale only with a fee

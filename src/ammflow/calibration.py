@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .amm import (BPS_DENOM, AssetId, NumericMode, PoolState, amount_out,
+from .amm import (BPS_DENOM, INTEGER, AssetId, PoolState, amount_out,
                   checked)
 from .numeric import REQUIRED, read
 
@@ -193,7 +193,7 @@ def _whole_tokens(plan, counter: AssetId) -> dict:
     smallest units over 10**decimals): a dict, since an ObservationSet
     refuses the non-positive amount that a replay may yield."""
     sa, sc = (10 ** plan.asset.decimals, 10 ** counter.decimals) \
-        if plan.mode is NumericMode.INTEGER else (1, 1)
+        if plan.mode is INTEGER else (1, 1)
     return {"a": plan.a / sa, "x": plan.x / sa, "b": plan.b / sc,
             "x_prime": plan.x_recovered / sa, "b_prime": plan.b_prime / sc,
             "y": plan.y / sa, "a_prime": plan.predicted_a_prime / sa}
@@ -208,7 +208,7 @@ def replay_and_validate(calibrated: CalibratedPools,
     counter = AssetId("COUNTER", obs.counter_decimals)
     reserves1, reserves2, a, x, y = integer_amounts(calibrated, obs)
     pool1, pool2 = (PoolState(pool_id, asset, counter, *reserves,
-                              obs.fee_bps, NumericMode.INTEGER)
+                              obs.fee_bps, INTEGER)
                     for pool_id, reserves in (("pool1", reserves1),
                                               ("pool2", reserves2)))
     plan = plan_relocation(pool1, pool2, asset, "P", "B", "O", a,

@@ -6,7 +6,7 @@ conditions it found violated; an empty list means the claim holds.
 
 from __future__ import annotations
 
-from .amm import NumericMode
+from .amm import INTEGER
 from .calibration import calibrate_reserves, replay_and_validate
 from .engine import net_deltas, trace_to_json
 from .graph import (attribute, build_graph, taint_haircut, taint_poison,
@@ -118,7 +118,7 @@ def flash_equivalence(**params) -> list[str]:
             for key in loan_net.keys() | swap_net.keys()
             if key[0] in (loan.principal, loan.beneficiary)),
         every_address_nets_identically=loan_net == swap_net
-        or loan.world.mode is NumericMode.INTEGER)
+        or loan.world.mode is INTEGER)
 
 
 def calibration_replays(obs) -> list[str]:

@@ -13,8 +13,8 @@ import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
-from .amm import (EXACT_TYPES, AssetId, NumericMode, PoolState, checked,
-                  is_amount, keeps_fee_adjusted_k, swap_exact_in)
+from .amm import (EXACT_TYPES, INTEGER, AssetId, NumericMode, PoolState,
+                  checked, is_amount, keeps_fee_adjusted_k, swap_exact_in)
 from .numeric import (MAX_AMOUNT, REQUIRED, ExactNumber, as_q, exact_div,
                       parse_exact, read)
 
@@ -351,7 +351,7 @@ def _fill(ex, idx, act):
         raise Overfill(
             f"fill {act.fill_amount} exceeds making {order.making_amount}")
     making = act.fill_amount
-    if ex.world.mode is NumericMode.INTEGER:
+    if ex.world.mode is INTEGER:
         taking = -(-making * order.taking_amount
                    // order.making_amount)  # ceil, never underpay maker
     else:
@@ -487,8 +487,8 @@ def trace_from_dict(data: dict) -> ExecutionTrace:
     """Rebuild a trace from its JSON form (amounts parsed exactly), or
     raise ValueError naming the first field that `_TRACE`, `AssetId` or
     the checks below refuse: events move an asset of `assets` in strictly
-    increasing seq, each by an amount in [0, 10**116), where zero is legal
-    since integer swaps can floor an output to 0."""
+    increasing seq, each by an amount in [0, 10**116), an int if the mode
+    is integer; zero is legal since integer swaps can floor an output to 0."""
     fields = read(_TRACE, data)
     assets = {}
     for sym, dec in fields["assets"].items():
@@ -501,6 +501,8 @@ def trace_from_dict(data: dict) -> ExecutionTrace:
         if not 0 <= ev["amount"] < MAX_AMOUNT:
             raise ValueError(f"events.{i}.amount {ev['amount']} is not in "
                              "[0, 10**116)")
+        if fields["mode"] and not is_amount(ev["amount"], fields["mode"]):
+            raise ValueError(f"events.{i}.amount {ev['amount']} is not an int")
         if ev["asset"] not in assets:
             raise ValueError(f"events.{i}.asset {ev['asset']} is not in "
                              "assets")

@@ -13,8 +13,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .amm import (BPS_DENOM, AssetId, NumericMode, PoolState, ZeroInput,
-                  amount_out, solve_input_for_output, swap_exact_in)
+from .amm import (BPS_DENOM, INTEGER, RATIONAL, AssetId, NumericMode,
+                  PoolState, ZeroInput, amount_out, solve_input_for_output,
+                  swap_exact_in)
 from .engine import (Action, FlashBorrow, FlashRepay, FlashSwapBorrow,
                      FlashSwapRepay, Swap, Transfer, TransferFrom)
 from .numeric import ExactNumber, ExactSqrtError, as_q, exact_sqrt
@@ -129,7 +130,7 @@ def _root(a, b, c, mode: NumericMode, larger: bool):
     disc = b * b - 4 * a * c
     if disc < 0:
         raise TargetExceedsMaxProfit("the loop never reaches this output")
-    if mode is NumericMode.INTEGER:
+    if mode is INTEGER:
         root = math.isqrt(disc)
         return (root - b) // (2 * a) if larger else -((b + root) // (2 * a))
     try:
@@ -160,7 +161,7 @@ def _flash(pool1, pool2, asset, counter, a) -> ExactNumber:
     """`solve_flash_amount` over a checked pair."""
     if a <= 0:
         raise PlannerError("principal amount must be positive")
-    if pool1.mode is NumericMode.RATIONAL:
+    if pool1.mode is RATIONAL:
         # A2*x^2 + (B0 + A2*a - K)*x - K*a = 0; its constant term is
         # negative, so the larger root is the only positive one
         k_top, a2, b0 = _loop_coeffs(pool1, pool2, asset)
@@ -241,7 +242,7 @@ def _solve_extraction(pool1_after, pool2_after, asset, counter, target):
         return 0, 0
     if target < 0:
         raise PlannerError("extraction target must be non-negative")
-    integer = pool1_after.mode is NumericMode.INTEGER
+    integer = pool1_after.mode is INTEGER
     if integer:  # bounds the walk below
         best = _extraction_optimum(pool1_after, pool2_after, asset, counter)[1]
         if best < target:
@@ -283,7 +284,7 @@ def plan_relocation(pool1: PoolState, pool2: PoolState, asset: AssetId,
     emitted bundle reproduces them exactly in either numeric mode.
     """
     counter = _check_pair(pool1, pool2, asset)
-    if pool1.mode is NumericMode.RATIONAL:  # a caller's Fraction enters Q
+    if pool1.mode is RATIONAL:  # a caller's Fraction enters Q
         a, target, x_override, y_override = map(
             as_q, (a, target, x_override, y_override))
 

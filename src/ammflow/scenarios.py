@@ -14,8 +14,8 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Optional
 
-from .amm import AmmError, AssetId, NumericMode, PoolState, amount_out, \
-    format_amount, parse_amount, solve_input_for_output
+from .amm import INTEGER, RATIONAL, AmmError, AssetId, NumericMode, \
+    PoolState, amount_out, format_amount, parse_amount, solve_input_for_output
 from .engine import (Action, Address, ExecutionTrace, FillLimitOrder,
                      FlashBorrow, FlashRepay, FlashSwapBorrow, FlashSwapRepay,
                      INFRA_LABELS, LimitOrderIntent, Swap, Transfer,
@@ -113,7 +113,7 @@ def build_calibrated_relocation_scenario(name: str = "relocation_fee_calibrated"
                               integer_amounts)
 
     obs = PUBLISHED_OBSERVATIONS
-    mode = NumericMode.INTEGER
+    mode = INTEGER
     asset = AssetId("WETH", obs.asset_decimals)
     counter = AssetId("USDT", obs.counter_decimals)
     reserves1, reserves2, a, x, y = integer_amounts(calibrate_reserves(obs),
@@ -239,7 +239,7 @@ def build_benign_twin(run: ScenarioRun,
     if perturb:
         plan = run.plan
         half = plan.predicted_a_prime / 2 \
-            if run.world.mode is NumericMode.RATIONAL \
+            if run.world.mode is RATIONAL \
             else plan.predicted_a_prime // 2
         bundle.append(Transfer(mapping[run.beneficiary], "sidecar",
                                plan.asset, half))

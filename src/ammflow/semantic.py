@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .amm import BPS_DENOM, NumericMode
+from .amm import BPS_DENOM, INTEGER
 from .engine import ExecutionTrace, WorldState, net_deltas
 from .numeric import exact_div
 from .planner import RelocationPlan
@@ -172,7 +172,7 @@ def loss_decomposition(trace: ExecutionTrace, plan: RelocationPlan,
     fee1, fee2 = (exact_div(world.pools[pool_id].fee_bps, BPS_DENOM)
                   for pool_id in (plan.pool1, plan.pool2))
     scale = 10 ** plan.asset.decimals \
-        if plan.mode is NumericMode.INTEGER else 1
+        if plan.mode is INTEGER else 1
     gained = net_deltas(trace).get((plan.beneficiary, plan.asset.symbol), 0)
     total = plan.a - gained
     fees = fee1 * (plan.a + plan.x + plan.extraction_out) \

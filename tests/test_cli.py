@@ -441,6 +441,29 @@ class TestAnalyze:
         assert result.exit_code == 0, result.stderr
         assert "transfer-layer: RECOVERABLE 100000 TOKA" in result.stdout
 
+    @pytest.mark.parametrize("amount, shown", [
+        ("1/2", "1/2"), ("1.5", "3/2"), ("0+1*sqrt(2)", "0+1*sqrt(2)")])
+    def test_an_integer_trace_refuses_a_non_int_amount(self, cli, tmp_path,
+                                                       amount, shown):
+        # amounts read from outside the program follow the mode's amount
+        # rule; a trace without a mode reads any exact amount, as before
+        trace = tmp_path / "trace.json"
+        for mode in (None, "rational", "integer"):
+            body = one_event("event", "amount", amount)
+            if mode is not None:
+                body["mode"] = mode
+            trace.write_text(json.dumps(body), encoding="utf-8")
+            result = cli(["analyze", str(trace),
+                          "--principal", "P",
+                          "--beneficiary", "B"])
+            if mode != "integer":
+                assert result.exit_code == 0, result.stderr
+                continue
+            assert result.exit_code == 2, result.stderr
+            assert result.stderr == ("Error: bad trace file: events.0.amount "
+                                     f"{shown} is not an int\n")
+            assert result.stdout == ""
+
     def test_events_in_seq_order(self, cli, tmp_path):
         # walked in the file order of the seq_reversed case above, the same
         # two events would read NOT RECOVERABLE

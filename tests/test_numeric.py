@@ -640,6 +640,41 @@ def test_relocation_work_counts(monkeypatch):
     assert (len(trace.events), len(trace.calls)) == (12, 9)
 
 
+class NoMembers:
+    """A stand-in for `NumericMode` whose every attribute read raises."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"NumericMode.{name} read at run time")
+
+
+@pytest.mark.parametrize("mode", list(NumericMode), ids=lambda m: m.value)
+def test_a_relocation_reads_no_numeric_mode_member(monkeypatch, mode):
+    """On Python 3.11 an enum member read such as `NumericMode.INTEGER`
+    goes through `EnumType.__getattr__`, about 14 times the cost of a
+    global read, and the integer relocation below made 152 of them, two
+    per probe of the flash bisection.  The modules compare modes with the
+    globals `amm.RATIONAL` and `amm.INTEGER`, so the whole relocation
+    (the first of the sweep_rational or fee_integer benchmark's seed 1)
+    runs with `NumericMode` out of reach of amm, planner and engine."""
+    weth, usdt = AssetId("WETH", 18), AssetId("USDT", 6)
+    pools = (
+        PoolState("pool1", TOKA, TOKB, Fraction(1150), Fraction(4712)),
+        PoolState("pool2", TOKA, TOKB, Fraction(566), Fraction(2139)),
+        TOKA, Fraction(16)) if mode is NumericMode.RATIONAL else (
+        PoolState("pool1", weth, usdt, 4111914272603397778143,
+                  5769397031883, 30, mode),
+        PoolState("pool2", weth, usdt, 233832401659235910865,
+                  328043612484, 30, mode),
+        weth, 15549377870619113110)
+    plan = relocation(*pools)
+    for module in ("amm", "planner", "engine"):
+        monkeypatch.setattr(f"ammflow.{module}.NumericMode", NoMembers())
+    trace = plan()()
+    deltas = net_deltas(trace)
+    assert deltas[("P", pools[2].symbol)] == -pools[3]
+    assert deltas[("B", pools[2].symbol)] > 0
+
+
 def test_rational_target_plan_skips_the_walk(monkeypatch, sym_pools):
     """Only integer mode walks up from the extraction root: rational
     mode's exact root nets the target.  So a rational target plan quotes
