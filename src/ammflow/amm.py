@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .numeric import ExactNumber, QuadExact, as_q, exact_div, read_decimal
+from .numeric import (MAX_DECIMALS, ExactNumber, QuadExact, as_q, exact_div,
+                      read_decimal)
 
 BPS_DENOM = 10_000
 
@@ -84,8 +85,8 @@ class AssetId(NamedTuple):
         if type(self.decimals) is not int:  # a bool is no count either
             raise ValueError(
                 f"asset decimals must be an int, got {self.decimals!r}")
-        if not 0 <= self.decimals <= 38:
-            raise ValueError("asset decimals must be in [0, 38]")
+        if not 0 <= self.decimals <= MAX_DECIMALS:
+            raise ValueError(f"asset decimals must be in [0, {MAX_DECIMALS}]")
 
 
 def parse_amount(text: str, asset: AssetId, mode: NumericMode):

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .amm import (BPS_DENOM, INTEGER, AssetId, PoolState, amount_out,
                   checked)
-from .numeric import REQUIRED, read
+from .numeric import MAX_DECIMALS, REQUIRED, read
 
 
 class InconsistentObservations(Exception):
@@ -48,8 +48,8 @@ class ObservationSet(NamedTuple):
             if value <= 0:
                 raise ValueError(f"observation {name} must be positive")
         for name in ("asset_decimals", "counter_decimals"):
-            if not 0 <= getattr(self, name) <= 38:
-                raise ValueError(f"{name} must be in [0, 38]")
+            if not 0 <= getattr(self, name) <= MAX_DECIMALS:
+                raise ValueError(f"{name} must be in [0, {MAX_DECIMALS}]")
         if not 0 <= self.fee_bps < BPS_DENOM:
             raise ValueError(f"fee_bps must be in [0, {BPS_DENOM})")
 

@@ -30,7 +30,7 @@ EXIT_USAGE = 2
 
 
 class UsageFailure(Exception):
-    """Configuration or input-file problem; exits with code 2."""
+    """An input the command refuses; exits with code 2."""
 
 
 def _dump_json(path: Path, payload: dict) -> None:
@@ -48,10 +48,7 @@ def _build_run(source: str):
         raise ConfigError(
             f"{source!r} is neither a library scenario nor a config file; "
             f"library scenarios: {', '.join(sorted(lib))}")
-    try:  # one read: the hash is of the bytes that are parsed
-        data = Path(source).read_bytes()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {source}: {exc.strerror}") from exc
+    data = Path(source).read_bytes()  # the hash is of the bytes parsed
     return load_scenario_config(data), hashlib.sha256(data).hexdigest()
 
 
@@ -61,11 +58,7 @@ def _simulate_one(run, config_hash: str, out_root: Path) -> None:
     except EngineError as exc:
         raise ConfigError(f"bundle does not execute: {exc}") from exc
     out_dir = out_root / run.name
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise UsageFailure(f"cannot create {out_dir}: {exc.strerror}") \
-            from exc
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     (out_dir / "trace.json").write_text(
         trace_to_json(trace, run.world.mode), encoding="utf-8")
@@ -122,37 +115,25 @@ def _analysis_payload(graphs: dict[str, TransferGraph],
     return payload
 
 
-def _input_file(path: str, role: str) -> Path:
-    """An input path that must name an existing file."""
-    file = Path(path)
-    if not file.is_file():
-        raise UsageFailure(f"{role} {path} is not an existing file")
-    return file
-
-
 def simulate(configs, out):
     """Run scenarios (library names or YAML config paths)."""
     out_root = Path(out)
-    if out_root.exists() and not out_root.is_dir():
-        raise UsageFailure(f"--out {out} is not a directory")
-    try:  # every source is built, and each name checked, before a write
-        runs = [_build_run(source) for source in configs]
-        names = [run.name for run, _ in runs]
-        if twice := sorted({name for name in names if names.count(name) > 1}):
-            raise UsageFailure(f"two sources name the scenario {twice[0]}")
-        for run, config_hash in runs:
-            _simulate_one(run, config_hash, out_root)
-    except ConfigError as exc:
-        raise UsageFailure(f"config error: {exc}") from exc
+    # every source is built, and each name checked, before a write
+    runs = [_build_run(source) for source in configs]
+    names = [run.name for run, _ in runs]
+    if twice := sorted({name for name in names if names.count(name) > 1}):
+        raise UsageFailure(f"two sources name the scenario {twice[0]}")
+    for run, config_hash in runs:
+        _simulate_one(run, config_hash, out_root)
     for name in names:
         print(f"simulated {name} -> {out_root / name}")
 
 
 def analyze(trace_path, principal, beneficiary):
     """Transfer-layer vs semantic verdicts, side by side."""
-    path = _input_file(trace_path, "trace file")
     try:  # net_deltas refuses a sum across two quadratic fields
-        trace = trace_from_dict(json.loads(path.read_text(encoding="utf-8")))
+        text = Path(trace_path).read_text(encoding="utf-8")
+        trace = trace_from_dict(json.loads(text))
         report = recover_migrations(trace, None, None)
     except (ValueError, RecursionError) as exc:  # or nests too deep
         raise UsageFailure(f"bad trace file: {exc}") from exc
@@ -171,10 +152,9 @@ def analyze(trace_path, principal, beneficiary):
 def calibrate(observations):
     """Recover pre-execution pool reserves from pipeline observations."""
     if observations:
-        path = _input_file(observations, "observations file")
         try:
-            obs = ObservationSet.from_dict(
-                json.loads(path.read_text(encoding="utf-8")))
+            text = Path(observations).read_text(encoding="utf-8")
+            obs = ObservationSet.from_dict(json.loads(text))
         except (ValueError, RecursionError) as exc:
             raise UsageFailure(f"bad observations file: {exc}") from exc
     else:
@@ -215,7 +195,7 @@ def _read_run_file(path: Path) -> dict:
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
         read(_RUN_FILES[path.stem], data)
-    except (OSError, ValueError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise UsageFailure(f"bad run file {path}: {exc}") from exc
     return data
 
@@ -328,10 +308,15 @@ def main(argv=None, standalone_mode=True):
         status = exc.code
     else:
         run = args.pop("run")
-        try:
+        try:  # the one place a refusal becomes an exit status
             status = run(**args) or EXIT_OK
-        except UsageFailure as exc:
-            print(f"Error: {exc}", file=sys.stderr)
+        except (UsageFailure, ConfigError, OSError) as exc:
+            refusal = exc
+            if isinstance(exc, ConfigError):
+                refusal = f"config error: {exc}"
+            elif isinstance(exc, OSError) and exc.filename is not None:
+                refusal = f"{exc.filename}: {exc.strerror}"
+            print(f"Error: {refusal}", file=sys.stderr)
             status = EXIT_USAGE
     if standalone_mode:
         raise SystemExit(status)

@@ -99,6 +99,23 @@ class TestExecuteBundle:
                 FlashSwapRepay("pool", "E", TOKA, Fraction(12))], "E")
         assert snapshot(world) == before
 
+    @pytest.mark.parametrize("mode", list(NumericMode),
+                             ids=lambda mode: mode.value)
+    def test_flash_swap_of_a_whole_reserve_is_refused(self, mode):
+        # the borrow would leave the pool no TOKB and a product of 0, which
+        # no repay can restore; E holds enough TOKA to repay any finite k
+        one = Fraction(1) if mode is NumericMode.RATIONAL else 1
+        world = basic_world("E", mode=mode)
+        world.add_pool(make_pool("pool", 100 * one, 100 * one, 30, mode))
+        world.set_balance("E", TOKA, 10 ** 6 * one)
+        before = snapshot(world)
+        with pytest.raises(InsufficientBalance,
+                           match="flash swap 100 exceeds reserve 100"):
+            execute_bundle(world, [
+                FlashSwapBorrow("pool", "E", TOKB, 100 * one),
+                FlashSwapRepay("pool", "E", TOKA, 10 ** 6 * one)], "E")
+        assert snapshot(world) == before
+
     @pytest.mark.parametrize("fee_bps, borrow, repay", [
         (0, Fraction(-5), Fraction(-5)),
         (30, Fraction(-100000), Fraction("-100000.1")),
